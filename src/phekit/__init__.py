@@ -16,11 +16,6 @@ everything else raises a CapabilityError with a fixed message.
 from .algebra import (
     PHE,
     Ciphertext,
-    cipher_add,
-    cipher_mul,
-    cipher_scalar,
-    cipher_xor,
-    decrypt_scaled,
     parse_ciphertext,
     serialize_ciphertext,
     to_rational,
@@ -59,11 +54,6 @@ __all__ = [
     "capabilities",
     "generate_keys",
     "get_curve",
-    "cipher_add",
-    "cipher_mul",
-    "cipher_xor",
-    "cipher_scalar",
-    "decrypt_scaled",
     "to_rational",
     "serialize_key",
     "parse_key",

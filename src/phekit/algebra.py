@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
 )
 from .numtheory import RandomSource
-from .schemes import KeyPair, Payload, Scheme, generate_keys, scheme_for
+from .schemes import KeyPair, Payload, generate_keys, scheme_for
 from .serialization import (
     FORMAT_VERSION,
     canonical_json,
@@ -75,47 +75,60 @@ class Ciphertext:
     scale_denominator: int = 1
     keys: Optional[KeyPair] = field(default=None, compare=False, repr=False)
 
-    def _bound_keys(self) -> KeyPair:
+    def _context(self) -> "PHE":
         if self.keys is None:
             raise OperandMismatchError(
                 "ciphertext is not bound to a key pair; parse it with keys"
             )
-        return self.keys
+        return PHE(keys=self.keys)
 
     def __add__(self, other: "Ciphertext") -> "Ciphertext":
         if not isinstance(other, Ciphertext):
             return NotImplemented
-        return cipher_add(self, other, self._bound_keys())
+        return self._context().add(self, other)
 
     def __mul__(self, other: Union["Ciphertext", ScalarLike]) -> "Ciphertext":
         if isinstance(other, Ciphertext):
-            return cipher_mul(self, other, self._bound_keys())
-        return cipher_scalar(other, self, self._bound_keys())
+            return self._context().mul(self, other)
+        return self._context().scalar(other, self)
 
     def __rmul__(self, k: ScalarLike) -> "Ciphertext":
-        return cipher_scalar(k, self, self._bound_keys())
+        return self._context().scalar(k, self)
 
     def __xor__(self, other: "Ciphertext") -> "Ciphertext":
         if not isinstance(other, Ciphertext):
             return NotImplemented
-        return cipher_xor(self, other, self._bound_keys())
+        return self._context().xor(self, other)
 
 
-def _check_operands(
-    a: Ciphertext, b: Ciphertext, keys: KeyPair, operation: str
+def _check_operand(
+    phe: "PHE", c: Ciphertext, operation: Optional[str] = None
 ) -> None:
-    """Shared preamble: algorithm agreement, capability, key, scale."""
+    """One ciphertext against the context: algorithm, capability, key pair."""
+    if c.algorithm != phe.algorithm:
+        raise OperandMismatchError(
+            f"keys are for {phe.algorithm}, ciphertext is {c.algorithm}"
+        )
+    if operation is not None:
+        ensure_supported(c.algorithm, operation)
+    if c.key_fingerprint != phe.fingerprint:
+        raise OperandMismatchError(
+            "ciphertext was produced under a different key pair"
+        )
+
+
+def _binary(a: Ciphertext, b: Ciphertext, phe: "PHE", operation: str) -> Ciphertext:
+    """Algorithm agreement, capability, key and scale checks, then combine."""
     if a.algorithm != b.algorithm:
         raise OperandMismatchError(
             f"cannot combine {a.algorithm} and {b.algorithm} ciphertexts"
         )
-    if keys.algorithm != a.algorithm:
+    if phe.algorithm != a.algorithm:
         raise OperandMismatchError(
-            f"keys are for {keys.algorithm}, ciphertexts are {a.algorithm}"
+            f"keys are for {phe.algorithm}, ciphertexts are {a.algorithm}"
         )
     ensure_supported(a.algorithm, operation)
-    expected = key_fingerprint(keys)
-    if a.key_fingerprint != expected or b.key_fingerprint != expected:
+    if a.key_fingerprint != phe.fingerprint or b.key_fingerprint != phe.fingerprint:
         raise OperandMismatchError(
             "ciphertexts were produced under a different key pair"
         )
@@ -125,86 +138,30 @@ def _check_operands(
             f"({a.scale_denominator} vs {b.scale_denominator}); "
             "apply the same scalar to both before combining"
         )
-
-
-def _binary(
-    a: Ciphertext,
-    b: Ciphertext,
-    keys: KeyPair,
-    operation: str,
-    scheme: Optional[Scheme] = None,
-) -> Ciphertext:
-    _check_operands(a, b, keys, operation)
-    scheme = scheme or scheme_for(keys)
-    combine = {"add": scheme.add, "mul": scheme.mul, "xor": scheme.xor}[operation]
+    combine = getattr(phe.scheme, operation)
     return replace(a, payload=combine(a.payload, b.payload))
 
 
-def cipher_add(
-    a: Ciphertext, b: Ciphertext, keys: KeyPair, scheme: Optional[Scheme] = None
-) -> Ciphertext:
-    return _binary(a, b, keys, "add", scheme)
+def cipher_add(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
+    return _binary(a, b, phe, "add")
 
 
-def cipher_mul(
-    a: Ciphertext, b: Ciphertext, keys: KeyPair, scheme: Optional[Scheme] = None
-) -> Ciphertext:
-    return _binary(a, b, keys, "mul", scheme)
+def cipher_mul(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
+    return _binary(a, b, phe, "mul")
 
 
-def cipher_xor(
-    a: Ciphertext, b: Ciphertext, keys: KeyPair, scheme: Optional[Scheme] = None
-) -> Ciphertext:
-    return _binary(a, b, keys, "xor", scheme)
+def cipher_xor(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
+    return _binary(a, b, phe, "xor")
 
 
-def cipher_scalar(
-    k: ScalarLike, c: Ciphertext, keys: KeyPair, scheme: Optional[Scheme] = None
-) -> Ciphertext:
-    if keys.algorithm != c.algorithm:
-        raise OperandMismatchError(
-            f"keys are for {keys.algorithm}, ciphertext is {c.algorithm}"
-        )
-    ensure_supported(c.algorithm, "scalar")
-    if c.key_fingerprint != key_fingerprint(keys):
-        raise OperandMismatchError(
-            "ciphertext was produced under a different key pair"
-        )
+def cipher_scalar(k: ScalarLike, c: Ciphertext, phe: "PHE") -> Ciphertext:
+    _check_operand(phe, c, "scalar")
     value = to_rational(k)
-    scheme = scheme or scheme_for(keys)
     return replace(
         c,
-        payload=scheme.scalar(c.payload, value.numerator),
+        payload=phe.scheme.scalar(c.payload, value.numerator),
         scale_denominator=c.scale_denominator * value.denominator,
     )
-
-
-def decrypt_scaled(
-    keys: KeyPair, c: Ciphertext, rational: bool = False,
-    scheme: Optional[Scheme] = None,
-) -> Union[int, Fraction]:
-    """Decrypt and divide out the cleartext scale.
-
-    Integer mode (the default) insists the division is exact; rational mode
-    returns the exact fraction whatever the scale.
-    """
-    if keys.algorithm != c.algorithm:
-        raise OperandMismatchError(
-            f"keys are for {keys.algorithm}, ciphertext is {c.algorithm}"
-        )
-    if c.key_fingerprint != key_fingerprint(keys):
-        raise OperandMismatchError(
-            "ciphertext was produced under a different key pair"
-        )
-    scheme = scheme or scheme_for(keys)
-    value = Fraction(scheme.decrypt(c.payload), c.scale_denominator)
-    if rational:
-        return value
-    if value.denominator != 1:
-        raise InexactResultError(
-            f"scaled value {value} is not an integer; decrypt with rational=True"
-        )
-    return value.numerator
 
 
 # -- ciphertext documents -----------------------------------------------------
@@ -318,25 +275,35 @@ class PHE:
         )
 
     def decrypt(self, c: Ciphertext, rational: bool = False) -> Union[int, Fraction]:
-        return decrypt_scaled(self.keys, c, rational=rational, scheme=self.scheme)
+        """Decrypt and divide out the cleartext scale.
+
+        Integer mode (the default) insists the division is exact; rational
+        mode returns the exact fraction whatever the scale.
+        """
+        _check_operand(self, c)
+        value = Fraction(self.scheme.decrypt(c.payload), c.scale_denominator)
+        if rational:
+            return value
+        if value.denominator != 1:
+            raise InexactResultError(
+                f"scaled value {value} is not an integer; decrypt with rational=True"
+            )
+        return value.numerator
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return cipher_add(a, b, self.keys, scheme=self.scheme)
+        return cipher_add(a, b, self)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return cipher_mul(a, b, self.keys, scheme=self.scheme)
+        return cipher_mul(a, b, self)
 
     def xor(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return cipher_xor(a, b, self.keys, scheme=self.scheme)
+        return cipher_xor(a, b, self)
 
     def scalar(self, k: ScalarLike, c: Ciphertext) -> Ciphertext:
-        return cipher_scalar(k, c, self.keys, scheme=self.scheme)
+        return cipher_scalar(k, c, self)
 
     def regenerate(self, c: Ciphertext) -> Ciphertext:
-        if c.key_fingerprint != self.fingerprint:
-            raise OperandMismatchError(
-                "ciphertext was produced under a different key pair"
-            )
+        _check_operand(self, c)
         return replace(c, payload=self.scheme.regenerate(c.payload, self.rng))
 
     def bind(self, c: Ciphertext) -> Ciphertext:

@@ -11,26 +11,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
 from . import bench as bench_mod
-from .algebra import (
-    Ciphertext,
-    cipher_add,
-    cipher_mul,
-    cipher_scalar,
-    cipher_xor,
-    decrypt_scaled,
-    parse_ciphertext,
-    serialize_ciphertext,
-)
+from .algebra import PHE, parse_ciphertext, serialize_ciphertext
 from .capabilities import ALGORITHMS, capabilities
 from .errors import CapabilityError, PheError
 from .numtheory import TEST_SEED_ENV, RandomSource
-from .schemes import KeyPair, generate_keys, regenerate, scheme_for
-from .serialization import key_fingerprint, parse_key, serialize_key
+from .schemes import KeyPair, generate_keys
+from .serialization import parse_key, serialize_key
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,17 +44,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dlp-bound", type=int, help="plaintext bound for discrete-log decryption")
     p.add_argument("--out", required=True, help="key file to write (full key pair)")
     p.add_argument("--public-out", help="also write a public-only key file")
+    p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("encrypt", help="encrypt an integer")
     p.add_argument("--keys", required=True, help="key file (public part suffices)")
     p.add_argument("--plaintext", required=True)
     p.add_argument("--out", required=True, help="ciphertext file to write")
+    p.set_defaults(func=_cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a ciphertext file")
     p.add_argument("--keys", required=True, help="key file with the private part")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--rational", action="store_true",
                    help="print p/q instead of requiring an exact integer")
+    p.set_defaults(func=_cmd_decrypt)
 
     for name, flag_help in (
         ("add", "homomorphic addition"),
@@ -76,20 +69,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--left", required=True)
         p.add_argument("--right", required=True)
         p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_binary)
 
     p = sub.add_parser("smul", help="multiply a ciphertext by a cleartext scalar")
     p.add_argument("--keys", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--scalar", required=True, help="decimal, possibly fractional (e.g. 1.05)")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_smul)
 
     p = sub.add_parser("regen", help="re-randomize a ciphertext")
     p.add_argument("--keys", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_regen)
 
     p = sub.add_parser("capabilities", help="show an algorithm's capability row")
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
+    p.set_defaults(func=_cmd_capabilities)
 
     p = sub.add_parser("bench", help="run the timing harness")
     p.add_argument("--levels", default="80",
@@ -102,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--toy", action="store_true",
                    help="run benaloh and naccache-stern at a small modulus "
                         "instead of skipping them")
+    p.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -119,8 +117,8 @@ def _load_keys(path: str) -> KeyPair:
     return parse_key(Path(path).read_text())
 
 
-def _load_cipher(path: str, keys: KeyPair):
-    return parse_ciphertext(Path(path).read_text(), keys=keys)
+def _load_cipher(path: str):
+    return parse_ciphertext(Path(path).read_text())
 
 
 def _write(path: str, text: str) -> None:
@@ -154,46 +152,38 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
         m = int(args.plaintext, 10)
     except ValueError:
         raise UsageError(f"--plaintext must be a decimal integer, got {args.plaintext!r}")
-    scheme = scheme_for(keys)
-    payload = scheme.encrypt(m, _rng_from_env())
-    c = Ciphertext(
-        algorithm=keys.algorithm,
-        payload=payload,
-        key_fingerprint=key_fingerprint(keys),
-    )
-    _write(args.out, serialize_ciphertext(c))
+    phe = PHE(keys=keys, rng=_rng_from_env())
+    _write(args.out, serialize_ciphertext(phe.encrypt(m)))
     return EXIT_OK
 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
-    keys = _load_keys(args.keys)
-    c = _load_cipher(args.infile, keys)
-    value = decrypt_scaled(keys, c, rational=args.rational)
-    print(value)
+    phe = PHE(keys=_load_keys(args.keys))
+    print(phe.decrypt(_load_cipher(args.infile), rational=args.rational))
     return EXIT_OK
 
 
-def _cmd_binary(args: argparse.Namespace, operation: str) -> int:
-    keys = _load_keys(args.keys)
-    left = _load_cipher(args.left, keys)
-    right = _load_cipher(args.right, keys)
-    combine = {"add": cipher_add, "mul": cipher_mul, "xor": cipher_xor}[operation]
-    _write(args.out, serialize_ciphertext(combine(left, right, keys)))
+def _cmd_binary(args: argparse.Namespace) -> int:
+    phe = PHE(keys=_load_keys(args.keys))
+    combine = getattr(phe, args.subcommand)
+    result = combine(_load_cipher(args.left), _load_cipher(args.right))
+    _write(args.out, serialize_ciphertext(result))
     return EXIT_OK
 
 
 def _cmd_smul(args: argparse.Namespace) -> int:
-    keys = _load_keys(args.keys)
-    c = _load_cipher(args.infile, keys)
-    _write(args.out, serialize_ciphertext(cipher_scalar(args.scalar, c, keys)))
+    phe = PHE(keys=_load_keys(args.keys))
+    result = phe.scalar(args.scalar, _load_cipher(args.infile))
+    _write(args.out, serialize_ciphertext(result))
     return EXIT_OK
 
 
 def _cmd_regen(args: argparse.Namespace) -> int:
     keys = _load_keys(args.keys)
-    c = _load_cipher(args.infile, keys)
-    fresh = replace(c, payload=regenerate(c.payload, keys, _rng_from_env()))
-    _write(args.out, serialize_ciphertext(fresh))
+    c = _load_cipher(args.infile)
+    # the seed warning comes only once both files have parsed
+    phe = PHE(keys=keys, rng=_rng_from_env())
+    _write(args.out, serialize_ciphertext(phe.regenerate(c)))
     return EXIT_OK
 
 
@@ -248,21 +238,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.subcommand == "keygen":
-            return _cmd_keygen(args)
-        if args.subcommand == "encrypt":
-            return _cmd_encrypt(args)
-        if args.subcommand == "decrypt":
-            return _cmd_decrypt(args)
-        if args.subcommand in ("add", "mul", "xor"):
-            return _cmd_binary(args, args.subcommand)
-        if args.subcommand == "smul":
-            return _cmd_smul(args)
-        if args.subcommand == "regen":
-            return _cmd_regen(args)
-        if args.subcommand == "capabilities":
-            return _cmd_capabilities(args)
-        return _cmd_bench(args)
+        return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
         raise AssertionError("unreachable")

@@ -63,29 +63,15 @@ def mod_pow(base: int, exponent: int, modulus: int) -> int:
     return pow(base, exponent, modulus)
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    if a == 0 and b == 0:
-        raise MathDomainError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def mod_inv(a: int, modulus: int) -> int:
     """Inverse of a modulo modulus, in [1, modulus)."""
     if modulus < 2:
         raise MathDomainError("modulus must be >= 2")
-    g, x, _ = egcd(a % modulus, modulus)
-    if g != 1:
-        raise NotInvertibleError(f"{a} is not invertible mod {modulus} (gcd={g})")
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        g = math.gcd(a, modulus)
+        raise NotInvertibleError(f"{a} is not invertible mod {modulus} (gcd={g})") from None
 
 
 def lcm(a: int, b: int) -> int:
@@ -143,6 +129,21 @@ def gen_prime(bits: int, rng: RandomSource, rounds: int = DEFAULT_MR_ROUNDS) -> 
         candidate = rng.getrandbits(bits) | top | 1
         if is_probable_prime(candidate, rounds):
             return candidate
+
+
+def generate_modulus(bits: int, rng: RandomSource) -> Tuple[int, int, int]:
+    """(p, q, n): distinct primes of half the width each, n = p*q of exactly
+    `bits` bits, and gcd(n, (p-1)(q-1)) = 1."""
+    p_bits = bits // 2
+    q_bits = bits - p_bits
+    while True:
+        p = gen_prime(p_bits, rng)
+        q = gen_prime(q_bits, rng)
+        if p == q:
+            continue
+        n = p * q
+        if math.gcd(n, (p - 1) * (q - 1)) == 1:
+            return p, q, n
 
 
 def gen_group_prime(

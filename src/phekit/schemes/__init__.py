@@ -1,9 +1,9 @@
 """Ten cryptosystems behind one dispatch surface.
 
-`scheme_for(keys)` builds the right Scheme instance for a key pair; the
-module-level functions are conveniences that construct one per call. Code on
-a hot path (benchmarks, bulk tests) should hold a Scheme or a PHE facade
-instead, since construction precomputes decryption constants.
+`scheme_for(keys)` builds the right Scheme instance for a key pair and
+`generate_keys` makes a fresh one. Construction precomputes decryption
+constants, so hold on to the instance (or a PHE facade, which holds one)
+rather than rebuilding it per operation.
 """
 
 from __future__ import annotations
@@ -65,36 +65,6 @@ def generate_keys(
     return cls.generate(security_bits, params or {}, rng or RandomSource())
 
 
-def encrypt(keys: KeyPair, m: int, rng: Optional[RandomSource] = None) -> Payload:
-    return scheme_for(keys).encrypt(m, rng or RandomSource())
-
-
-def decrypt(keys: KeyPair, c: Payload) -> int:
-    return scheme_for(keys).decrypt(c)
-
-
-def raw_add(c1: Payload, c2: Payload, keys: KeyPair) -> Payload:
-    return scheme_for(keys).add(c1, c2)
-
-
-def raw_mul(c1: Payload, c2: Payload, keys: KeyPair) -> Payload:
-    return scheme_for(keys).mul(c1, c2)
-
-
-def raw_xor(c1: Payload, c2: Payload, keys: KeyPair) -> Payload:
-    return scheme_for(keys).xor(c1, c2)
-
-
-def raw_scalar(c: Payload, k: int, keys: KeyPair) -> Payload:
-    return scheme_for(keys).scalar(c, k)
-
-
-def regenerate(
-    c: Payload, keys: KeyPair, rng: Optional[RandomSource] = None
-) -> Payload:
-    return scheme_for(keys).regenerate(c, rng or RandomSource())
-
-
 __all__ = [
     "KeyPair",
     "Payload",
@@ -104,11 +74,4 @@ __all__ = [
     "scheme_class",
     "scheme_for",
     "generate_keys",
-    "encrypt",
-    "decrypt",
-    "raw_add",
-    "raw_mul",
-    "raw_xor",
-    "raw_scalar",
-    "regenerate",
 ]

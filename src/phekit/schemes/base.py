@@ -1,8 +1,9 @@
 """Shared cryptosystem machinery: key pairs, payload variants, the scheme ABC.
 
-Every cryptosystem subclasses :class:`Scheme`. Capability checks happen here
-so a raw operation on the wrong scheme fails with the fixed wording before any
-arithmetic runs.
+Every cryptosystem subclasses :class:`Scheme`; those whose ciphertexts live
+modulo one integer share :class:`ModulusScheme`. Capability checks happen
+here so a raw operation on the wrong scheme fails with the fixed wording
+before any arithmetic runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..errors import (
     PayloadTypeError,
     PlaintextRangeError,
 )
-from ..numtheory import RandomSource
+from ..numtheory import RandomSource, mod_pow
 
 # single: int | pair: (int, int) | bits: list[int] | point_pair: (CurvePoint, CurvePoint)
 Payload = Union[int, tuple, list]
@@ -150,19 +151,19 @@ class Scheme(ABC):
         ensure_supported(self.algorithm, "add")
         self.check_payload(c1)
         self.check_payload(c2)
-        return self._add(c1, c2)
+        return self._combine(c1, c2)
 
     def mul(self, c1: Payload, c2: Payload) -> Payload:
         ensure_supported(self.algorithm, "mul")
         self.check_payload(c1)
         self.check_payload(c2)
-        return self._mul(c1, c2)
+        return self._combine(c1, c2)
 
     def xor(self, c1: Payload, c2: Payload) -> Payload:
         ensure_supported(self.algorithm, "xor")
         self.check_payload(c1)
         self.check_payload(c2)
-        return self._xor(c1, c2)
+        return self._combine(c1, c2)
 
     def scalar(self, c: Payload, k: int) -> Payload:
         ensure_supported(self.algorithm, "scalar")
@@ -175,17 +176,30 @@ class Scheme(ABC):
         """Re-randomize: fold in a fresh encryption of zero."""
         ensure_supported(self.algorithm, "regen")
         self.check_payload(c)
-        return self._add(c, self.encrypt(0, rng))
+        return self._combine(c, self.encrypt(0, rng))
 
     # Hooks; only reachable when the capability matrix allows the operation.
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
-        raise NotImplementedError
-
-    def _mul(self, c1: Payload, c2: Payload) -> Payload:
-        raise NotImplementedError
-
-    def _xor(self, c1: Payload, c2: Payload) -> Payload:
+    # Each scheme has one homomorphic operation, so one combine hook serves
+    # add, mul and xor alike.
+    def _combine(self, c1: Payload, c2: Payload) -> Payload:
         raise NotImplementedError
 
     def _scalar(self, c: Payload, k: int) -> Payload:
         raise NotImplementedError
+
+
+class ModulusScheme(Scheme):
+    """A scheme whose ciphertexts are integers modulo one `modulus`.
+
+    Combining multiplies two ciphertexts and a scalar raises one to a power,
+    both modulo `modulus`; subclasses set it in their constructor.
+    """
+
+    payload_variant = "single"
+    modulus: int
+
+    def _combine(self, c1: Payload, c2: Payload) -> Payload:
+        return c1 * c2 % self.modulus
+
+    def _scalar(self, c: Payload, k: int) -> Payload:
+        return mod_pow(c, k, self.modulus)

@@ -7,7 +7,6 @@ the search runs under an explicit retry budget instead of looping forever.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Optional
 
 from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
@@ -19,19 +18,18 @@ from ..numtheory import (
     mod_pow,
     random_coprime_below,
 )
-from .base import KeyPair, Payload, Scheme
+from .base import KeyPair, ModulusScheme, Payload
 
 RETRY_BUDGET = 50_000
 
 
-class Benaloh(Scheme):
+class Benaloh(ModulusScheme):
     algorithm = "benaloh"
-    payload_variant = "single"
     default_params = {"block_size": 257}
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = keys.public["n"]
+        self.n = self.modulus = keys.public["n"]
         self.y = keys.public["y"]
         self.r = keys.public["r"]
         self._baby_base: Optional[int] = None
@@ -129,9 +127,3 @@ class Benaloh(Scheme):
         if m is None:
             raise DecryptionBoundError("benaloh: ciphertext outside the block range")
         return m
-
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
-        return c1 * c2 % self.n
-
-    def _scalar(self, c: Payload, k: int) -> Payload:
-        return mod_pow(c, k, self.n)

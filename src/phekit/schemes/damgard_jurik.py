@@ -13,18 +13,17 @@ from ..errors import MathDomainError
 from ..numtheory import (
     RandomSource,
     crt,
+    generate_modulus,
     lcm,
     mod_inv,
     mod_pow,
     random_coprime_below,
 )
-from .base import KeyPair, Payload, Scheme
-from .paillier import generate_modulus
+from .base import KeyPair, ModulusScheme, Payload
 
 
-class DamgardJurik(Scheme):
+class DamgardJurik(ModulusScheme):
     algorithm = "damgard-jurik"
-    payload_variant = "single"
     default_params = {"s": 2}
 
     def __init__(self, keys: KeyPair):
@@ -33,7 +32,7 @@ class DamgardJurik(Scheme):
         self.g = keys.public["g"]
         self.s = keys.params["s"]
         self.n_s = self.n**self.s
-        self.n_s1 = self.n_s * self.n
+        self.n_s1 = self.modulus = self.n_s * self.n
         if keys.has_private:
             p, q = keys.private["p"], keys.private["q"]
             lam = lcm(p - 1, q - 1)
@@ -103,9 +102,3 @@ class DamgardJurik(Scheme):
                 t1 = (t1 - factor * mod_inv(math.factorial(k), n_j)) % n_j
             i = t1
         return i
-
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
-        return c1 * c2 % self.n_s1
-
-    def _scalar(self, c: Payload, k: int) -> Payload:
-        return mod_pow(c, k, self.n_s1)

@@ -114,7 +114,7 @@ class EcElGamal(Scheme):
             gamma = point_add(gamma, self._giant_step, curve)
         return None
 
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
+    def _combine(self, c1: Payload, c2: Payload) -> Payload:
         return (
             point_add(c1[0], c2[0], self.curve),
             point_add(c1[1], c2[1], self.curve),

@@ -91,8 +91,11 @@ class ElGamal(Scheme):
         shared = mod_pow(c1, self.x, self.p)
         return c2 * mod_inv(shared, self.p) % self.p
 
-    def _mul(self, c1: Payload, c2: Payload) -> Payload:
+    def _combine(self, c1: Payload, c2: Payload) -> Payload:
         return (c1[0] * c2[0] % self.p, c1[1] * c2[1] % self.p)
+
+    def _scalar(self, c: Payload, k: int) -> Payload:
+        return (mod_pow(c[0], k, self.p), mod_pow(c[1], k, self.p))
 
 
 class ExpElGamal(ElGamal):
@@ -128,12 +131,3 @@ class ExpElGamal(ElGamal):
                 "regenerate keys with a larger dlp_bound"
             )
         return m
-
-    def _mul(self, c1: Payload, c2: Payload) -> Payload:  # not additive-capable
-        raise NotImplementedError
-
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
-        return (c1[0] * c2[0] % self.p, c1[1] * c2[1] % self.p)
-
-    def _scalar(self, c: Payload, k: int) -> Payload:
-        return (mod_pow(c[0], k, self.p), mod_pow(c[1], k, self.p))

@@ -12,7 +12,7 @@ from typing import Any, Optional
 from ..errors import BitLengthError, PlaintextRangeError
 from ..numtheory import (
     RandomSource,
-    gen_prime,
+    generate_modulus,
     is_qr_mod_prime,
     random_coprime_below,
 )
@@ -33,14 +33,7 @@ class GoldwasserMicali(Scheme):
     def generate(
         cls, security_bits: int, params: dict[str, Any], rng: RandomSource
     ) -> KeyPair:
-        p_bits = security_bits // 2
-        q_bits = security_bits - p_bits
-        while True:
-            p = gen_prime(p_bits, rng)
-            q = gen_prime(q_bits, rng)
-            if p != q:
-                break
-        n = p * q
+        p, q, n = generate_modulus(security_bits, rng)
         while True:
             x = rng.randrange(2, n)
             if x % p == 0 or x % q == 0:
@@ -88,7 +81,7 @@ class GoldwasserMicali(Scheme):
             m = (m << 1) | bit
         return m
 
-    def _xor(self, c1: Payload, c2: Payload) -> Payload:
+    def _combine(self, c1: Payload, c2: Payload) -> Payload:
         if len(c1) != len(c2):
             raise BitLengthError(
                 f"bit widths differ: {len(c1)} vs {len(c2)}; "

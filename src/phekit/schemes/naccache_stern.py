@@ -20,7 +20,7 @@ from ..numtheory import (
     mod_pow,
     random_coprime_below,
 )
-from .base import KeyPair, Payload, Scheme
+from .base import KeyPair, ModulusScheme, Payload
 from .benaloh import RETRY_BUDGET
 
 
@@ -35,14 +35,13 @@ def message_primes(count: int) -> list[int]:
     return primes
 
 
-class NaccacheStern(Scheme):
+class NaccacheStern(ModulusScheme):
     algorithm = "naccache-stern"
-    payload_variant = "single"
     default_params = {"prime_count": 8}
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = keys.public["n"]
+        self.n = self.modulus = keys.public["n"]
         self.g = keys.public["g"]
         self.sigma = keys.public["sigma"]
         self.primes = message_primes(keys.params["prime_count"])
@@ -156,9 +155,3 @@ class NaccacheStern(Scheme):
             residues.append(residue)
             moduli.append(prime)
         return crt(residues, moduli)
-
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
-        return c1 * c2 % self.n
-
-    def _scalar(self, c: Payload, k: int) -> Payload:
-        return mod_pow(c, k, self.n)

@@ -16,19 +16,18 @@ from ..numtheory import (
     mod_pow,
     random_coprime_below,
 )
-from .base import KeyPair, Payload, Scheme
+from .base import KeyPair, ModulusScheme, Payload
 
 
-class OkamotoUchiyama(Scheme):
+class OkamotoUchiyama(ModulusScheme):
     algorithm = "okamoto-uchiyama"
-    payload_variant = "single"
     # plaintext_bits is derived during keygen (one less than the bit length of
     # the secret prime p) and travels in params so public-only copies keep it
     default_params = {"plaintext_bits": None}
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = keys.public["n"]
+        self.n = self.modulus = keys.public["n"]
         self.g = keys.public["g"]
         self.h = keys.public["h"]
         self.plaintext_bits = keys.params["plaintext_bits"]
@@ -90,9 +89,3 @@ class OkamotoUchiyama(Scheme):
         self.check_payload(c)
         numer = self._little_l(mod_pow(c, self.p - 1, self.p_sq))
         return numer * self.denom_inv % self.p
-
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
-        return c1 * c2 % self.n
-
-    def _scalar(self, c: Payload, k: int) -> Payload:
-        return mod_pow(c, k, self.n)

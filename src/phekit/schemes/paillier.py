@@ -2,45 +2,27 @@
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from ..numtheory import (
     RandomSource,
-    gen_prime,
+    generate_modulus,
     lcm,
     mod_inv,
     mod_pow,
     random_coprime_below,
 )
-from .base import KeyPair, Payload, Scheme
+from .base import KeyPair, ModulusScheme, Payload
 
 
-def generate_modulus(
-    security_bits: int, rng: RandomSource
-) -> tuple[int, int, int]:
-    """(p, q, n) with n = p*q of exactly security_bits bits and gcd(n, phi) = 1."""
-    p_bits = security_bits // 2
-    q_bits = security_bits - p_bits
-    while True:
-        p = gen_prime(p_bits, rng)
-        q = gen_prime(q_bits, rng)
-        if p == q:
-            continue
-        n = p * q
-        if math.gcd(n, (p - 1) * (q - 1)) == 1:
-            return p, q, n
-
-
-class Paillier(Scheme):
+class Paillier(ModulusScheme):
     algorithm = "paillier"
-    payload_variant = "single"
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
         self.n = keys.public["n"]
         self.g = keys.public["g"]
-        self.n_sq = self.n * self.n
+        self.n_sq = self.modulus = self.n * self.n
         if keys.has_private:
             p, q = keys.private["p"], keys.private["q"]
             self.lam = lcm(p - 1, q - 1)
@@ -79,9 +61,3 @@ class Paillier(Scheme):
         self.require_private()
         self.check_payload(c)
         return self._big_l(mod_pow(c, self.lam, self.n_sq)) * self.mu % self.n
-
-    def _add(self, c1: Payload, c2: Payload) -> Payload:
-        return c1 * c2 % self.n_sq
-
-    def _scalar(self, c: Payload, k: int) -> Payload:
-        return mod_pow(c, k, self.n_sq)

@@ -5,17 +5,16 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from ..numtheory import RandomSource, gen_prime, mod_inv, mod_pow
-from .base import KeyPair, Payload, Scheme
+from ..numtheory import RandomSource, generate_modulus, mod_inv, mod_pow
+from .base import KeyPair, ModulusScheme, Payload
 
 
-class Rsa(Scheme):
+class Rsa(ModulusScheme):
     algorithm = "rsa"
-    payload_variant = "single"
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = keys.public["n"]
+        self.n = self.modulus = keys.public["n"]
         self.e = keys.public["e"]
         self.d = keys.private["d"] if keys.has_private else None
 
@@ -23,14 +22,7 @@ class Rsa(Scheme):
     def generate(
         cls, security_bits: int, params: dict[str, Any], rng: RandomSource
     ) -> KeyPair:
-        p_bits = security_bits // 2
-        q_bits = security_bits - p_bits
-        while True:
-            p = gen_prime(p_bits, rng)
-            q = gen_prime(q_bits, rng)
-            if p != q:
-                break
-        n = p * q
+        p, q, n = generate_modulus(security_bits, rng)
         phi = (p - 1) * (q - 1)
         while True:
             e = rng.randrange(3, phi)
@@ -57,6 +49,3 @@ class Rsa(Scheme):
         self.require_private()
         self.check_payload(c)
         return mod_pow(c, self.d, self.n)
-
-    def _mul(self, c1: Payload, c2: Payload) -> Payload:
-        return (c1 * c2) % self.n

@@ -89,6 +89,7 @@ def parse_key(text: str) -> KeyPair:
     bits = doc.get("security_bits")
     _require(isinstance(bits, int) and not isinstance(bits, bool),
              "security_bits", "expected an integer")
+    _require(bits >= 0, "security_bits", f"must be non-negative, got {bits}")
     public_doc = doc.get("public")
     _require(isinstance(public_doc, dict), "public", "expected an object")
     public = {k: _parse_natural(v, f"public.{k}") for k, v in public_doc.items()}
@@ -97,12 +98,15 @@ def parse_key(text: str) -> KeyPair:
         private_doc = doc["private"]
         _require(isinstance(private_doc, dict), "private", "expected an object")
         private = {k: _parse_natural(v, f"private.{k}") for k, v in private_doc.items()}
+    params = _params_from_doc(doc.get("params", {}))
+    for name in SCHEME_CLASSES[algorithm].default_params:
+        _require(name in params, f"params.{name}", "missing")
     return KeyPair(
         algorithm=algorithm,
         security_bits=bits,
         public=public,
         private=private,
-        params=_params_from_doc(doc.get("params", {})),
+        params=params,
     )
 
 

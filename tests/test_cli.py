@@ -132,6 +132,33 @@ def test_regen_rejected_for_rsa(tmp_path, capsys):
     assert expected_denial("rsa", "regen") in capsys.readouterr().err
 
 
+def test_regen_rejects_a_foreign_key_pair(tmp_path, paillier_keys, capsys):
+    keys, _ = paillier_keys
+    other = tmp_path / "other.json"
+    run(["keygen", "--algorithm", "paillier", "--key-size", "64", "--out", str(other)])
+    c, fresh = tmp_path / "c.json", tmp_path / "fresh.json"
+    run(["encrypt", "--keys", str(keys), "--plaintext", "7", "--out", str(c)])
+    capsys.readouterr()
+    assert run(["regen", "--keys", str(other), "--in", str(c),
+                "--out", str(fresh)]) == 4
+    assert ("ciphertext was produced under a different key pair"
+            in capsys.readouterr().err)
+    assert not fresh.exists()
+
+
+def test_key_without_its_params_exits_4(tmp_path, capsys):
+    dj = tmp_path / "dj.json"
+    run(["keygen", "--algorithm", "damgard-jurik", "--key-size", "64",
+         "--out", str(dj)])
+    doc = json.loads(dj.read_text())
+    del doc["params"]["s"]
+    dj.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(dj), "--plaintext", "3",
+                "--out", str(tmp_path / "c.json")]) == 4
+    assert "params.s" in capsys.readouterr().err
+
+
 def test_public_key_encrypts_but_cannot_decrypt(tmp_path, paillier_keys, capsys):
     keys, public = paillier_keys
     assert not parse_key(public.read_text()).has_private

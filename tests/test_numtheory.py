@@ -7,7 +7,6 @@ from phekit.errors import MathDomainError, NotInvertibleError
 from phekit.numtheory import (
     crt,
     discrete_log_bounded,
-    egcd,
     gen_group_prime,
     gen_prime,
     is_probable_prime,
@@ -44,33 +43,14 @@ def test_mod_pow_exponent_additivity(rng):
         assert mod_pow(a, b + c, n) == mod_pow(a, b, n) * mod_pow(a, c, n) % n
 
 
-def test_egcd_fixtures():
-    g, x, y = egcd(12, 8)
-    assert g == 4 and 12 * x + 8 * y == 4
-    g, x, y = egcd(17, 3120)
-    assert g == 1 and 17 * x + 3120 * y == 1
-    assert egcd(0, 5) == (5, 0, 1)
-
-
-def test_egcd_bezout_property(rng):
-    for _ in range(100):
-        a = rng.randrange(0, 1 << 48)
-        b = rng.randrange(1, 1 << 48)
-        g, x, y = egcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-
-
-def test_egcd_rejects_double_zero():
-    with pytest.raises(MathDomainError):
-        egcd(0, 0)
-
-
 def test_mod_inv_fixtures():
     assert mod_inv(4, 15) == 4
     assert mod_inv(1, 97) == 1
-    with pytest.raises(NotInvertibleError):
+    assert mod_inv(-3, 7) == 2  # negative inputs reduce first
+    with pytest.raises(NotInvertibleError, match="gcd=3"):
         mod_inv(6, 9)
+    with pytest.raises(MathDomainError):
+        mod_inv(3, 1)
 
 
 def test_mod_inv_property(rng):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import phekit.schemes.benaloh as benaloh_module
@@ -13,18 +15,11 @@ from phekit.errors import (
     PayloadTypeError,
     PlaintextRangeError,
 )
-from phekit.numtheory import egcd, is_probable_prime, mod_pow
+from phekit.numtheory import is_probable_prime, mod_pow
 from phekit.schemes import (
     SCHEME_CLASSES,
     KeyPair,
-    decrypt,
-    encrypt,
     generate_keys,
-    raw_add,
-    raw_mul,
-    raw_scalar,
-    raw_xor,
-    regenerate,
     scheme_class,
     scheme_for,
 )
@@ -96,151 +91,169 @@ def toy_keys(algorithm: str, rng: RandomSource) -> KeyPair:
 
 def test_rsa_frozen_vector():
     # encryption is deterministic: the one scheme with no random key
-    assert encrypt(RSA_TOY, 65) == 2790
-    assert decrypt(RSA_TOY, 2790) == 65
+    rsa = scheme_for(RSA_TOY)
+    assert rsa.encrypt(65, RandomSource()) == 2790
+    assert rsa.decrypt(2790) == 65
 
 
 def test_elgamal_frozen_vector():
-    c = encrypt(ELGAMAL_TOY, 10, rng=FixedRandom(3))
+    elgamal = scheme_for(ELGAMAL_TOY)
+    c = elgamal.encrypt(10, FixedRandom(3))
     assert c == (10, 14)
-    assert decrypt(ELGAMAL_TOY, (10, 14)) == 10
+    assert elgamal.decrypt((10, 14)) == 10
 
 
 def test_paillier_frozen_vector():
-    c = encrypt(PAILLIER_TOY, 7, rng=FixedRandom(2))
+    paillier = scheme_for(PAILLIER_TOY)
+    c = paillier.encrypt(7, FixedRandom(2))
     assert c == 83
-    assert decrypt(PAILLIER_TOY, 83) == 7
+    assert paillier.decrypt(83) == 7
 
 
 def test_goldwasser_micali_frozen_vector():
+    gm = scheme_for(GM_TOY)
     # one bit, r = 2: residue is r^2 * x = 4 * 6 = 24 mod 77
-    c = encrypt(GM_TOY, 1, rng=FixedRandom(2))
+    c = gm.encrypt(1, FixedRandom(2))
     assert c == [24]
-    assert decrypt(GM_TOY, [24]) == 1
+    assert gm.decrypt([24]) == 1
     # bit 0 omits the non-residue factor
-    assert encrypt(GM_TOY, 0, rng=FixedRandom(2)) == [4]
-    assert decrypt(GM_TOY, [4]) == 0
+    assert gm.encrypt(0, FixedRandom(2)) == [4]
+    assert gm.decrypt([4]) == 0
 
 
 def test_damgard_jurik_frozen_vector():
+    dj = scheme_for(DJ_TOY)
     # oracle: 16^7 * 2^225 mod 3375 = 3242
-    c = encrypt(DJ_TOY, 7, rng=FixedRandom(2))
+    c = dj.encrypt(7, FixedRandom(2))
     assert c == 3242
-    assert decrypt(DJ_TOY, 3242) == 7
+    assert dj.decrypt(3242) == 7
 
 
 def test_damgard_jurik_digit_extraction():
     # c = (1+n)^208 mod n^3 exercises both base-15 digits of m = 13*15 + 13
-    assert decrypt(DJ_TOY, 421) == 208
+    assert scheme_for(DJ_TOY).decrypt(421) == 208
 
 
 def test_okamoto_uchiyama_frozen_vector():
+    ou = scheme_for(OU_TOY)
     # oracle: 2^3 * 67^2 mod 245 = 142
-    c = encrypt(OU_TOY, 3, rng=FixedRandom(2))
+    c = ou.encrypt(3, FixedRandom(2))
     assert c == 142
-    assert decrypt(OU_TOY, 142) == 3
+    assert ou.decrypt(142) == 3
 
 
 def test_benaloh_frozen_vector():
+    benaloh = scheme_for(BENALOH_TOY)
     # oracle: 2^5 * 2^17 mod 721 = 247
-    c = encrypt(BENALOH_TOY, 5, rng=FixedRandom(2))
+    c = benaloh.encrypt(5, FixedRandom(2))
     assert c == 247
-    assert decrypt(BENALOH_TOY, 247) == 5
+    assert benaloh.decrypt(247) == 5
 
 
 def test_naccache_stern_frozen_vector():
+    ns = scheme_for(NS_TOY)
     # oracle: 3^1000 * 2^1155 mod 1143713 = 973473; residues (1, 0, 6, 10)
-    c = encrypt(NS_TOY, 1000, rng=FixedRandom(2))
+    c = ns.encrypt(1000, FixedRandom(2))
     assert c == 973473
-    assert decrypt(NS_TOY, 973473) == 1000
+    assert ns.decrypt(973473) == 1000
 
 
 # ------------------------------------------------------- raw operation laws
 
 
 def test_paillier_raw_add_fixtures(rng):
-    c = raw_add(encrypt(PAILLIER_TOY, 3, rng), encrypt(PAILLIER_TOY, 4, rng), PAILLIER_TOY)
-    assert decrypt(PAILLIER_TOY, c) == 7
-    c = raw_add(encrypt(PAILLIER_TOY, 9, rng), encrypt(PAILLIER_TOY, 0, rng), PAILLIER_TOY)
-    assert decrypt(PAILLIER_TOY, c) == 9
+    paillier = scheme_for(PAILLIER_TOY)
+    c = paillier.add(paillier.encrypt(3, rng), paillier.encrypt(4, rng))
+    assert paillier.decrypt(c) == 7
+    c = paillier.add(paillier.encrypt(9, rng), paillier.encrypt(0, rng))
+    assert paillier.decrypt(c) == 9
 
 
 def test_ec_elgamal_raw_add_toy17(rng):
-    keys = toy_keys("ec-elgamal", rng)
-    c = raw_add(encrypt(keys, 2, rng), encrypt(keys, 3, rng), keys)
-    assert decrypt(keys, c) == 5
+    scheme = scheme_for(toy_keys("ec-elgamal", rng))
+    c = scheme.add(scheme.encrypt(2, rng), scheme.encrypt(3, rng))
+    assert scheme.decrypt(c) == 5
 
 
-def test_rsa_raw_mul_fixtures():
-    c = raw_mul(encrypt(RSA_TOY, 6), encrypt(RSA_TOY, 7), RSA_TOY)
-    assert decrypt(RSA_TOY, c) == 42
-    c = raw_mul(encrypt(RSA_TOY, 65), encrypt(RSA_TOY, 1), RSA_TOY)
-    assert decrypt(RSA_TOY, c) == 65
+def test_rsa_raw_mul_fixtures(rng):
+    rsa = scheme_for(RSA_TOY)
+    c = rsa.mul(rsa.encrypt(6, rng), rsa.encrypt(7, rng))
+    assert rsa.decrypt(c) == 42
+    c = rsa.mul(rsa.encrypt(65, rng), rsa.encrypt(1, rng))
+    assert rsa.decrypt(c) == 65
 
 
 def test_elgamal_raw_mul_fixture(rng):
-    c = raw_mul(encrypt(ELGAMAL_TOY, 3, rng), encrypt(ELGAMAL_TOY, 5, rng), ELGAMAL_TOY)
-    assert decrypt(ELGAMAL_TOY, c) == 15
+    elgamal = scheme_for(ELGAMAL_TOY)
+    c = elgamal.mul(elgamal.encrypt(3, rng), elgamal.encrypt(5, rng))
+    assert elgamal.decrypt(c) == 15
 
 
 def test_gm_raw_xor_fixture(rng):
-    c1 = encrypt(GM_TOY, 0b1010, rng)
-    c2 = scheme_for(GM_TOY).encrypt(0b0110, rng, bits=4)
-    assert decrypt(GM_TOY, raw_xor(c1, c2, GM_TOY)) == 0b1100
-    zero = encrypt(GM_TOY, 0, rng)
+    gm = scheme_for(GM_TOY)
+    c1 = gm.encrypt(0b1010, rng)
+    c2 = gm.encrypt(0b0110, rng, bits=4)
+    assert gm.decrypt(gm.xor(c1, c2)) == 0b1100
+    zero = gm.encrypt(0, rng)
     # xor with an all-zero word of the right width is the identity
-    padded_zero = scheme_for(GM_TOY).encrypt(0, rng, bits=4)
-    assert decrypt(GM_TOY, raw_xor(c1, padded_zero, GM_TOY)) == 0b1010
+    padded_zero = gm.encrypt(0, rng, bits=4)
+    assert gm.decrypt(gm.xor(c1, padded_zero)) == 0b1010
     assert len(zero) == 1
 
 
 def test_gm_xor_width_mismatch(rng):
-    c4 = encrypt(GM_TOY, 0b1010, rng)
-    c5 = encrypt(GM_TOY, 0b10110, rng)
+    gm = scheme_for(GM_TOY)
+    c4 = gm.encrypt(0b1010, rng)
+    c5 = gm.encrypt(0b10110, rng)
     with pytest.raises(BitLengthError):
-        raw_xor(c4, c5, GM_TOY)
+        gm.xor(c4, c5)
 
 
 def test_gm_explicit_width(rng):
     scheme = scheme_for(GM_TOY)
     c = scheme.encrypt(5, rng, bits=8)
     assert len(c) == 8
-    assert decrypt(GM_TOY, c) == 5
+    assert scheme.decrypt(c) == 5
     with pytest.raises(PlaintextRangeError):
         scheme.encrypt(5, rng, bits=2)
 
 
 def test_paillier_raw_scalar_fixtures(rng):
-    c = raw_scalar(encrypt(PAILLIER_TOY, 3, rng), 4, PAILLIER_TOY)
-    assert decrypt(PAILLIER_TOY, c) == 12
-    c = encrypt(PAILLIER_TOY, 11, rng)
-    assert decrypt(PAILLIER_TOY, raw_scalar(c, 1, PAILLIER_TOY)) == 11
-    assert decrypt(PAILLIER_TOY, raw_scalar(c, 0, PAILLIER_TOY)) == 0
+    paillier = scheme_for(PAILLIER_TOY)
+    c = paillier.scalar(paillier.encrypt(3, rng), 4)
+    assert paillier.decrypt(c) == 12
+    c = paillier.encrypt(11, rng)
+    assert paillier.decrypt(paillier.scalar(c, 1)) == 11
+    assert paillier.decrypt(paillier.scalar(c, 0)) == 0
     with pytest.raises(MathDomainError):
-        raw_scalar(c, -2, PAILLIER_TOY)
+        paillier.scalar(c, -2)
 
 
 def test_regeneration_law_paillier(rng):
-    c = encrypt(PAILLIER_TOY, 7, rng)
-    c2 = regenerate(c, PAILLIER_TOY, rng)
+    paillier = scheme_for(PAILLIER_TOY)
+    c = paillier.encrypt(7, rng)
+    c2 = paillier.regenerate(c, rng)
     assert c2 != c
-    assert decrypt(PAILLIER_TOY, c2) == 7
-    c3 = regenerate(c2, PAILLIER_TOY, rng)
-    assert decrypt(PAILLIER_TOY, c3) == 7
+    assert paillier.decrypt(c2) == 7
+    c3 = paillier.regenerate(c2, rng)
+    assert paillier.decrypt(c3) == 7
 
 
 def test_regeneration_rejected_for_rsa(rng):
-    c = encrypt(RSA_TOY, 5)
+    rsa = scheme_for(RSA_TOY)
+    c = rsa.encrypt(5, rng)
     with pytest.raises(CapabilityError, match="^RSA does not support ciphertext regeneration$"):
-        regenerate(c, RSA_TOY, rng)
+        rsa.regenerate(c, rng)
 
 
 def test_additive_results_wrap_at_the_plaintext_modulus(rng):
     # benaloh wraps mod its block, naccache-stern mod sigma
-    c = raw_add(encrypt(BENALOH_TOY, 15, rng), encrypt(BENALOH_TOY, 9, rng), BENALOH_TOY)
-    assert decrypt(BENALOH_TOY, c) == (15 + 9) % 17
-    c = raw_add(encrypt(NS_TOY, 1000, rng), encrypt(NS_TOY, 500, rng), NS_TOY)
-    assert decrypt(NS_TOY, c) == (1000 + 500) % 1155
+    benaloh = scheme_for(BENALOH_TOY)
+    c = benaloh.add(benaloh.encrypt(15, rng), benaloh.encrypt(9, rng))
+    assert benaloh.decrypt(c) == (15 + 9) % 17
+    ns = scheme_for(NS_TOY)
+    c = ns.add(ns.encrypt(1000, rng), ns.encrypt(500, rng))
+    assert ns.decrypt(c) == (1000 + 500) % 1155
 
 
 # ------------------------------------------------------------- roundtrips
@@ -248,30 +261,29 @@ def test_additive_results_wrap_at_the_plaintext_modulus(rng):
 
 @pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
 def test_toy_roundtrip_random_plaintexts(algorithm, rng):
-    keys = toy_keys(algorithm, rng)
-    scheme = scheme_for(keys)
+    scheme = scheme_for(toy_keys(algorithm, rng))
     bound = scheme.plaintext_bound()
     top = min(1 << 18, bound) if bound is not None else 1 << 18
     for _ in range(20):
         m = rng.randrange(0, top)
-        assert decrypt(keys, encrypt(keys, m, rng)) == m
+        assert scheme.decrypt(scheme.encrypt(m, rng)) == m
 
 
 @pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
 def test_zero_roundtrip(algorithm, rng):
-    keys = toy_keys(algorithm, rng)
-    assert decrypt(keys, encrypt(keys, 0, rng)) == 0
+    scheme = scheme_for(toy_keys(algorithm, rng))
+    assert scheme.decrypt(scheme.encrypt(0, rng)) == 0
 
 
 @pytest.mark.parametrize("algorithm", sorted(set(SCHEME_CLASSES) - {"rsa"}))
 def test_probabilistic_encryption(algorithm, rng):
-    keys = toy_keys(algorithm, rng)
-    assert encrypt(keys, 1, rng) != encrypt(keys, 1, rng)
+    scheme = scheme_for(toy_keys(algorithm, rng))
+    assert scheme.encrypt(1, rng) != scheme.encrypt(1, rng)
 
 
 def test_rsa_encryption_is_deterministic(rng):
-    keys = toy_keys("rsa", rng)
-    assert encrypt(keys, 99) == encrypt(keys, 99)
+    rsa = scheme_for(toy_keys("rsa", rng))
+    assert rsa.encrypt(99, rng) == rsa.encrypt(99, rng)
 
 
 # ------------------------------------------------------------ key generation
@@ -300,8 +312,7 @@ def test_generate_rsa_32_consistency():
     p, q = keys.private["p"], keys.private["q"]
     phi = (p - 1) * (q - 1)
     e, d = keys.public["e"], keys.private["d"]
-    g, _, _ = egcd(e, phi)
-    assert g == 1
+    assert math.gcd(e, phi) == 1
     assert e * d % phi == 1
     assert keys.public["n"] == p * q
 
@@ -388,56 +399,61 @@ def test_unknown_algorithm_rejected(rng):
 
 def test_plaintext_range_error_names_the_bound(rng):
     with pytest.raises(PlaintextRangeError, match="17"):
-        encrypt(BENALOH_TOY, 17, rng)
+        scheme_for(BENALOH_TOY).encrypt(17, rng)
     with pytest.raises(PlaintextRangeError):
-        encrypt(PAILLIER_TOY, -1, rng)
+        scheme_for(PAILLIER_TOY).encrypt(-1, rng)
     with pytest.raises(PlaintextRangeError):
-        encrypt(RSA_TOY, 3233)
+        scheme_for(RSA_TOY).encrypt(3233, rng)
     with pytest.raises(PlaintextRangeError):
-        encrypt(PAILLIER_TOY, True, rng)
+        scheme_for(PAILLIER_TOY).encrypt(True, rng)
 
 
 def test_okamoto_uchiyama_bound_is_p_sized(rng):
     keys = generate_keys("okamoto-uchiyama", 48, rng=rng)
     bound = 1 << keys.params["plaintext_bits"]
-    assert decrypt(keys, encrypt(keys, bound - 1, rng)) == bound - 1
+    scheme = scheme_for(keys)
+    assert scheme.decrypt(scheme.encrypt(bound - 1, rng)) == bound - 1
     with pytest.raises(PlaintextRangeError):
-        encrypt(keys, bound, rng)
+        scheme.encrypt(bound, rng)
 
 
 def test_exp_elgamal_decryption_bound(rng):
     keys = generate_keys("exp-elgamal", 48, params={"dlp_bound": 1000}, rng=rng)
-    c = raw_add(encrypt(keys, 600, rng), encrypt(keys, 600, rng), keys)
+    scheme = scheme_for(keys)
+    c = scheme.add(scheme.encrypt(600, rng), scheme.encrypt(600, rng))
     with pytest.raises(DecryptionBoundError, match="dlp_bound"):
-        decrypt(keys, c)
+        scheme.decrypt(c)
 
 
 def test_ec_elgamal_decryption_bound(rng):
     keys = generate_keys(
         "ec-elgamal", 0, params={"curve": "toy17", "dlp_bound": 5}, rng=rng
     )
-    c = raw_add(encrypt(keys, 4, rng), encrypt(keys, 4, rng), keys)
+    scheme = scheme_for(keys)
+    c = scheme.add(scheme.encrypt(4, rng), scheme.encrypt(4, rng))
     with pytest.raises(DecryptionBoundError):
-        decrypt(keys, c)
+        scheme.decrypt(c)
 
 
 def test_payload_variant_mismatch(rng):
+    paillier = scheme_for(PAILLIER_TOY)
     with pytest.raises(PayloadTypeError):
-        decrypt(PAILLIER_TOY, (1, 2))
+        paillier.decrypt((1, 2))
     with pytest.raises(PayloadTypeError):
-        decrypt(ELGAMAL_TOY, 7)
+        scheme_for(ELGAMAL_TOY).decrypt(7)
     with pytest.raises(PayloadTypeError):
-        decrypt(GM_TOY, 7)
+        scheme_for(GM_TOY).decrypt(7)
     with pytest.raises(PayloadTypeError):
-        raw_add(encrypt(PAILLIER_TOY, 1, rng), [1, 2], PAILLIER_TOY)
+        paillier.add(paillier.encrypt(1, rng), [1, 2])
 
 
 def test_decrypt_requires_private_key(rng):
     public = PAILLIER_TOY.public_only()
     assert not public.has_private
-    c = encrypt(public, 7, rng)  # encryption works with the public part
+    scheme = scheme_for(public)
+    c = scheme.encrypt(7, rng)  # encryption works with the public part
     with pytest.raises(MissingPrivateKeyError):
-        decrypt(public, c)
+        scheme.decrypt(c)
 
 
 def test_scheme_key_mismatch():
@@ -447,10 +463,11 @@ def test_scheme_key_mismatch():
 
 
 def test_capability_gate_on_raw_ops(rng):
-    c1 = encrypt(PAILLIER_TOY, 2, rng)
-    c2 = encrypt(PAILLIER_TOY, 3, rng)
+    paillier = scheme_for(PAILLIER_TOY)
+    c1 = paillier.encrypt(2, rng)
+    c2 = paillier.encrypt(3, rng)
     with pytest.raises(
         CapabilityError,
         match="^Paillier is not homomorphic with respect to the multiplication$",
     ):
-        raw_mul(c1, c2, PAILLIER_TOY)
+        paillier.mul(c1, c2)

@@ -1,16 +1,19 @@
+import hashlib
 import json
 
 import pytest
 
 from phekit import (
+    PHE,
     ParseError,
     RandomSource,
     key_fingerprint,
     parse_key,
+    serialize_ciphertext,
     serialize_key,
 )
 from phekit.ec import IDENTITY, CurvePoint
-from phekit.schemes import SCHEME_CLASSES, KeyPair, encrypt, generate_keys
+from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys, scheme_for
 from phekit.serialization import (
     FORMAT_VERSION,
     canonical_json,
@@ -100,18 +103,14 @@ def test_params_roundtrip(all_keys):
 
 
 def test_parsed_keys_are_usable(all_keys):
-    from phekit.schemes import decrypt
-
-    keys = parse_key(serialize_key(all_keys["paillier"]))
+    scheme = scheme_for(parse_key(serialize_key(all_keys["paillier"])))
     rng = RandomSource(7)
-    assert decrypt(keys, encrypt(keys, 123, rng)) == 123
+    assert scheme.decrypt(scheme.encrypt(123, rng)) == 123
 
 
 def test_parse_key_rejects_bad_documents(all_keys):
-    good = json.loads(serialize_key(all_keys["paillier"]))
-
-    def corrupt(message, **changes):
-        doc = dict(good, **changes)
+    def corrupt(message, source="paillier", **changes):
+        doc = dict(json.loads(serialize_key(all_keys[source])), **changes)
         with pytest.raises(ParseError, match=message):
             parse_key(json.dumps(doc))
 
@@ -123,10 +122,71 @@ def test_parse_key_rejects_bad_documents(all_keys):
     corrupt("public.n", public={"n": "12x"})
     corrupt("private.p", private={"p": "0x12"})
     corrupt("params.s", params={"s": "two"})
+    corrupt("params.s", source="damgard-jurik", params={})
+    corrupt("params.curve", source="ec-elgamal", params={"dlp_bound": "5"})
+    corrupt("security_bits", security_bits=-1)
     with pytest.raises(ParseError, match="not valid JSON"):
         parse_key("{nope")
     with pytest.raises(ParseError, match="document"):
         parse_key("[]")
+
+
+# SHA-256 of serialize_key(keys) and of serialize_ciphertext(Enc(5)) for the
+# KEYGEN_FOR_TESTS sizes under RandomSource(31337). Any change to what key
+# generation or encryption draws, or in which order, moves these digests.
+SEEDED_DIGESTS = {
+    "rsa": (
+        "43b6c80789abca31c2cc3e8116c11917c60c3ca008548a8930eb57785bc49824",
+        "c9ab8dc6d74fba06c9c8ce0fadb1f69ac5a2ae8aab43c5ddf6fd64b70ebc2895",
+    ),
+    "goldwasser-micali": (
+        "9aa4e253bee72a9709caa4d8da6ca23cac1492efd70e4bd1f3c23fdcf2c59756",
+        "048370f92ce309452b423b7b509d40780174f704fa73d60330dae3225af3cd17",
+    ),
+    "elgamal": (
+        "a9cf9c9eb59d2daccf13dbd170e6528f37507d85a5ea97fdf44d2c5941c921c6",
+        "f0b124ced42b5b8f27dd4ef72bb091a402f75dc72395315597312908fc070fc9",
+    ),
+    "exp-elgamal": (
+        "ef00e80199b07a9300de56bb9ff5252b3e3a388e9b67a7492397ee2d4191f57c",
+        "df047aa72aedda7110eaf034872ecc47c2ec7431baaf0d0855e2ad5368016216",
+    ),
+    "benaloh": (
+        "0eac11d952e1f32dd9be51c94dd6f8e83245f967d2b387eceb0844cdfe7916ce",
+        "ead6ce2234130123def2b5b28a91764376723d209ad1d629e74ac3864b746884",
+    ),
+    "ec-elgamal": (
+        "fc6d4be35dee419735714aefbf0f028b4b57f5a5a8c4553cc42536dfec8bd173",
+        "abc850b3b5d17a28cb6283849b65f5f798f9909fe2624975b4c7084f3d90cade",
+    ),
+    "naccache-stern": (
+        "318dcda5f4b3bd64c36961b28acec632b344565d0c947b3dd8a8c7258a67fbc0",
+        "ca36af72fb52754deba234614806145d94992f86abc03c0600d4594ae78bb947",
+    ),
+    "okamoto-uchiyama": (
+        "925447f7fdd56f618c7e639ea06403ebbe990ce201a6283099803d8bd2da740c",
+        "e630f5e889060dcded1ac6a29b530afdd55974be694c03643228475487b23d83",
+    ),
+    "paillier": (
+        "185abaa95f6de2f79faf98554499517c9aef5fe74ea4e1007cbc93fc6a5fb53c",
+        "28b59ba63bd79b485b6cd5c29f8e069c04bd91b093e83b7cbfadebbc607f4da6",
+    ),
+    "damgard-jurik": (
+        "46677ebf8d897e76e542c33be468a4b5c50445709e2bb84b693f730971df95f9",
+        "d5892ef510b105c1585a3ac821d6659f7f77fe42bd020d52af83f6588eb80536",
+    ),
+}
+
+
+def test_seeded_output_is_pinned():
+    got = {}
+    for name, (bits, params) in KEYGEN_FOR_TESTS.items():
+        phe = PHE(name, bits, params=params, rng=RandomSource(31337))
+        got[name] = tuple(
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (serialize_key(phe.keys), serialize_ciphertext(phe.encrypt(5)))
+        )
+    assert got == SEEDED_DIGESTS
 
 
 # -------------------------------------------------------- payload variants
