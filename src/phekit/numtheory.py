@@ -197,28 +197,45 @@ def is_qr_mod_prime(a: int, p: int) -> bool:
     return pow(a, (p - 1) // 2, p) == 1
 
 
-def discrete_log_bounded(
-    base: int, target: int, modulus: int, bound: int
-) -> Optional[int]:
-    """Smallest m in [0, bound] with base**m = target (mod modulus), or None.
+BabySteps = Tuple[dict, int, int]
 
-    Baby-step giant-step: O(sqrt(bound)) time and space. Requires
-    gcd(base, modulus) = 1.
+
+def baby_steps(base: int, modulus: int, bound: int) -> BabySteps:
+    """The baby-step half of `discrete_log_bounded` for one base.
+
+    Returns ({base**j: smallest j} for j < step, step, base**-step), with
+    step = isqrt(bound) + 1. Requires gcd(base, modulus) = 1.
     """
     if bound < 1:
         raise MathDomainError("bound must be >= 1")
     if math.gcd(base, modulus) != 1:
         raise MathDomainError("base must be a unit modulo modulus")
     base %= modulus
-    target %= modulus
     step = math.isqrt(bound) + 1
     baby: dict[int, int] = {}
     value = 1 % modulus
     for j in range(step):
         baby.setdefault(value, j)
         value = (value * base) % modulus
-    giant_factor = mod_inv(pow(base, step, modulus), modulus)
-    gamma = target
+    return baby, step, mod_inv(pow(base, step, modulus), modulus)
+
+
+def discrete_log_bounded(
+    base: int,
+    target: int,
+    modulus: int,
+    bound: int,
+    table: Optional[BabySteps] = None,
+) -> Optional[int]:
+    """Smallest m in [0, bound] with base**m = target (mod modulus), or None.
+
+    Baby-step giant-step: O(sqrt(bound)) time and space. Requires
+    gcd(base, modulus) = 1. `table` is `baby_steps(base, modulus, bound)`,
+    kept by a caller that solves many logs to one base; without it the
+    table is built for this call.
+    """
+    baby, step, giant_factor = table or baby_steps(base, modulus, bound)
+    gamma = target % modulus
     for i in range(step + 1):
         j = baby.get(gamma)
         if j is not None:

@@ -2,8 +2,10 @@
 
 `scheme_for(keys)` builds the right Scheme instance for a key pair and
 `generate_keys` makes a fresh one. Construction precomputes decryption
-constants, so hold on to the instance (or a PHE facade, which holds one)
-rather than rebuilding it per operation.
+constants; the first private-key encrypt or decrypt adds the CRT constants
+of the modulus schemes and the first decrypt the baby-step tables of the
+discrete-log schemes. So hold on to the instance (or a PHE facade, which
+holds one) rather than rebuilding it per operation.
 """
 
 from __future__ import annotations

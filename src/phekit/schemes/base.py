@@ -1,7 +1,8 @@
 """Shared cryptosystem machinery: key pairs, payload variants, the scheme ABC.
 
 Every cryptosystem subclasses :class:`Scheme`; those whose ciphertexts live
-modulo one integer share :class:`ModulusScheme`. Capability checks happen
+modulo one integer share :class:`ModulusScheme`, whose private-key powers run
+modulo the prime-power factors of that integer. Capability checks happen
 here so a raw operation on the wrong scheme fails with the fixed wording
 before any arithmetic runs.
 """
@@ -75,13 +76,20 @@ class Scheme(ABC):
 
     Subclasses implement `generate`, `encrypt`, `decrypt`, and the raw
     operation hooks their capability row allows. Instances precompute
-    decryption constants when the private part is present, so reuse one
-    instance across many calls.
+    decryption constants when the private part is present, and modulus
+    schemes add their CRT constants on the first private-key encrypt or
+    decrypt, so reuse one instance across many calls.
     """
 
     algorithm: ClassVar[str]
     payload_variant: ClassVar[str]
     default_params: ClassVar[dict[str, Any]] = {}
+    # the fields the scheme reads from each half of a key pair
+    public_fields: ClassVar[tuple[str, ...]]
+    private_fields: ClassVar[tuple[str, ...]]
+    # (a, b) with public n = p**a * q**b for the private primes p and q;
+    # None when the private key is not a factorization of n
+    n_exponents: ClassVar[Optional[tuple[int, int]]] = None
 
     def __init__(self, keys: KeyPair):
         if keys.algorithm != self.algorithm:
@@ -192,11 +200,44 @@ class ModulusScheme(Scheme):
     """A scheme whose ciphertexts are integers modulo one `modulus`.
 
     Combining multiplies two ciphertexts and a scalar raises one to a power,
-    both modulo `modulus`; subclasses set it in their constructor.
+    both modulo `modulus`; subclasses set it in their constructor, as
+    `n ** modulus_power` with n = p**a * q**b (`n_exponents`).
     """
 
     payload_variant = "single"
+    n_exponents = (1, 1)
     modulus: int
+    modulus_power = 1
+    _crt: Optional[tuple] = None
+
+    def _private_pow(self, x: int, e: int) -> int:
+        """x**e mod `modulus`, the same integer as builtin `pow`.
+
+        With the private key, the power runs modulo each prime-power factor
+        of `modulus` and is recombined by CRT. The exponent is reduced by a
+        factor's group order only where x is a unit modulo that factor.
+        """
+        if not self.keys.has_private:
+            return mod_pow(x, e, self.modulus)
+        if self._crt is None:
+            self._crt = self._crt_constants()
+        (p, p_k, order_p), (q, q_k, order_q), p_k_inv = self._crt
+        x_p = pow(x, e % order_p if x % p else e, p_k)
+        x_q = pow(x, e % order_q if x % q else e, q_k)
+        return x_p + p_k * ((x_q - x_p) * p_k_inv % q_k)
+
+    def _crt_constants(self) -> tuple:
+        """Per private prime (prime, its power in `modulus`, that power's
+        group order), then the p-power's inverse modulo the q-power."""
+        p, q = self.keys.private["p"], self.keys.private["q"]
+        a, b = self.n_exponents
+        p_k = p ** (a * self.modulus_power)
+        q_k = q ** (b * self.modulus_power)
+        return (
+            (p, p_k, p_k // p * (p - 1)),
+            (q, q_k, q_k // q * (q - 1)),
+            pow(p_k, -1, q_k),
+        )
 
     def _combine(self, c1: Payload, c2: Payload) -> Payload:
         return c1 * c2 % self.modulus

@@ -12,6 +12,7 @@ from typing import Any, Optional
 from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
 from ..numtheory import (
     RandomSource,
+    baby_steps,
     discrete_log_bounded,
     gen_prime,
     is_probable_prime,
@@ -26,6 +27,10 @@ RETRY_BUDGET = 50_000
 class Benaloh(ModulusScheme):
     algorithm = "benaloh"
     default_params = {"block_size": 257}
+    public_fields = ("n", "y", "r")
+    private_fields = ("p", "q")
+    # baby steps of y^(phi/r), built on the first decrypt
+    _baby_steps = None
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -123,7 +128,11 @@ class Benaloh(ModulusScheme):
         self.check_payload(c)
         # c^(phi/r) = y^(m*phi/r); the u-part has order dividing phi and dies
         a = mod_pow(c, self.phi_over_r, self.n)
-        m = discrete_log_bounded(self._baby_base, a, self.n, self.r - 1)
+        if self._baby_steps is None:
+            self._baby_steps = baby_steps(self._baby_base, self.n, self.r - 1)
+        m = discrete_log_bounded(
+            self._baby_base, a, self.n, self.r - 1, self._baby_steps
+        )
         if m is None:
             raise DecryptionBoundError("benaloh: ciphertext outside the block range")
         return m

@@ -12,7 +12,6 @@ from typing import Any
 from ..errors import MathDomainError
 from ..numtheory import (
     RandomSource,
-    crt,
     generate_modulus,
     lcm,
     mod_inv,
@@ -25,6 +24,8 @@ from .base import KeyPair, ModulusScheme, Payload
 class DamgardJurik(ModulusScheme):
     algorithm = "damgard-jurik"
     default_params = {"s": 2}
+    public_fields = ("n", "g")
+    private_fields = ("p", "q")
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -33,11 +34,13 @@ class DamgardJurik(ModulusScheme):
         self.s = keys.params["s"]
         self.n_s = self.n**self.s
         self.n_s1 = self.modulus = self.n_s * self.n
+        self.modulus_power = self.s + 1
         if keys.has_private:
             p, q = keys.private["p"], keys.private["q"]
-            lam = lcm(p - 1, q - 1)
-            # d = 1 mod n^s picks the message out; d = 0 mod lambda kills r
-            self.d = crt([1, 0], [self.n_s, lam])
+            # c^lambda kills r and leaves (1+n)^(m*lambda); lambda^-1 mod n^s
+            # then picks the message out
+            self.lam = lcm(p - 1, q - 1)
+            self.lam_inv = mod_inv(self.lam, self.n_s)
 
     @classmethod
     def generate(
@@ -65,12 +68,13 @@ class DamgardJurik(ModulusScheme):
             g_m = self._one_plus_n_pow(m)
         else:
             g_m = mod_pow(self.g, m, self.n_s1)
-        return g_m * mod_pow(r, self.n_s, self.n_s1) % self.n_s1
+        return g_m * self._private_pow(r, self.n_s) % self.n_s1
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         self.check_payload(c)
-        return self._extract_exponent(mod_pow(c, self.d, self.n_s1))
+        m_lam = self._extract_exponent(self._private_pow(c, self.lam))
+        return m_lam * self.lam_inv % self.n_s
 
     def _one_plus_n_pow(self, m: int) -> int:
         """(1+n)^m mod n^(s+1) via the binomial expansion, s+1 terms."""

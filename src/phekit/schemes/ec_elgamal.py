@@ -29,6 +29,8 @@ class EcElGamal(Scheme):
     algorithm = "ec-elgamal"
     payload_variant = "point_pair"
     default_params = {"curve": None, "dlp_bound": DEFAULT_DLP_BOUND}
+    public_fields = ("qx", "qy")
+    private_fields = ("x",)
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)

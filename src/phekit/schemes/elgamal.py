@@ -13,6 +13,7 @@ from typing import Any
 from ..errors import DecryptionBoundError
 from ..numtheory import (
     RandomSource,
+    baby_steps,
     discrete_log_bounded,
     gen_group_prime,
     mod_inv,
@@ -60,6 +61,8 @@ def _generate_group(
 class ElGamal(Scheme):
     algorithm = "elgamal"
     payload_variant = "pair"
+    public_fields = ("p", "g", "h")
+    private_fields = ("x",)
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -102,6 +105,8 @@ class ExpElGamal(ElGamal):
     algorithm = "exp-elgamal"
     payload_variant = "pair"
     default_params = {"dlp_bound": DEFAULT_DLP_BOUND}
+    # baby steps of g, built on the first decrypt
+    _baby_steps = None
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -124,7 +129,9 @@ class ExpElGamal(ElGamal):
         c1, c2 = c
         shared = mod_pow(c1, self.x, self.p)
         g_m = c2 * mod_inv(shared, self.p) % self.p
-        m = discrete_log_bounded(self.g, g_m, self.p, self.dlp_bound)
+        if self._baby_steps is None:
+            self._baby_steps = baby_steps(self.g, self.p, self.dlp_bound)
+        m = discrete_log_bounded(self.g, g_m, self.p, self.dlp_bound, self._baby_steps)
         if m is None:
             raise DecryptionBoundError(
                 f"plaintext exceeds the discrete-log bound {self.dlp_bound}; "

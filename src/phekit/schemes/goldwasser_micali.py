@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..errors import BitLengthError, PlaintextRangeError
+from ..errors import BitLengthError, MathDomainError, PlaintextRangeError
 from ..numtheory import (
     RandomSource,
     generate_modulus,
     is_qr_mod_prime,
+    jacobi,
     random_coprime_below,
 )
 from .base import KeyPair, Payload, Scheme
@@ -22,6 +23,9 @@ from .base import KeyPair, Payload, Scheme
 class GoldwasserMicali(Scheme):
     algorithm = "goldwasser-micali"
     payload_variant = "bits"
+    public_fields = ("n", "x")
+    private_fields = ("p", "q")
+    n_exponents = (1, 1)
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -77,8 +81,13 @@ class GoldwasserMicali(Scheme):
         self.check_payload(c)
         m = 0
         for value in c:
-            bit = 0 if is_qr_mod_prime(value % self.p, self.p) else 1
-            m = (m << 1) | bit
+            # Legendre symbol: +1 for a residue (bit 0), -1 for x times one
+            symbol = jacobi(value, self.p)
+            if symbol == 0:
+                raise MathDomainError(
+                    "ciphertext value is divisible by the private prime p"
+                )
+            m = (m << 1) | (symbol < 0)
         return m
 
     def _combine(self, c1: Payload, c2: Payload) -> Payload:

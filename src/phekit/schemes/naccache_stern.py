@@ -13,6 +13,7 @@ from typing import Any
 from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
 from ..numtheory import (
     RandomSource,
+    baby_steps,
     crt,
     discrete_log_bounded,
     gen_prime,
@@ -38,6 +39,10 @@ def message_primes(count: int) -> list[int]:
 class NaccacheStern(ModulusScheme):
     algorithm = "naccache-stern"
     default_params = {"prime_count": 8}
+    public_fields = ("n", "g", "sigma")
+    private_fields = ("p", "q")
+    # per message prime, the baby steps of its base; built on the first decrypt
+    _baby_steps = None
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -143,11 +148,15 @@ class NaccacheStern(ModulusScheme):
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         self.check_payload(c)
+        if self._baby_steps is None:
+            self._baby_steps = [
+                baby_steps(base, self.n, prime - 1) for prime, _, base in self._parts
+            ]
         residues = []
         moduli = []
-        for prime, exponent, base in self._parts:
+        for (prime, exponent, base), table in zip(self._parts, self._baby_steps):
             target = mod_pow(c, exponent, self.n)
-            residue = discrete_log_bounded(base, target, self.n, prime - 1)
+            residue = discrete_log_bounded(base, target, self.n, prime - 1, table)
             if residue is None:
                 raise DecryptionBoundError(
                     f"naccache-stern: no residue found modulo {prime}"

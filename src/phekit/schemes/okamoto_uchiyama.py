@@ -24,6 +24,9 @@ class OkamotoUchiyama(ModulusScheme):
     # plaintext_bits is derived during keygen (one less than the bit length of
     # the secret prime p) and travels in params so public-only copies keep it
     default_params = {"plaintext_bits": None}
+    public_fields = ("n", "g", "h")
+    private_fields = ("p", "q")
+    n_exponents = (2, 1)
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -82,7 +85,7 @@ class OkamotoUchiyama(ModulusScheme):
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
         r = random_coprime_below(self.n, rng)
-        return mod_pow(self.g, m, self.n) * mod_pow(self.h, r, self.n) % self.n
+        return mod_pow(self.g, m, self.n) * self._private_pow(self.h, r) % self.n
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()

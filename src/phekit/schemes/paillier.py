@@ -17,6 +17,9 @@ from .base import KeyPair, ModulusScheme, Payload
 
 class Paillier(ModulusScheme):
     algorithm = "paillier"
+    public_fields = ("n", "g")
+    private_fields = ("p", "q")
+    modulus_power = 2
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -55,9 +58,9 @@ class Paillier(ModulusScheme):
             g_m = (1 + m * self.n) % self.n_sq
         else:
             g_m = mod_pow(self.g, m, self.n_sq)
-        return g_m * mod_pow(r, self.n, self.n_sq) % self.n_sq
+        return g_m * self._private_pow(r, self.n) % self.n_sq
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         self.check_payload(c)
-        return self._big_l(mod_pow(c, self.lam, self.n_sq)) * self.mu % self.n
+        return self._big_l(self._private_pow(c, self.lam)) * self.mu % self.n

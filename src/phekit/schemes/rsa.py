@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from ..numtheory import RandomSource, generate_modulus, mod_inv, mod_pow
+from ..numtheory import RandomSource, generate_modulus, mod_inv
 from .base import KeyPair, ModulusScheme, Payload
 
 
 class Rsa(ModulusScheme):
     algorithm = "rsa"
+    public_fields = ("n", "e")
+    private_fields = ("p", "q", "d")
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -43,9 +45,9 @@ class Rsa(ModulusScheme):
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         # the one scheme with no random key: same plaintext, same ciphertext
         self.check_plaintext(m)
-        return mod_pow(m, self.e, self.n)
+        return self._private_pow(m, self.e)
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         self.check_payload(c)
-        return mod_pow(c, self.d, self.n)
+        return self._private_pow(c, self.d)

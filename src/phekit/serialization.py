@@ -16,7 +16,7 @@ from typing import Any, Optional
 from .capabilities import ALGORITHMS
 from .ec import CurvePoint
 from .errors import ParseError
-from .schemes import SCHEME_CLASSES, KeyPair, Payload
+from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme
 
 FORMAT_VERSION = 1
 
@@ -75,6 +75,17 @@ def serialize_key(keys: KeyPair, include_private: bool = True) -> str:
     return canonical_json(key_document(keys, include_private))
 
 
+def _check_factors(cls: type[Scheme], public: dict[str, int], private: dict[str, int]) -> None:
+    """Private-key schemes compute modulo p and q; they must factor n."""
+    if cls.n_exponents is None:
+        return
+    (a, b), p, q = cls.n_exponents, private["p"], private["q"]
+    _require(
+        p > 1 and q > 1 and p != q and p**a * q**b == public["n"], "private",
+        f"p and q do not factor public.n as p^{a} * q^{b} with p != q",
+    )
+
+
 def parse_key(text: str) -> KeyPair:
     try:
         doc = json.loads(text)
@@ -99,8 +110,15 @@ def parse_key(text: str) -> KeyPair:
         _require(isinstance(private_doc, dict), "private", "expected an object")
         private = {k: _parse_natural(v, f"private.{k}") for k, v in private_doc.items()}
     params = _params_from_doc(doc.get("params", {}))
-    for name in SCHEME_CLASSES[algorithm].default_params:
+    cls = SCHEME_CLASSES[algorithm]
+    for name in cls.default_params:
         _require(name in params, f"params.{name}", "missing")
+    for name in cls.public_fields:
+        _require(name in public, f"public.{name}", "missing")
+    if private is not None:
+        for name in cls.private_fields:
+            _require(name in private, f"private.{name}", "missing")
+        _check_factors(cls, public, private)
     return KeyPair(
         algorithm=algorithm,
         security_bits=bits,

@@ -159,6 +159,19 @@ def test_key_without_its_params_exits_4(tmp_path, capsys):
     assert "params.s" in capsys.readouterr().err
 
 
+def test_key_whose_factors_miss_the_modulus_exits_4(tmp_path, paillier_keys, capsys):
+    keys, _ = paillier_keys
+    doc = json.loads(keys.read_text())
+    doc["private"]["q"] = str(int(doc["private"]["q"]) + 2)
+    keys.write_text(json.dumps(doc))
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "3",
+                "--out", str(out)]) == 4
+    assert "'private'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_public_key_encrypts_but_cannot_decrypt(tmp_path, paillier_keys, capsys):
     keys, public = paillier_keys
     assert not parse_key(public.read_text()).has_private

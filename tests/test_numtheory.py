@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phekit import RandomSource
 from phekit.errors import MathDomainError, NotInvertibleError
 from phekit.numtheory import (
+    baby_steps,
     crt,
     discrete_log_bounded,
     gen_group_prime,
@@ -187,6 +190,26 @@ def test_discrete_log_bounded_roundtrip_larger_group(rng):
 def test_discrete_log_bounded_requires_unit_base():
     with pytest.raises(MathDomainError):
         discrete_log_bounded(6, 3, 9, 5)
+    with pytest.raises(MathDomainError):
+        baby_steps(6, 9, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.sampled_from([7, 101, 65537, 2**31 - 1, 1143713]),
+    base=st.integers(2, 2**40),
+    exponent=st.integers(0, 2**20),
+    target=st.integers(0, 2**40),
+    bound=st.integers(1, 5000),
+)
+def test_discrete_log_bounded_with_a_kept_table_matches_without(
+    modulus, base, exponent, target, bound
+):
+    assume(math.gcd(base, modulus) == 1)
+    table = baby_steps(base, modulus, bound)
+    for t in (pow(base, exponent, modulus), target, target * modulus):
+        expected = discrete_log_bounded(base, t, modulus, bound)
+        assert discrete_log_bounded(base, t, modulus, bound, table) == expected
 
 
 def test_crt_fixtures():

@@ -1,9 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phekit.schemes.benaloh as benaloh_module
-from phekit import RandomSource
+import phekit.schemes.elgamal as elgamal_module
+import phekit.schemes.naccache_stern as naccache_stern_module
+from phekit import PHE, RandomSource
 from phekit.ec import IDENTITY, CurvePoint, get_curve, is_on_curve
 from phekit.errors import (
     BitLengthError,
@@ -15,7 +19,13 @@ from phekit.errors import (
     PayloadTypeError,
     PlaintextRangeError,
 )
-from phekit.numtheory import is_probable_prime, mod_pow
+from phekit.numtheory import (
+    crt,
+    discrete_log_bounded,
+    is_probable_prime,
+    is_qr_mod_prime,
+    mod_pow,
+)
 from phekit.schemes import (
     SCHEME_CLASSES,
     KeyPair,
@@ -471,3 +481,185 @@ def test_capability_gate_on_raw_ops(rng):
         match="^Paillier is not homomorphic with respect to the multiplication$",
     ):
         paillier.mul(c1, c2)
+
+
+# ------------------------------------ private-key fast paths vs slow paths
+
+# schemes whose private-key powers run modulo the prime-power factors
+CRT_SCHEMES = ("rsa", "okamoto-uchiyama", "paillier", "damgard-jurik")
+seeds = st.integers(0, 2**32 - 1)
+fast_path_settings = settings(max_examples=40, deadline=None)
+
+
+def crt_keys(algorithm: str, seed: int, s: int) -> KeyPair:
+    """Toy keys from `seed`; Damgard-Jurik with ciphertexts modulo n^(s+1)."""
+    bits, params = TOY_KEYGEN[algorithm]
+    if algorithm == "damgard-jurik":
+        params = {"s": s}
+    return generate_keys(algorithm, bits, params=params, rng=RandomSource(seed))
+
+
+def awkward_inputs(scheme, k: int) -> list[int]:
+    """0, multiples of p and of q, and values at or beyond the modulus."""
+    p, q = scheme.keys.private["p"], scheme.keys.private["q"]
+    modulus = scheme.modulus
+    return [0, 1, p, p * k, q * k, p * q, modulus, modulus + k, modulus * k + 1, k]
+
+
+def group_exponent(scheme) -> int:
+    """Carmichael's lambda of `modulus`: x^it = 1 for every unit x."""
+    p, q = scheme.keys.private["p"], scheme.keys.private["q"]
+    lam = math.lcm(p - 1, q - 1)
+    if scheme.algorithm == "paillier":
+        return scheme.n * lam
+    if scheme.algorithm == "damgard-jurik":
+        return scheme.n_s * lam
+    if scheme.algorithm == "okamoto-uchiyama":
+        return math.lcm(p * (p - 1), q - 1)
+    return lam
+
+
+def slow_decrypt(scheme, c: int) -> int:
+    """Each CRT scheme's decryption formula with builtin pow modulo `modulus`."""
+    if scheme.algorithm == "rsa":
+        return pow(c, scheme.keys.private["d"], scheme.n)
+    if scheme.algorithm == "paillier":
+        return (pow(c, scheme.lam, scheme.n_sq) - 1) // scheme.n * scheme.mu % scheme.n
+    if scheme.algorithm == "damgard-jurik":
+        m_lam = scheme._extract_exponent(pow(c, scheme.lam, scheme.n_s1))
+        return m_lam * scheme.lam_inv % scheme.n_s
+    p = scheme.keys.private["p"]
+    return (pow(c, p - 1, p * p) - 1) // p * scheme.denom_inv % p
+
+
+@fast_path_settings
+@given(
+    algorithm=st.sampled_from(CRT_SCHEMES),
+    key_seed=seeds,
+    s=st.integers(1, 4),
+    enc_seed=seeds,
+    data=st.data(),
+)
+def test_private_and_public_encryption_agree(algorithm, key_seed, s, enc_seed, data):
+    private = PHE(keys=crt_keys(algorithm, key_seed, s), rng=RandomSource(enc_seed))
+    public = private.public_copy()
+    public.rng = RandomSource(enc_seed)
+    m = data.draw(st.integers(0, private.scheme.plaintext_bound() - 1))
+    c = private.encrypt(m)
+    assert c.payload == public.encrypt(m).payload
+    assert private.decrypt(c) == m
+
+
+@fast_path_settings
+@given(
+    algorithm=st.sampled_from(CRT_SCHEMES),
+    key_seed=seeds,
+    s=st.integers(1, 4),
+    k=st.integers(1, 2**128),
+    e=st.integers(0, 2**512),
+)
+def test_private_pow_matches_builtin_pow(algorithm, key_seed, s, k, e):
+    scheme = scheme_for(crt_keys(algorithm, key_seed, s))
+    order = group_exponent(scheme)
+    for x in awkward_inputs(scheme, k):
+        for exponent in (e, 0, 1, scheme.modulus, order, order * k + 1):
+            assert scheme._private_pow(x, exponent) == pow(x, exponent, scheme.modulus)
+
+
+@fast_path_settings
+@given(
+    algorithm=st.sampled_from(CRT_SCHEMES),
+    key_seed=seeds,
+    s=st.integers(1, 4),
+    k=st.integers(1, 2**128),
+)
+def test_decrypt_matches_the_pow_formula(algorithm, key_seed, s, k):
+    scheme = scheme_for(crt_keys(algorithm, key_seed, s))
+    for c in awkward_inputs(scheme, k) + [scheme.encrypt(k % scheme.plaintext_bound(),
+                                                         RandomSource(k))]:
+        assert scheme.decrypt(c) == slow_decrypt(scheme, c)
+
+
+@fast_path_settings
+@given(key_seed=seeds, s=st.integers(1, 4), enc_seed=seeds, data=st.data())
+def test_damgard_jurik_lambda_decryption_matches_the_d_exponent(
+    key_seed, s, enc_seed, data
+):
+    # the textbook exponent d = 1 mod n^s, 0 mod lambda reads m out directly
+    scheme = scheme_for(crt_keys("damgard-jurik", key_seed, s))
+    d = crt([1, 0], [scheme.n_s, scheme.lam])
+    m = data.draw(st.integers(0, scheme.n_s - 1))
+    c = scheme.encrypt(m, RandomSource(enc_seed))
+    assert scheme.decrypt(c) == scheme._extract_exponent(pow(c, d, scheme.n_s1)) == m
+
+
+@fast_path_settings
+@given(key_seed=seeds, enc_seed=seeds, k=st.integers(1, 2**128), data=st.data())
+def test_damgard_jurik_s1_decrypts_paillier_ciphertexts(key_seed, enc_seed, k, data):
+    keys = crt_keys("paillier", key_seed, 1)
+    paillier = scheme_for(keys)
+    dj = scheme_for(KeyPair("damgard-jurik", keys.security_bits, keys.public,
+                            keys.private, {"s": 1}))
+    m = data.draw(st.integers(0, paillier.n - 1))
+    c = paillier.encrypt(m, RandomSource(enc_seed))
+    assert dj.decrypt(c) == paillier.decrypt(c) == m
+    for x in awkward_inputs(paillier, k):
+        assert dj.decrypt(x) == paillier.decrypt(x)
+
+
+@fast_path_settings
+@given(key_seed=seeds, enc_seed=seeds, m=st.integers(0, 2**24), data=st.data())
+def test_gm_legendre_decryption_matches_euler_criterion(key_seed, enc_seed, m, data):
+    scheme = scheme_for(crt_keys("goldwasser-micali", key_seed, 1))
+    p = scheme.keys.private["p"]
+    c = scheme.encrypt(m, RandomSource(enc_seed))
+    c += data.draw(st.lists(st.integers(1, 2**64).filter(lambda v: v % p), max_size=4))
+    euler = 0
+    for value in c:
+        euler = (euler << 1) | (not is_qr_mod_prime(value % p, p))
+    assert scheme.decrypt(c) == euler
+    assert euler >> (len(c) - max(1, m.bit_length())) == m
+
+
+def test_gm_decrypt_rejects_a_value_divisible_by_p():
+    with pytest.raises(MathDomainError, match="divisible"):
+        scheme_for(GM_TOY).decrypt([4, 7 * 3])
+
+
+@pytest.mark.parametrize(
+    "algorithm, module",
+    [
+        ("exp-elgamal", elgamal_module),
+        ("benaloh", benaloh_module),
+        ("naccache-stern", naccache_stern_module),
+    ],
+)
+def test_cached_baby_steps_agree_with_a_fresh_search(algorithm, module, monkeypatch):
+    """Every log the scheme solves with its kept table, solved again without."""
+    rng = RandomSource(2024)
+    bits, params = TOY_KEYGEN[algorithm]
+    if algorithm == "exp-elgamal":
+        params = {"dlp_bound": 4096}
+    scheme = scheme_for(generate_keys(algorithm, bits, params=params, rng=rng))
+    tables = []
+
+    def checked(base, target, modulus, bound, table=None):
+        assert table is not None
+        tables.append(table)
+        fast = discrete_log_bounded(base, target, modulus, bound, table)
+        assert fast == discrete_log_bounded(base, target, modulus, bound)
+        return fast
+
+    monkeypatch.setattr(module, "discrete_log_bounded", checked)
+    bound = scheme.plaintext_bound()
+    for m in (0, 1, bound // 2, bound - 1):
+        assert scheme.decrypt(scheme.encrypt(m, rng)) == m
+    per_decrypt = len(tables) // 4
+    # the second and later decrypts reuse the first one's tables
+    assert [id(t) for t in tables[per_decrypt:]] == [
+        id(t) for t in tables[:per_decrypt]
+    ] * 3
+    if algorithm == "exp-elgamal":
+        over = scheme.add(scheme.encrypt(bound - 1, rng), scheme.encrypt(2, rng))
+        with pytest.raises(DecryptionBoundError):
+            scheme.decrypt(over)

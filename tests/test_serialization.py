@@ -125,10 +125,32 @@ def test_parse_key_rejects_bad_documents(all_keys):
     corrupt("params.s", source="damgard-jurik", params={})
     corrupt("params.curve", source="ec-elgamal", params={"dlp_bound": "5"})
     corrupt("security_bits", security_bits=-1)
+    n = all_keys["paillier"].public["n"]
+    corrupt("public.g", public={"n": str(n)})
+    corrupt("private.d", source="rsa", private={"p": "3", "q": "5"})
     with pytest.raises(ParseError, match="not valid JSON"):
         parse_key("{nope")
     with pytest.raises(ParseError, match="document"):
         parse_key("[]")
+
+
+@pytest.mark.parametrize(
+    "algorithm", sorted(a for a, cls in SCHEME_CLASSES.items() if cls.n_exponents)
+)
+def test_parse_key_rejects_private_factors_that_miss_the_modulus(all_keys, algorithm):
+    keys = all_keys[algorithm]
+    p, q = keys.private["p"], keys.private["q"]
+    n = keys.public["n"]
+    doc = json.loads(serialize_key(keys))
+    bad = [(p, q + 2), (p, p), (1, n), (n, 1)]
+    if algorithm == "okamoto-uchiyama":
+        bad.append((q, p))  # n = p^2 * q is not q^2 * p
+    for bad_p, bad_q in bad:
+        doc["private"].update(p=str(bad_p), q=str(bad_q))
+        with pytest.raises(ParseError, match="'private'"):
+            parse_key(json.dumps(doc))
+    doc["private"].update(p=str(p), q=str(q))
+    assert parse_key(json.dumps(doc)) == keys
 
 
 # SHA-256 of serialize_key(keys) and of serialize_ciphertext(Enc(5)) for the
