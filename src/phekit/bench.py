@@ -26,6 +26,9 @@ LEVEL_TO_CURVE_BITS = {80: 160, 112: 224, 128: 256, 192: 384}
 SKIP_AT_SCALE = ("benaloh", "naccache-stern")
 TOY_MODULUS_BITS = 256
 
+# width of the random plaintexts each cell encrypts
+PLAINTEXT_BITS = 18
+
 OPERATION_ORDER = ("keygen", "encrypt", "decrypt", "homop", "skip")
 
 CSV_HEADER = "algorithm,level,key_size,operation,repetitions,mean_seconds"
@@ -36,7 +39,6 @@ class BenchPlan:
     levels: tuple[int, ...] = (80,)
     algorithms: tuple[str, ...] = ALGORITHMS
     repetitions: int = 5
-    plaintext_bits: int = 18
     toy: bool = False
 
     def __post_init__(self):
@@ -51,8 +53,6 @@ class BenchPlan:
             )
         if self.repetitions < 1:
             raise MathDomainError("repetitions must be >= 1")
-        if self.plaintext_bits < 1:
-            raise MathDomainError("plaintext_bits must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,14 @@ def _measure_cell(
     bound = scheme.plaintext_bound()
 
     def draw() -> int:
-        m = rng.getrandbits(plan.plaintext_bits)
+        m = rng.getrandbits(PLAINTEXT_BITS)
         if bound is not None and m >= bound:
             m %= bound
         return m
 
     def fresh_cipher():
         if is_gm:
-            return scheme.encrypt(draw(), rng, bits=plan.plaintext_bits)
+            return scheme.encrypt(draw(), rng, bits=PLAINTEXT_BITS)
         return scheme.encrypt(draw(), rng)
 
     encrypt_times = []

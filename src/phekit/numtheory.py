@@ -38,9 +38,9 @@ class RandomSource:
         )
 
     @classmethod
-    def from_env(cls, env_var: str = TEST_SEED_ENV) -> "RandomSource":
+    def from_env(cls) -> "RandomSource":
         """Seeded from the environment when the test-seed variable is set."""
-        raw = os.environ.get(env_var)
+        raw = os.environ.get(TEST_SEED_ENV)
         if raw is None:
             return cls()
         return cls(seed=int(raw))
@@ -116,7 +116,7 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     return True
 
 
-def gen_prime(bits: int, rng: RandomSource, rounds: int = DEFAULT_MR_ROUNDS) -> int:
+def gen_prime(bits: int, rng: RandomSource) -> int:
     """Random probable prime of exactly `bits` bits.
 
     The top two bits are forced so products of two such primes reach the full
@@ -127,7 +127,7 @@ def gen_prime(bits: int, rng: RandomSource, rounds: int = DEFAULT_MR_ROUNDS) -> 
     top = (1 << (bits - 1)) | (1 << (bits - 2))
     while True:
         candidate = rng.getrandbits(bits) | top | 1
-        if is_probable_prime(candidate, rounds):
+        if is_probable_prime(candidate):
             return candidate
 
 
@@ -147,7 +147,7 @@ def generate_modulus(bits: int, rng: RandomSource) -> Tuple[int, int, int]:
 
 
 def gen_group_prime(
-    bits: int, subgroup_bits: int, rng: RandomSource, rounds: int = DEFAULT_MR_ROUNDS
+    bits: int, subgroup_bits: int, rng: RandomSource
 ) -> Tuple[int, int]:
     """Prime p of exactly `bits` bits whose group order p-1 has a prime
     factor q of exactly `subgroup_bits` bits. Returns (p, q).
@@ -160,7 +160,7 @@ def gen_group_prime(
         raise MathDomainError("subgroup_bits must be >= 8")
     if bits < subgroup_bits + 8:
         raise MathDomainError("bits must be at least subgroup_bits + 8")
-    q = gen_prime(subgroup_bits, rng, rounds)
+    q = gen_prime(subgroup_bits, rng)
     cofactor_bits = bits - subgroup_bits - 1
     while True:
         c = rng.getrandbits(cofactor_bits)
@@ -168,7 +168,7 @@ def gen_group_prime(
         # 2qc < 2^bits always holds; only the lower edge needs a check
         if p.bit_length() != bits:
             continue
-        if is_probable_prime(p, rounds):
+        if is_probable_prime(p):
             return p, q
 
 

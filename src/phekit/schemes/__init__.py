@@ -1,11 +1,15 @@
 """Ten cryptosystems behind one dispatch surface.
 
 `scheme_for(keys)` builds the right Scheme instance for a key pair and
-`generate_keys` makes a fresh one. Construction precomputes decryption
-constants; the first private-key encrypt or decrypt adds the CRT constants
-of the modulus schemes and the first decrypt the baby-step tables of the
-discrete-log schemes. So hold on to the instance (or a PHE facade, which
-holds one) rather than rebuilding it per operation.
+`generate_keys` makes a fresh one. Each scheme module holds only its own
+math: the fields of its keys (`public_fields`, `private_fields`), the
+search that produces them (`_keygen`) and its operations; `Scheme` in
+`base.py` resolves parameters, assembles the KeyPair and binds the declared
+fields as attributes. Construction precomputes decryption constants; the
+first private-key power of a modulus scheme adds its CRT constants and the
+first decrypt the baby-step tables of the discrete-log schemes. So hold on
+to the instance (or a PHE facade, which holds one) rather than rebuilding
+it per operation.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Shared cryptosystem machinery: key pairs, payload variants, the scheme ABC.
 
-Every cryptosystem subclasses :class:`Scheme`; those whose ciphertexts live
-modulo one integer share :class:`ModulusScheme`, whose private-key powers run
-modulo the prime-power factors of that integer. Capability checks happen
-here so a raw operation on the wrong scheme fails with the fixed wording
-before any arithmetic runs.
+Every cryptosystem subclasses :class:`Scheme`, which owns the key lifecycle:
+`generate` resolves parameters, calls the scheme's `_keygen` and builds the
+KeyPair, and the constructor binds each declared key field as an attribute.
+Those whose ciphertexts live modulo one integer share :class:`ModulusScheme`,
+whose private-key powers run modulo the prime-power factors of that integer.
+Capability checks happen here so a raw operation on the wrong scheme fails
+with the fixed wording before any arithmetic runs.
 """
 
 from __future__ import annotations
@@ -74,17 +76,21 @@ def variant_of(payload: Payload) -> str:
 class Scheme(ABC):
     """One cryptosystem bound to a key pair.
 
-    Subclasses implement `generate`, `encrypt`, `decrypt`, and the raw
-    operation hooks their capability row allows. Instances precompute
-    decryption constants when the private part is present, and modulus
-    schemes add their CRT constants on the first private-key encrypt or
-    decrypt, so reuse one instance across many calls.
+    Subclasses declare the fields of each half of a key pair in
+    `public_fields` and `private_fields`, and implement `_keygen`,
+    `encrypt`, `decrypt`, and the raw operation hooks their capability row
+    allows. The constructor sets one attribute per declared field (a private
+    field is None on a public-only key); subclass constructors add only
+    derived constants. Instances precompute decryption constants when the
+    private part is present, and modulus schemes add their CRT constants on
+    their first private-key power, so reuse one instance across many calls.
     """
 
     algorithm: ClassVar[str]
     payload_variant: ClassVar[str]
     default_params: ClassVar[dict[str, Any]] = {}
-    # the fields the scheme reads from each half of a key pair
+    # the fields the scheme reads from each half of a key pair; each one
+    # becomes an attribute of the same name
     public_fields: ClassVar[tuple[str, ...]]
     private_fields: ClassVar[tuple[str, ...]]
     # (a, b) with public n = p**a * q**b for the private primes p and q;
@@ -97,6 +103,10 @@ class Scheme(ABC):
                 f"key pair is for {keys.algorithm!r}, scheme is {self.algorithm!r}"
             )
         self.keys = keys
+        for name in self.public_fields:
+            setattr(self, name, keys.public[name])
+        for name in self.private_fields:
+            setattr(self, name, keys.private[name] if keys.has_private else None)
 
     @classmethod
     def resolve_params(cls, params: Optional[dict[str, Any]]) -> dict[str, Any]:
@@ -111,11 +121,27 @@ class Scheme(ABC):
         return resolved
 
     @classmethod
-    @abstractmethod
     def generate(
         cls, security_bits: int, params: dict[str, Any], rng: RandomSource
     ) -> KeyPair:
         """Produce a fresh key pair at the given modulus/curve size."""
+        resolved = cls.resolve_params(params)
+        public, private = cls._keygen(security_bits, resolved, rng)
+        return KeyPair(
+            algorithm=cls.algorithm,
+            security_bits=security_bits,
+            public=public,
+            private=private,
+            params=resolved,
+        )
+
+    @classmethod
+    @abstractmethod
+    def _keygen(
+        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
+    ) -> tuple[dict[str, int], dict[str, int]]:
+        """(public, private) fields of a fresh key pair. `params` is resolved;
+        a scheme that derives a parameter during the search writes it there."""
 
     @abstractmethod
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
@@ -200,15 +226,18 @@ class ModulusScheme(Scheme):
     """A scheme whose ciphertexts are integers modulo one `modulus`.
 
     Combining multiplies two ciphertexts and a scalar raises one to a power,
-    both modulo `modulus`; subclasses set it in their constructor, as
-    `n ** modulus_power` with n = p**a * q**b (`n_exponents`).
+    both modulo `modulus` = `n ** modulus_power`, with the public
+    n = p**a * q**b (`n_exponents`).
     """
 
     payload_variant = "single"
     n_exponents = (1, 1)
-    modulus: int
     modulus_power = 1
     _crt: Optional[tuple] = None
+
+    def __init__(self, keys: KeyPair):
+        super().__init__(keys)
+        self.modulus = self.n**self.modulus_power
 
     def _private_pow(self, x: int, e: int) -> int:
         """x**e mod `modulus`, the same integer as builtin `pow`.
@@ -229,7 +258,7 @@ class ModulusScheme(Scheme):
     def _crt_constants(self) -> tuple:
         """Per private prime (prime, its power in `modulus`, that power's
         group order), then the p-power's inverse modulo the q-power."""
-        p, q = self.keys.private["p"], self.keys.private["q"]
+        p, q = self.p, self.q
         a, b = self.n_exponents
         p_k = p ** (a * self.modulus_power)
         q_k = q ** (b * self.modulus_power)

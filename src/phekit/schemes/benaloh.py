@@ -7,7 +7,7 @@ the search runs under an explicit retry budget instead of looping forever.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
 from ..numtheory import (
@@ -34,22 +34,13 @@ class Benaloh(ModulusScheme):
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = self.modulus = keys.public["n"]
-        self.y = keys.public["y"]
-        self.r = keys.public["r"]
-        self._baby_base: Optional[int] = None
         if keys.has_private:
-            p, q = keys.private["p"], keys.private["q"]
-            phi = (p - 1) * (q - 1)
-            self.phi_over_r = phi // self.r
-            self._baby_base = mod_pow(self.y, self.phi_over_r, self.n)
+            self.phi_over_r = (self.p - 1) * (self.q - 1) // self.r
+            self._baby_base = self._private_pow(self.y, self.phi_over_r)
 
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
-        resolved = cls.resolve_params(params)
-        r = resolved["block_size"]
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
+        r = params["block_size"]
         if r < 3 or not is_probable_prime(r):
             # prime blocks make y^(phi/r) != 1 sufficient for correctness;
             # composite blocks need stronger conditions and are not offered
@@ -107,13 +98,7 @@ class Benaloh(ModulusScheme):
         if y is None:
             raise KeygenExhaustedError("benaloh: no generator y within the budget")
 
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"n": n, "y": y, "r": r},
-            private={"p": p, "q": q},
-            params=resolved,
-        )
+        return {"n": n, "y": y, "r": r}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
         return self.r
@@ -127,7 +112,7 @@ class Benaloh(ModulusScheme):
         self.require_private()
         self.check_payload(c)
         # c^(phi/r) = y^(m*phi/r); the u-part has order dividing phi and dies
-        a = mod_pow(c, self.phi_over_r, self.n)
+        a = self._private_pow(c, self.phi_over_r)
         if self._baby_steps is None:
             self._baby_steps = baby_steps(self._baby_base, self.n, self.r - 1)
         m = discrete_log_bounded(

@@ -27,36 +27,27 @@ class DamgardJurik(ModulusScheme):
     public_fields = ("n", "g")
     private_fields = ("p", "q")
 
+    @property
+    def modulus_power(self) -> int:
+        return self.keys.params["s"] + 1
+
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = keys.public["n"]
-        self.g = keys.public["g"]
         self.s = keys.params["s"]
         self.n_s = self.n**self.s
-        self.n_s1 = self.modulus = self.n_s * self.n
-        self.modulus_power = self.s + 1
+        self.n_s1 = self.modulus
         if keys.has_private:
-            p, q = keys.private["p"], keys.private["q"]
             # c^lambda kills r and leaves (1+n)^(m*lambda); lambda^-1 mod n^s
             # then picks the message out
-            self.lam = lcm(p - 1, q - 1)
+            self.lam = lcm(self.p - 1, self.q - 1)
             self.lam_inv = mod_inv(self.lam, self.n_s)
 
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
-        resolved = cls.resolve_params(params)
-        if resolved["s"] < 1:
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
+        if params["s"] < 1:
             raise MathDomainError("damgard-jurik parameter s must be >= 1")
         p, q, n = generate_modulus(security_bits, rng)
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"n": n, "g": n + 1},
-            private={"p": p, "q": q},
-            params=resolved,
-        )
+        return {"n": n, "g": n + 1}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
         return self.n_s

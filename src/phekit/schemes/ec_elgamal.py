@@ -35,35 +35,25 @@ class EcElGamal(Scheme):
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
         self.curve: CurveParams = get_curve(keys.params["curve"])
-        self.q_point = CurvePoint(keys.public["qx"], keys.public["qy"])
-        self.x = keys.private["x"] if keys.has_private else None
+        self.q_point = CurvePoint(self.qx, self.qy)
         self.dlp_bound = keys.params["dlp_bound"]
         self._baby_table: Optional[dict[CurvePoint, int]] = None
         self._giant_step: Optional[CurvePoint] = None
 
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
-        resolved = cls.resolve_params(params)
-        if resolved["curve"] is None:
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
+        if params["curve"] is None:
             if security_bits not in CURVE_BY_ECC_BITS:
                 sizes = ", ".join(str(s) for s in sorted(CURVE_BY_ECC_BITS))
                 raise MathDomainError(
                     f"no registered curve of {security_bits} bits (sizes: {sizes}); "
                     "pass an explicit curve name instead"
                 )
-            resolved["curve"] = CURVE_BY_ECC_BITS[security_bits]
-        curve = get_curve(resolved["curve"])
+            params["curve"] = CURVE_BY_ECC_BITS[security_bits]
+        curve = get_curve(params["curve"])
         x = rng.randrange(1, curve.order)
         q_point = scalar_mul(x, curve.g, curve)
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"qx": q_point.x, "qy": q_point.y},
-            private={"x": x},
-            params=resolved,
-        )
+        return {"qx": q_point.x, "qy": q_point.y}, {"x": x}
 
     def plaintext_bound(self) -> int:
         return min(self.dlp_bound, self.curve.order)

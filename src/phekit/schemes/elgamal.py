@@ -30,54 +30,27 @@ def _subgroup_bits(security_bits: int) -> int:
     return min(256, max(24, security_bits // 2))
 
 
-def _generate_group(
-    algorithm: str,
-    security_bits: int,
-    params: dict[str, Any],
-    rng: RandomSource,
-) -> KeyPair:
-    """Prime p = 2qc+1, generator g of the order-q subgroup, secret x.
-
-    Decryption m = c2 * (c1^x)^-1 holds for any g, so correctness never
-    depends on the group structure; the large prime q dividing p-1 is what
-    keeps discrete logs in <g> hard.
-    """
-    p, q = gen_group_prime(security_bits, _subgroup_bits(security_bits), rng)
-    while True:
-        g = mod_pow(rng.randrange(2, p - 1), (p - 1) // q, p)
-        if g != 1:
-            break
-    x = rng.randrange(2, q)
-    h = mod_pow(g, x, p)
-    return KeyPair(
-        algorithm=algorithm,
-        security_bits=security_bits,
-        public={"p": p, "g": g, "h": h},
-        private={"x": x},
-        params=params,
-    )
-
-
 class ElGamal(Scheme):
     algorithm = "elgamal"
     payload_variant = "pair"
     public_fields = ("p", "g", "h")
     private_fields = ("x",)
 
-    def __init__(self, keys: KeyPair):
-        super().__init__(keys)
-        self.p = keys.public["p"]
-        self.g = keys.public["g"]
-        self.h = keys.public["h"]
-        self.x = keys.private["x"] if keys.has_private else None
-
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
-        return _generate_group(
-            cls.algorithm, security_bits, cls.resolve_params(params), rng
-        )
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
+        """Prime p = 2qc+1, generator g of the order-q subgroup, secret x.
+
+        Decryption m = c2 * (c1^x)^-1 holds for any g, so correctness never
+        depends on the group structure; the large prime q dividing p-1 is what
+        keeps discrete logs in <g> hard.
+        """
+        p, q = gen_group_prime(security_bits, _subgroup_bits(security_bits), rng)
+        while True:
+            g = mod_pow(rng.randrange(2, p - 1), (p - 1) // q, p)
+            if g != 1:
+                break
+        x = rng.randrange(2, q)
+        return {"p": p, "g": g, "h": mod_pow(g, x, p)}, {"x": x}
 
     def plaintext_bound(self) -> int:
         return self.p

@@ -17,7 +17,7 @@ from ..numtheory import (
     jacobi,
     random_coprime_below,
 )
-from .base import KeyPair, Payload, Scheme
+from .base import Payload, Scheme
 
 
 class GoldwasserMicali(Scheme):
@@ -27,16 +27,8 @@ class GoldwasserMicali(Scheme):
     private_fields = ("p", "q")
     n_exponents = (1, 1)
 
-    def __init__(self, keys: KeyPair):
-        super().__init__(keys)
-        self.n = keys.public["n"]
-        self.x = keys.public["x"]
-        self.p = keys.private["p"] if keys.has_private else None
-
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         p, q, n = generate_modulus(security_bits, rng)
         while True:
             x = rng.randrange(2, n)
@@ -46,13 +38,7 @@ class GoldwasserMicali(Scheme):
             # so ciphertext residues are indistinguishable without p
             if not is_qr_mod_prime(x, p) and not is_qr_mod_prime(x, q):
                 break
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"n": n, "x": x},
-            private={"p": p, "q": q},
-            params=cls.resolve_params(params),
-        )
+        return {"n": n, "x": x}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> Optional[int]:
         return None  # any width: the payload grows with the plaintext

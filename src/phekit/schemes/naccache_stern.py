@@ -46,26 +46,20 @@ class NaccacheStern(ModulusScheme):
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = self.modulus = keys.public["n"]
-        self.g = keys.public["g"]
-        self.sigma = keys.public["sigma"]
         self.primes = message_primes(keys.params["prime_count"])
         if keys.has_private:
-            p, q = keys.private["p"], keys.private["q"]
-            phi = (p - 1) * (q - 1)
+            phi = (self.p - 1) * (self.q - 1)
             # per message prime: the exponent that isolates m mod p_i and the
             # order-p_i base the small discrete log runs against
             self._parts = []
             for prime in self.primes:
                 exponent = phi // prime
-                self._parts.append((prime, exponent, mod_pow(self.g, exponent, self.n)))
+                base = self._private_pow(self.g, exponent)
+                self._parts.append((prime, exponent, base))
 
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
-        resolved = cls.resolve_params(params)
-        count = resolved["prime_count"]
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
+        count = params["prime_count"]
         if count < 2:
             raise MathDomainError("naccache-stern needs at least two message primes")
         primes = message_primes(count)
@@ -127,13 +121,7 @@ class NaccacheStern(ModulusScheme):
         if g is None:
             raise KeygenExhaustedError("naccache-stern: no generator g within the budget")
 
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"n": n, "g": g, "sigma": sigma},
-            private={"p": p, "q": q},
-            params=resolved,
-        )
+        return {"n": n, "g": g, "sigma": sigma}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
         return self.sigma
@@ -155,7 +143,7 @@ class NaccacheStern(ModulusScheme):
         residues = []
         moduli = []
         for (prime, exponent, base), table in zip(self._parts, self._baby_steps):
-            target = mod_pow(c, exponent, self.n)
+            target = self._private_pow(c, exponent)
             residue = discrete_log_bounded(base, target, self.n, prime - 1, table)
             if residue is None:
                 raise DecryptionBoundError(

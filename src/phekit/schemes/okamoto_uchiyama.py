@@ -30,21 +30,14 @@ class OkamotoUchiyama(ModulusScheme):
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = self.modulus = keys.public["n"]
-        self.g = keys.public["g"]
-        self.h = keys.public["h"]
         self.plaintext_bits = keys.params["plaintext_bits"]
         if keys.has_private:
-            p = keys.private["p"]
-            self.p = p
-            self.p_sq = p * p
-            denom = self._little_l(mod_pow(self.g, p - 1, self.p_sq))
-            self.denom_inv = mod_inv(denom, p)
+            self.p_sq = self.p * self.p
+            denom = self._little_l(mod_pow(self.g, self.p - 1, self.p_sq))
+            self.denom_inv = mod_inv(denom, self.p)
 
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         p_bits = (security_bits + 2) // 3
         q_bits = security_bits - 2 * p_bits
         while True:
@@ -65,16 +58,8 @@ class OkamotoUchiyama(ModulusScheme):
             # logarithm map below is nondegenerate
             if mod_pow(g, p - 1, p_sq) != 1:
                 break
-        h = mod_pow(g, n, n)
-        resolved = cls.resolve_params(params)
-        resolved["plaintext_bits"] = p_bits - 1
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"n": n, "g": g, "h": h},
-            private={"p": p, "q": q},
-            params=resolved,
-        )
+        params["plaintext_bits"] = p_bits - 1
+        return {"n": n, "g": g, "h": mod_pow(g, n, n)}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
         return 1 << self.plaintext_bits

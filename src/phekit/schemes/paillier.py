@@ -23,26 +23,15 @@ class Paillier(ModulusScheme):
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.n = keys.public["n"]
-        self.g = keys.public["g"]
-        self.n_sq = self.modulus = self.n * self.n
+        self.n_sq = self.modulus
         if keys.has_private:
-            p, q = keys.private["p"], keys.private["q"]
-            self.lam = lcm(p - 1, q - 1)
+            self.lam = lcm(self.p - 1, self.q - 1)
             self.mu = mod_inv(self._big_l(mod_pow(self.g, self.lam, self.n_sq)), self.n)
 
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         p, q, n = generate_modulus(security_bits, rng)
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"n": n, "g": n + 1},
-            private={"p": p, "q": q},
-            params=cls.resolve_params(params),
-        )
+        return {"n": n, "g": n + 1}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
         return self.n

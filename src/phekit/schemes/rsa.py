@@ -6,7 +6,7 @@ import math
 from typing import Any
 
 from ..numtheory import RandomSource, generate_modulus, mod_inv
-from .base import KeyPair, ModulusScheme, Payload
+from .base import ModulusScheme, Payload
 
 
 class Rsa(ModulusScheme):
@@ -14,30 +14,15 @@ class Rsa(ModulusScheme):
     public_fields = ("n", "e")
     private_fields = ("p", "q", "d")
 
-    def __init__(self, keys: KeyPair):
-        super().__init__(keys)
-        self.n = self.modulus = keys.public["n"]
-        self.e = keys.public["e"]
-        self.d = keys.private["d"] if keys.has_private else None
-
     @classmethod
-    def generate(
-        cls, security_bits: int, params: dict[str, Any], rng: RandomSource
-    ) -> KeyPair:
+    def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         p, q, n = generate_modulus(security_bits, rng)
         phi = (p - 1) * (q - 1)
         while True:
             e = rng.randrange(3, phi)
             if math.gcd(e, phi) == 1:
                 break
-        d = mod_inv(e, phi)
-        return KeyPair(
-            algorithm=cls.algorithm,
-            security_bits=security_bits,
-            public={"n": n, "e": e},
-            private={"p": p, "q": q, "d": d},
-            params=cls.resolve_params(params),
-        )
+        return {"n": n, "e": e}, {"p": p, "q": q, "d": mod_inv(e, phi)}
 
     def plaintext_bound(self) -> int:
         return self.n

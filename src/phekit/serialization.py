@@ -16,7 +16,7 @@ from typing import Any, Optional
 from .capabilities import ALGORITHMS
 from .ec import CurvePoint
 from .errors import ParseError
-from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme
+from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme, variant_of
 
 FORMAT_VERSION = 1
 
@@ -153,16 +153,12 @@ def _point_from_doc(doc: Any, field: str) -> CurvePoint:
 
 
 def payload_to_doc(payload: Payload) -> dict[str, Any]:
-    if isinstance(payload, int) and not isinstance(payload, bool):
-        return {"kind": "single", "data": str(payload)}
-    if isinstance(payload, list):
-        return {"kind": "bits", "data": [str(v) for v in payload]}
-    if isinstance(payload, tuple) and len(payload) == 2:
-        a, b = payload
-        if isinstance(a, CurvePoint):
-            return {"kind": "point_pair", "data": [_point_doc(a), _point_doc(b)]}
-        return {"kind": "pair", "data": [str(a), str(b)]}
-    raise ParseError(f"field 'payload': unserializable value {payload!r}")
+    kind = variant_of(payload)
+    if kind == "single":
+        return {"kind": kind, "data": str(payload)}
+    if kind == "point_pair":
+        return {"kind": kind, "data": [_point_doc(point) for point in payload]}
+    return {"kind": kind, "data": [str(v) for v in payload]}
 
 
 def payload_from_doc(doc: Any, algorithm: str) -> Payload:

@@ -10,6 +10,7 @@ from phekit.bench import (
     LEVEL_TO_CURVE_BITS,
     LEVEL_TO_MODULUS_BITS,
     OPERATION_ORDER,
+    PLAINTEXT_BITS,
     SKIP_AT_SCALE,
     TOY_MODULUS_BITS,
     BenchPlan,
@@ -44,8 +45,6 @@ def test_plan_validation():
         BenchPlan(algorithms=())
     with pytest.raises(MathDomainError):
         BenchPlan(repetitions=0)
-    with pytest.raises(MathDomainError):
-        BenchPlan(plaintext_bits=0)
 
 
 def test_plan_defaults():
@@ -53,7 +52,7 @@ def test_plan_defaults():
     assert plan.levels == (80,)
     assert plan.algorithms == ALGORITHMS
     assert plan.repetitions == 5
-    assert plan.plaintext_bits == 18
+    assert PLAINTEXT_BITS == 18
     assert plan.toy is False
 
 

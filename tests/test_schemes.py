@@ -371,6 +371,21 @@ def test_generate_elgamal_consistency(rng):
     assert mod_pow(g, keys.private["x"], p) == h
 
 
+@pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
+def test_key_fields_are_declared_once(algorithm, rng):
+    cls = scheme_class(algorithm)
+    keys = toy_keys(algorithm, rng)
+    assert sorted(keys.public) == sorted(cls.public_fields)
+    assert sorted(keys.private) == sorted(cls.private_fields)
+    private = scheme_for(keys)
+    public = scheme_for(keys.public_only())
+    for name in cls.public_fields:
+        assert getattr(private, name) == getattr(public, name) == keys.public[name]
+    for name in cls.private_fields:
+        assert getattr(private, name) == keys.private[name]
+        assert getattr(public, name) is None
+
+
 def test_benaloh_rejects_composite_block(rng):
     with pytest.raises(MathDomainError):
         generate_keys("benaloh", 48, params={"block_size": 15}, rng=rng)
@@ -552,7 +567,7 @@ def test_private_and_public_encryption_agree(algorithm, key_seed, s, enc_seed, d
 
 @fast_path_settings
 @given(
-    algorithm=st.sampled_from(CRT_SCHEMES),
+    algorithm=st.sampled_from(CRT_SCHEMES + ("benaloh", "naccache-stern")),
     key_seed=seeds,
     s=st.integers(1, 4),
     k=st.integers(1, 2**128),

@@ -6,6 +6,7 @@ import pytest
 from phekit import (
     PHE,
     ParseError,
+    PayloadTypeError,
     RandomSource,
     key_fingerprint,
     parse_key,
@@ -246,6 +247,12 @@ def test_identity_point_serializes_as_null():
     back = payload_from_doc(doc, "ec-elgamal")
     assert back[0].is_identity
     assert back[1] == CurvePoint(6, 3)
+
+
+def test_payload_to_doc_rejects_what_variant_of_rejects():
+    for payload in ([], (1, CurvePoint(5, 1))):
+        with pytest.raises(PayloadTypeError):
+            payload_to_doc(payload)
 
 
 def test_payload_kind_enforced_per_algorithm():
