@@ -1,42 +1,30 @@
 """Benaloh: dense additive encryption of small blocks modulo a prime r.
 
-Key generation needs p = 1 (mod r) with no second factor of r in p-1, and is
-the first of the two schemes here whose parameter search can fail outright, so
-the search runs under an explicit retry budget instead of looping forever.
+Benaloh is Naccache-Stern with one message prime: the block r plays sigma and
+the only message prime, and y plays g, so encryption and decryption are
+Naccache-Stern's. Key generation is its own: it needs p = 1 (mod r) with no
+second factor of r in p-1, and runs under the same retry budget.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
-from ..numtheory import (
-    RandomSource,
-    baby_steps,
-    discrete_log_bounded,
-    gen_prime,
-    is_probable_prime,
-    mod_pow,
-    random_coprime_below,
-)
-from .base import KeyPair, ModulusScheme, Payload
-
-RETRY_BUDGET = 50_000
+from ..errors import KeygenExhaustedError, MathDomainError
+from ..numtheory import RandomSource, gen_prime, is_probable_prime
+from .naccache_stern import RETRY_BUDGET, NaccacheStern
 
 
-class Benaloh(ModulusScheme):
+class Benaloh(NaccacheStern):
     algorithm = "benaloh"
     default_params = {"block_size": 257}
     public_fields = ("n", "y", "r")
-    private_fields = ("p", "q")
-    # baby steps of y^(phi/r), built on the first decrypt
-    _baby_steps = None
+    # Naccache-Stern's generator and message modulus under their Benaloh names
+    g = property(lambda self: self.y)
+    sigma = property(lambda self: self.r)
 
-    def __init__(self, keys: KeyPair):
-        super().__init__(keys)
-        if keys.has_private:
-            self.phi_over_r = (self.p - 1) * (self.q - 1) // self.r
-            self._baby_base = self._private_pow(self.y, self.phi_over_r)
+    def _message_primes(self) -> list[int]:
+        return [self.r]
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
@@ -86,38 +74,5 @@ class Benaloh(ModulusScheme):
             raise KeygenExhaustedError("benaloh: no suitable prime q within the budget")
 
         n = p * q
-        phi = (p - 1) * (q - 1)
-        exponent = phi // r
-        y = None
-        while budget > 0:
-            budget -= 1
-            candidate = random_coprime_below(n, rng)
-            if mod_pow(candidate, exponent, n) != 1:
-                y = candidate
-                break
-        if y is None:
-            raise KeygenExhaustedError("benaloh: no generator y within the budget")
-
+        y = cls._generator(n, (p - 1) * (q - 1), [r], budget, rng)
         return {"n": n, "y": y, "r": r}, {"p": p, "q": q}
-
-    def plaintext_bound(self) -> int:
-        return self.r
-
-    def encrypt(self, m: int, rng: RandomSource) -> Payload:
-        self.check_plaintext(m)
-        u = random_coprime_below(self.n, rng)
-        return mod_pow(self.y, m, self.n) * mod_pow(u, self.r, self.n) % self.n
-
-    def decrypt(self, c: Payload) -> int:
-        self.require_private()
-        self.check_payload(c)
-        # c^(phi/r) = y^(m*phi/r); the u-part has order dividing phi and dies
-        a = self._private_pow(c, self.phi_over_r)
-        if self._baby_steps is None:
-            self._baby_steps = baby_steps(self._baby_base, self.n, self.r - 1)
-        m = discrete_log_bounded(
-            self._baby_base, a, self.n, self.r - 1, self._baby_steps
-        )
-        if m is None:
-            raise DecryptionBoundError("benaloh: ciphertext outside the block range")
-        return m

@@ -1,7 +1,8 @@
 """Damgard-Jurik: Paillier generalized to ciphertexts modulo n^(s+1).
 
 Messages live modulo n^s, so one key pair can carry plaintexts far larger
-than the modulus. s = 1 reduces to Paillier exactly.
+than the modulus. Paillier is the special case s = 1 (`paillier.py`), so
+both schemes share this module's encryption and decryption.
 """
 
 from __future__ import annotations
@@ -28,19 +29,22 @@ class DamgardJurik(ModulusScheme):
     private_fields = ("p", "q")
 
     @property
+    def s(self) -> int:
+        return self.keys.params["s"]
+
+    @property
     def modulus_power(self) -> int:
-        return self.keys.params["s"] + 1
+        return self.s + 1
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.s = keys.params["s"]
         self.n_s = self.n**self.s
-        self.n_s1 = self.modulus
         if keys.has_private:
-            # c^lambda kills r and leaves (1+n)^(m*lambda); lambda^-1 mod n^s
-            # then picks the message out
+            # c^lambda kills r and leaves g^(m*lambda); mu = L_s(g^lambda)^-1
+            # mod n^s then picks the message out, whatever g is
             self.lam = lcm(self.p - 1, self.q - 1)
-            self.lam_inv = mod_inv(self.lam, self.n_s)
+            g_lam = mod_pow(self.g, self.lam, self.modulus)
+            self.mu = mod_inv(self._extract_exponent(g_lam), self.n_s)
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
@@ -58,14 +62,14 @@ class DamgardJurik(ModulusScheme):
         if self.g == self.n + 1:
             g_m = self._one_plus_n_pow(m)
         else:
-            g_m = mod_pow(self.g, m, self.n_s1)
-        return g_m * self._private_pow(r, self.n_s) % self.n_s1
+            g_m = mod_pow(self.g, m, self.modulus)
+        return g_m * self._private_pow(r, self.n_s) % self.modulus
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         self.check_payload(c)
         m_lam = self._extract_exponent(self._private_pow(c, self.lam))
-        return m_lam * self.lam_inv % self.n_s
+        return m_lam * self.mu % self.n_s
 
     def _one_plus_n_pow(self, m: int) -> int:
         """(1+n)^m mod n^(s+1) via the binomial expansion, s+1 terms."""
@@ -74,7 +78,7 @@ class DamgardJurik(ModulusScheme):
         for k in range(1, self.s + 1):
             # term = C(m, k) * n^k mod n^(s+1), built incrementally
             term = term * (m - k + 1) // k
-            result = (result + term * self.n**k) % self.n_s1
+            result = (result + term * self.n**k) % self.modulus
         return result
 
     def _extract_exponent(self, a: int) -> int:
@@ -82,7 +86,8 @@ class DamgardJurik(ModulusScheme):
 
         Standard iterative extraction: at step j the value of i mod n^(j-1) is
         known, and the binomial correction terms C(i,k)*n^(k-1) for k in
-        [2, j] are subtracted from L(a mod n^(j+1)) to expose i mod n^j.
+        [2, j] are subtracted from L(a mod n^(j+1)) to expose i mod n^j. At
+        s = 1 this is Paillier's L(a) = (a - 1) / n.
         """
         n = self.n
         i = 0

@@ -1,9 +1,10 @@
 """ElGamal over a prime-order subgroup, in two flavors.
 
 Classic ElGamal multiplies plaintexts into the second component and is
-multiplicatively homomorphic. The exponential variant encrypts g^m instead,
-which turns ciphertext multiplication into plaintext addition at the price of
-a bounded discrete-log search on decryption.
+multiplicatively homomorphic. Exponential ElGamal is ElGamal run on g^m: it
+shares ElGamal's encryption and decryption and only encodes m as g^m and
+decodes by a bounded discrete-log search, which turns ciphertext
+multiplication into plaintext addition.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ..numtheory import (
     mod_inv,
     mod_pow,
 )
-from .base import KeyPair, Payload, Scheme
+from .base import Payload, Scheme
 
 DEFAULT_DLP_BOUND = 1 << 20
 
@@ -58,14 +59,24 @@ class ElGamal(Scheme):
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
         r = rng.randrange(2, self.p - 1)
-        return (mod_pow(self.g, r, self.p), m * mod_pow(self.h, r, self.p) % self.p)
+        return (
+            mod_pow(self.g, r, self.p),
+            self._encode(m) * mod_pow(self.h, r, self.p) % self.p,
+        )
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         self.check_payload(c)
         c1, c2 = c
         shared = mod_pow(c1, self.x, self.p)
-        return c2 * mod_inv(shared, self.p) % self.p
+        return self._decode(c2 * mod_inv(shared, self.p) % self.p)
+
+    # the group element that carries a plaintext, and back
+    def _encode(self, m: int) -> int:
+        return m
+
+    def _decode(self, element: int) -> int:
+        return element
 
     def _combine(self, c1: Payload, c2: Payload) -> Payload:
         return (c1[0] * c2[0] % self.p, c1[1] * c2[1] % self.p)
@@ -76,35 +87,26 @@ class ElGamal(Scheme):
 
 class ExpElGamal(ElGamal):
     algorithm = "exp-elgamal"
-    payload_variant = "pair"
     default_params = {"dlp_bound": DEFAULT_DLP_BOUND}
     # baby steps of g, built on the first decrypt
     _baby_steps = None
 
-    def __init__(self, keys: KeyPair):
-        super().__init__(keys)
-        self.dlp_bound = keys.params["dlp_bound"]
+    @property
+    def dlp_bound(self) -> int:
+        return self.keys.params["dlp_bound"]
 
     def plaintext_bound(self) -> int:
         return self.dlp_bound
 
-    def encrypt(self, m: int, rng: RandomSource) -> Payload:
-        self.check_plaintext(m)
-        r = rng.randrange(2, self.p - 1)
-        return (
-            mod_pow(self.g, r, self.p),
-            mod_pow(self.g, m, self.p) * mod_pow(self.h, r, self.p) % self.p,
-        )
+    def _encode(self, m: int) -> int:
+        return mod_pow(self.g, m, self.p)
 
-    def decrypt(self, c: Payload) -> int:
-        self.require_private()
-        self.check_payload(c)
-        c1, c2 = c
-        shared = mod_pow(c1, self.x, self.p)
-        g_m = c2 * mod_inv(shared, self.p) % self.p
+    def _decode(self, element: int) -> int:
         if self._baby_steps is None:
             self._baby_steps = baby_steps(self.g, self.p, self.dlp_bound)
-        m = discrete_log_bounded(self.g, g_m, self.p, self.dlp_bound, self._baby_steps)
+        m = discrete_log_bounded(
+            self.g, element, self.p, self.dlp_bound, self._baby_steps
+        )
         if m is None:
             raise DecryptionBoundError(
                 f"plaintext exceeds the discrete-log bound {self.dlp_bound}; "

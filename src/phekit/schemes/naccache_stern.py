@@ -2,8 +2,10 @@
 
 sigma is a product of distinct small odd primes woven into p-1 and q-1.
 Decryption recovers the message residue at each small prime independently and
-reassembles with the Chinese remainder theorem. Like Benaloh, the parameter
-search runs under a retry budget.
+reassembles with the Chinese remainder theorem. Benaloh is the special case of
+one message prime (`benaloh.py`), so both schemes share this module's
+encryption and decryption. The parameter searches of both can fail outright,
+so they run under an explicit retry budget instead of looping forever.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from ..numtheory import (
     random_coprime_below,
 )
 from .base import KeyPair, ModulusScheme, Payload
-from .benaloh import RETRY_BUDGET
+
+RETRY_BUDGET = 50_000
 
 
 def message_primes(count: int) -> list[int]:
@@ -46,7 +49,7 @@ class NaccacheStern(ModulusScheme):
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.primes = message_primes(keys.params["prime_count"])
+        self.primes = self._message_primes()
         if keys.has_private:
             phi = (self.p - 1) * (self.q - 1)
             # per message prime: the exponent that isolates m mod p_i and the
@@ -56,6 +59,10 @@ class NaccacheStern(ModulusScheme):
                 exponent = phi // prime
                 base = self._private_pow(self.g, exponent)
                 self._parts.append((prime, exponent, base))
+
+    def _message_primes(self) -> list[int]:
+        """The small primes whose product is sigma."""
+        return message_primes(self.keys.params["prime_count"])
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
@@ -110,18 +117,21 @@ class NaccacheStern(ModulusScheme):
                 raise KeygenExhaustedError("naccache-stern: retry budget exhausted")
 
         n = p * q
-        phi = (p - 1) * (q - 1)
-        g = None
+        g = cls._generator(n, (p - 1) * (q - 1), primes, budget, rng)
+        return {"n": n, "g": g, "sigma": sigma}, {"p": p, "q": q}
+
+    @classmethod
+    def _generator(
+        cls, n: int, phi: int, primes: list[int], budget: int, rng: RandomSource
+    ) -> int:
+        """A unit g mod n with g^(phi/p_i) != 1 for every message prime p_i,
+        so g^m determines m modulo each p_i."""
         while budget > 0:
             budget -= 1
             candidate = random_coprime_below(n, rng)
             if all(mod_pow(candidate, phi // prime, n) != 1 for prime in primes):
-                g = candidate
-                break
-        if g is None:
-            raise KeygenExhaustedError("naccache-stern: no generator g within the budget")
-
-        return {"n": n, "g": g, "sigma": sigma}, {"p": p, "q": q}
+                return candidate
+        raise KeygenExhaustedError(f"{cls.algorithm}: no generator within the budget")
 
     def plaintext_bound(self) -> int:
         return self.sigma
@@ -147,7 +157,7 @@ class NaccacheStern(ModulusScheme):
             residue = discrete_log_bounded(base, target, self.n, prime - 1, table)
             if residue is None:
                 raise DecryptionBoundError(
-                    f"naccache-stern: no residue found modulo {prime}"
+                    f"{self.algorithm}: no residue found modulo {prime}"
                 )
             residues.append(residue)
             moduli.append(prime)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
+from ..errors import MathDomainError
 from ..numtheory import (
     RandomSource,
     gen_prime,
@@ -22,7 +23,8 @@ from .base import KeyPair, ModulusScheme, Payload
 class OkamotoUchiyama(ModulusScheme):
     algorithm = "okamoto-uchiyama"
     # plaintext_bits is derived during keygen (one less than the bit length of
-    # the secret prime p) and travels in params so public-only copies keep it
+    # the secret prime p), never given, and travels in params so public-only
+    # copies keep it
     default_params = {"plaintext_bits": None}
     public_fields = ("n", "g", "h")
     private_fields = ("p", "q")
@@ -38,6 +40,11 @@ class OkamotoUchiyama(ModulusScheme):
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
+        if params["plaintext_bits"] is not None:
+            raise MathDomainError(
+                "okamoto-uchiyama parameter plaintext_bits is derived from "
+                "security_bits and cannot be set"
+            )
         p_bits = (security_bits + 2) // 3
         q_bits = security_bits - 2 * p_bits
         while True:

@@ -14,7 +14,7 @@ import json
 from typing import Any, Optional
 
 from .capabilities import ALGORITHMS
-from .ec import CurvePoint
+from .ec import CurvePoint, curve_names, get_curve, is_on_curve
 from .errors import ParseError
 from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme, variant_of
 
@@ -86,6 +86,19 @@ def _check_factors(cls: type[Scheme], public: dict[str, int], private: dict[str,
     )
 
 
+def _check_point(public: dict[str, int], params: dict[str, Any]) -> None:
+    """EC-ElGamal encryption multiplies the public point by a secret scalar;
+    the point must lie on its named curve, in reduced coordinates."""
+    name = params["curve"]
+    _require(name in curve_names(), "params.curve", f"unknown curve {name!r}")
+    curve = get_curve(name)
+    x, y = public["qx"], public["qy"]
+    _require(
+        x < curve.p and y < curve.p and is_on_curve(CurvePoint(x, y), curve), "public",
+        f"(qx, qy) is not a point of curve {name}",
+    )
+
+
 def parse_key(text: str) -> KeyPair:
     try:
         doc = json.loads(text)
@@ -119,6 +132,8 @@ def parse_key(text: str) -> KeyPair:
         for name in cls.private_fields:
             _require(name in private, f"private.{name}", "missing")
         _check_factors(cls, public, private)
+    if algorithm == "ec-elgamal":
+        _check_point(public, params)
     return KeyPair(
         algorithm=algorithm,
         security_bits=bits,

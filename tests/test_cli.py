@@ -172,6 +172,21 @@ def test_key_whose_factors_miss_the_modulus_exits_4(tmp_path, paillier_keys, cap
     assert not out.exists()
 
 
+def test_ec_key_off_its_curve_exits_4(tmp_path, capsys):
+    keys = tmp_path / "ec.json"
+    assert run(["keygen", "--algorithm", "ec-elgamal", "--curve", "secp160r1",
+                "--out", str(keys)]) == 0
+    doc = json.loads(keys.read_text())
+    doc["public"]["qy"] = str(int(doc["public"]["qy"]) + 1)
+    keys.write_text(json.dumps(doc))
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "3",
+                "--out", str(out)]) == 4
+    assert "'public'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_public_key_encrypts_but_cannot_decrypt(tmp_path, paillier_keys, capsys):
     keys, public = paillier_keys
     assert not parse_key(public.read_text()).has_private

@@ -3,7 +3,9 @@
 `perfbench/tracing.py` rebinds phekit names by attribute (module functions,
 `Scheme` and `PHE` methods). A refactor that drops or moves one of them
 breaks the traced run; this catches it here rather than in the next
-benchmark run.
+benchmark run. The per-scheme `encrypt`/`decrypt` spans are wrapped on the
+class that defines the method, so `roundtrip` also checks that every
+algorithm still records them.
 """
 
 import json
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from phekit.schemes import SCHEME_CLASSES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +30,9 @@ def test_traced_run_completes(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
+    if workload == "roundtrip":
+        metrics = result["metrics"]
+        for algorithm in SCHEME_CLASSES:
+            for op in ("encrypt", "decrypt"):
+                assert metrics[f"schemes.{algorithm}.{op}_ms"]["value"] > 0, (
+                    algorithm, op)

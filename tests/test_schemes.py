@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 import phekit.schemes.benaloh as benaloh_module
 import phekit.schemes.elgamal as elgamal_module
 import phekit.schemes.naccache_stern as naccache_stern_module
-from phekit import PHE, RandomSource
+from conftest import EXPECTED_MATRIX
+from phekit import PHE, ParseError, RandomSource, parse_key, serialize_key
 from phekit.ec import IDENTITY, CurvePoint, get_curve, is_on_curve
 from phekit.errors import (
     BitLengthError,
@@ -25,6 +28,7 @@ from phekit.numtheory import (
     is_probable_prime,
     is_qr_mod_prime,
     mod_pow,
+    random_coprime_below,
 )
 from phekit.schemes import (
     SCHEME_CLASSES,
@@ -142,6 +146,22 @@ def test_damgard_jurik_frozen_vector():
 def test_damgard_jurik_digit_extraction():
     # c = (1+n)^208 mod n^3 exercises both base-15 digits of m = 13*15 + 13
     assert scheme_for(DJ_TOY).decrypt(421) == 208
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("a", [2, 3])
+def test_damgard_jurik_decrypts_under_any_generator(a, s):
+    # g = (n+1)^a * b^(n^s) mod n^(s+1) generates for any unit a mod n; the
+    # decryption constant L_s(g^lambda)^-1 undoes the factor a
+    rng = RandomSource(10 * a + s)
+    keys = generate_keys("damgard-jurik", 64, params={"s": s}, rng=rng)
+    n = keys.public["n"]
+    modulus = n ** (s + 1)
+    b = random_coprime_below(n, rng)
+    g = pow(n + 1, a, modulus) * pow(b, n**s, modulus) % modulus
+    scheme = scheme_for(replace(keys, public={"n": n, "g": g}))
+    for m in (0, 1, 1234, n**s - 1, rng.randrange(0, n**s)):
+        assert scheme.decrypt(scheme.encrypt(m, rng)) == m
 
 
 def test_okamoto_uchiyama_frozen_vector():
@@ -442,6 +462,18 @@ def test_okamoto_uchiyama_bound_is_p_sized(rng):
         scheme.encrypt(bound, rng)
 
 
+def test_okamoto_uchiyama_plaintext_bits_is_derived_not_given():
+    with pytest.raises(MathDomainError, match="plaintext_bits"):
+        generate_keys("okamoto-uchiyama", 48, {"plaintext_bits": 3}, RandomSource(1))
+    keys = generate_keys("okamoto-uchiyama", 48, rng=RandomSource(1))
+    assert keys.params == {"plaintext_bits": 15}
+    # key files still carry it, so public-only copies know the bound
+    doc = json.loads(serialize_key(keys))
+    del doc["params"]["plaintext_bits"]
+    with pytest.raises(ParseError, match="params.plaintext_bits"):
+        parse_key(json.dumps(doc))
+
+
 def test_exp_elgamal_decryption_bound(rng):
     keys = generate_keys("exp-elgamal", 48, params={"dlp_bound": 1000}, rng=rng)
     scheme = scheme_for(keys)
@@ -539,10 +571,10 @@ def slow_decrypt(scheme, c: int) -> int:
     if scheme.algorithm == "rsa":
         return pow(c, scheme.keys.private["d"], scheme.n)
     if scheme.algorithm == "paillier":
-        return (pow(c, scheme.lam, scheme.n_sq) - 1) // scheme.n * scheme.mu % scheme.n
+        return (pow(c, scheme.lam, scheme.modulus) - 1) // scheme.n * scheme.mu % scheme.n
     if scheme.algorithm == "damgard-jurik":
-        m_lam = scheme._extract_exponent(pow(c, scheme.lam, scheme.n_s1))
-        return m_lam * scheme.lam_inv % scheme.n_s
+        m_lam = scheme._extract_exponent(pow(c, scheme.lam, scheme.modulus))
+        return m_lam * scheme.mu % scheme.n_s
     p = scheme.keys.private["p"]
     return (pow(c, p - 1, p * p) - 1) // p * scheme.denom_inv % p
 
@@ -605,7 +637,7 @@ def test_damgard_jurik_lambda_decryption_matches_the_d_exponent(
     d = crt([1, 0], [scheme.n_s, scheme.lam])
     m = data.draw(st.integers(0, scheme.n_s - 1))
     c = scheme.encrypt(m, RandomSource(enc_seed))
-    assert scheme.decrypt(c) == scheme._extract_exponent(pow(c, d, scheme.n_s1)) == m
+    assert scheme.decrypt(c) == scheme._extract_exponent(pow(c, d, scheme.modulus)) == m
 
 
 @fast_path_settings
@@ -645,7 +677,8 @@ def test_gm_decrypt_rejects_a_value_divisible_by_p():
     "algorithm, module",
     [
         ("exp-elgamal", elgamal_module),
-        ("benaloh", benaloh_module),
+        # Benaloh decrypts through Naccache-Stern
+        ("benaloh", naccache_stern_module),
         ("naccache-stern", naccache_stern_module),
     ],
 )
@@ -669,6 +702,7 @@ def test_cached_baby_steps_agree_with_a_fresh_search(algorithm, module, monkeypa
     bound = scheme.plaintext_bound()
     for m in (0, 1, bound // 2, bound - 1):
         assert scheme.decrypt(scheme.encrypt(m, rng)) == m
+    assert tables
     per_decrypt = len(tables) // 4
     # the second and later decrypts reuse the first one's tables
     assert [id(t) for t in tables[per_decrypt:]] == [
@@ -678,3 +712,42 @@ def test_cached_baby_steps_agree_with_a_fresh_search(algorithm, module, monkeypa
         over = scheme.add(scheme.encrypt(bound - 1, rng), scheme.encrypt(2, rng))
         with pytest.raises(DecryptionBoundError):
             scheme.decrypt(over)
+
+
+# ------------------------------------------ homomorphic laws over random keys
+
+# additive schemes whose decryption does not reduce modulo the plaintext bound
+# (a bounded discrete log, or Okamoto-Uchiyama's bound below p): their
+# results must stay below it
+BOUNDED_SUMS = ("exp-elgamal", "ec-elgamal", "okamoto-uchiyama")
+
+
+@pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
+@fast_path_settings
+@given(key_seed=seeds, s=st.integers(1, 4), enc_seed=seeds, data=st.data())
+def test_homomorphic_laws_over_random_keys(algorithm, key_seed, s, enc_seed, data):
+    """decrypt(op(Enc a, Enc b)) is op's law on a and b modulo the plaintext
+    bound; scalar and regenerate keep it where the capability row allows."""
+    scheme = scheme_for(crt_keys(algorithm, key_seed, s))
+    rng = RandomSource(enc_seed)
+    mul, add, scalar, xor, regen = EXPECTED_MATRIX[algorithm]
+    bound, options = scheme.plaintext_bound(), {}
+    if xor:  # Goldwasser-Micali: bit lists of one common width
+        width = data.draw(st.integers(1, 24))
+        bound, options = 1 << width, {"bits": width}
+    bounded = algorithm in BOUNDED_SUMS
+    top = bound // 2 if bounded else bound
+    a, b = data.draw(st.integers(0, top - 1)), data.draw(st.integers(0, top - 1))
+    ca, cb = scheme.encrypt(a, rng, **options), scheme.encrypt(b, rng, **options)
+    if mul:
+        c, law = scheme.mul(ca, cb), a * b % bound
+    elif add:
+        c, law = scheme.add(ca, cb), (a + b) % bound
+    else:
+        c, law = scheme.xor(ca, cb), a ^ b
+    assert scheme.decrypt(c) == law
+    if scalar:
+        k = data.draw(st.integers(0, (bound - 1) // max(law, 1) if bounded else 2**64))
+        assert scheme.decrypt(scheme.scalar(c, k)) == k * law % bound
+    if regen:
+        assert scheme.decrypt(scheme.regenerate(c, rng)) == law

@@ -13,7 +13,7 @@ from phekit import (
     serialize_ciphertext,
     serialize_key,
 )
-from phekit.ec import IDENTITY, CurvePoint
+from phekit.ec import IDENTITY, CurvePoint, get_curve
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys, scheme_for
 from phekit.serialization import (
     FORMAT_VERSION,
@@ -152,6 +152,27 @@ def test_parse_key_rejects_private_factors_that_miss_the_modulus(all_keys, algor
             parse_key(json.dumps(doc))
     doc["private"].update(p=str(p), q=str(q))
     assert parse_key(json.dumps(doc)) == keys
+
+
+def test_parse_key_rejects_an_ec_point_off_its_curve():
+    keys = generate_keys("ec-elgamal", 0, params={"curve": "secp160r1"},
+                         rng=RandomSource(7))
+    p = get_curve("secp160r1").p
+    qx, qy = keys.public["qx"], keys.public["qy"]
+    for include_private in (True, False):
+        doc = json.loads(serialize_key(keys, include_private))
+        # off the curve, then on it but with a coordinate not reduced mod p
+        for bad_x, bad_y in ((qx, qy + 1), (qx + 1, qy), (qx, qy + p), (qx + p, qy)):
+            doc["public"].update(qx=str(bad_x), qy=str(bad_y))
+            with pytest.raises(ParseError, match="'public'"):
+                parse_key(json.dumps(doc))
+        doc["public"].update(qx=str(qx), qy=str(qy))
+        assert parse_key(json.dumps(doc)) == (
+            keys if include_private else keys.public_only()
+        )
+    doc["params"]["curve"] = "secp161r1"
+    with pytest.raises(ParseError, match="'params.curve'"):
+        parse_key(json.dumps(doc))
 
 
 # SHA-256 of serialize_key(keys) and of serialize_ciphertext(Enc(5)) for the
