@@ -1,30 +1,29 @@
 """User-facing ciphertext algebra.
 
 Ciphertext objects overload +, *, and ^ so encrypted arithmetic reads like
-plain arithmetic; every operation re-checks the capability matrix and operand
-compatibility before touching the payload. Rational scalars ride along as a
-cleartext denominator on the ciphertext (division cannot happen under
-encryption), and decryption divides it back out exactly.
+plain arithmetic; every operation re-checks the capability matrix, algorithm
+and key fingerprint. The payload is checked against the key pair once, where
+it enters a PHE: at `bind`, or at first use when it arrives unbound or from
+another PHE. Rational scalars ride along as a cleartext denominator on the
+ciphertext (division cannot happen under encryption), and decryption divides
+it back out exactly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .capabilities import ALGORITHMS, Capability, capabilities, ensure_supported
-from .errors import (
-    InexactResultError,
-    MathDomainError,
-    OperandMismatchError,
-    ParseError,
-)
+from .errors import InexactResultError, MathDomainError, OperandMismatchError
 from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
 from .serialization import (
     FORMAT_VERSION,
+    _load_document,
+    _parse_natural,
+    _require,
     canonical_json,
     key_fingerprint,
     payload_from_doc,
@@ -78,7 +77,7 @@ class Ciphertext:
     def _context(self) -> "PHE":
         if self.keys is None:
             raise OperandMismatchError(
-                "ciphertext is not bound to a key pair; parse it with keys"
+                "ciphertext is not bound to a key pair; bind it with PHE.bind"
             )
         return PHE(keys=self.keys)
 
@@ -104,7 +103,8 @@ class Ciphertext:
 def _check_operand(
     phe: "PHE", c: Ciphertext, operation: Optional[str] = None
 ) -> None:
-    """One ciphertext against the context: algorithm, capability, key pair."""
+    """One ciphertext against the context: algorithm, capability, key pair,
+    then the payload, unless the context minted or bound the ciphertext."""
     if c.algorithm != phe.algorithm:
         raise OperandMismatchError(
             f"keys are for {phe.algorithm}, ciphertext is {c.algorithm}"
@@ -115,23 +115,19 @@ def _check_operand(
         raise OperandMismatchError(
             "ciphertext was produced under a different key pair"
         )
+    if c.keys is not phe.keys:
+        phe.scheme.check_payload(c.payload)
 
 
 def _binary(a: Ciphertext, b: Ciphertext, phe: "PHE", operation: str) -> Ciphertext:
-    """Algorithm agreement, capability, key and scale checks, then combine."""
+    """Algorithm agreement, each operand against the context, scale, combine."""
     if a.algorithm != b.algorithm:
         raise OperandMismatchError(
             f"cannot combine {a.algorithm} and {b.algorithm} ciphertexts"
         )
-    if phe.algorithm != a.algorithm:
-        raise OperandMismatchError(
-            f"keys are for {phe.algorithm}, ciphertexts are {a.algorithm}"
-        )
-    ensure_supported(a.algorithm, operation)
-    if a.key_fingerprint != phe.fingerprint or b.key_fingerprint != phe.fingerprint:
-        raise OperandMismatchError(
-            "ciphertexts were produced under a different key pair"
-        )
+    # one capability check covers both: they share the algorithm
+    _check_operand(phe, a, operation)
+    _check_operand(phe, b)
     if a.scale_denominator != b.scale_denominator:
         raise OperandMismatchError(
             f"operands carry different scales "
@@ -178,43 +174,27 @@ def serialize_ciphertext(c: Ciphertext) -> str:
     return canonical_json(doc)
 
 
-def parse_ciphertext(text: str, keys: Optional[KeyPair] = None) -> Ciphertext:
-    """Parse a ciphertext document, optionally binding keys for operators.
+def parse_ciphertext(text: str) -> Ciphertext:
+    """Parse a ciphertext document into an unbound Ciphertext.
 
-    A fingerprint that does not match the supplied keys is accepted here and
-    rejected at first use, matching how detached documents flow through the
-    CLI.
+    Only the document's shape is checked here: no key pair is at hand, so the
+    payload is checked against one by `PHE.bind`, or at first use by any PHE,
+    after that PHE's algorithm and fingerprint checks.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"ciphertext document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("field '(document)': expected a JSON object")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ParseError(
-            f"field 'format_version': unknown version {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
+    doc = _load_document(text, "ciphertext")
     algorithm = doc.get("algorithm")
-    if algorithm not in ALGORITHMS:
-        raise ParseError(f"field 'algorithm': unknown algorithm {algorithm!r}")
+    _require(algorithm in ALGORITHMS, "algorithm", f"unknown algorithm {algorithm!r}")
     fingerprint = doc.get("key_fingerprint")
-    if not isinstance(fingerprint, str) or not fingerprint:
-        raise ParseError("field 'key_fingerprint': expected a non-empty string")
-    scale_doc = doc.get("scale_denominator", "1")
-    if not isinstance(scale_doc, str) or not scale_doc.isdigit() or scale_doc == "0":
-        raise ParseError(
-            "field 'scale_denominator': expected a positive decimal string"
-        )
+    _require(isinstance(fingerprint, str) and fingerprint != "", "key_fingerprint",
+             "expected a non-empty string")
+    scale = _parse_natural(doc.get("scale_denominator", "1"), "scale_denominator")
+    _require(scale > 0, "scale_denominator", "must be positive")
     payload = payload_from_doc(doc.get("payload"), algorithm)
     return Ciphertext(
         algorithm=algorithm,
         payload=payload,
         key_fingerprint=fingerprint,
-        scale_denominator=int(scale_doc),
-        keys=keys,
+        scale_denominator=scale,
     )
 
 
@@ -307,5 +287,8 @@ class PHE:
         return replace(c, payload=self.scheme.regenerate(c.payload, self.rng))
 
     def bind(self, c: Ciphertext) -> Ciphertext:
-        """Attach this instance's keys to a parsed ciphertext."""
+        """Attach this instance's keys to a parsed ciphertext, so operators
+        work on it, after checking its payload against them. The algorithm
+        and fingerprint are still checked at each use."""
+        self.scheme.check_payload(c.payload)
         return replace(c, keys=self.keys)

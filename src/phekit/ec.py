@@ -47,10 +47,11 @@ class CurveParams:
 
 
 def is_on_curve(point: CurvePoint, curve: CurveParams) -> bool:
+    """The identity, or reduced coordinates that satisfy the curve equation."""
     if point.is_identity:
         return True
-    x, y = point.x, point.y
-    return (y * y - (x * x * x + curve.a * x + curve.b)) % curve.p == 0
+    x, y, p = point.x, point.y, curve.p
+    return 0 <= x < p and 0 <= y < p and (y * y - x**3 - curve.a * x - curve.b) % p == 0
 
 
 def point_add(p1: CurvePoint, p2: CurvePoint, curve: CurveParams) -> CurvePoint:

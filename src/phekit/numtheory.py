@@ -52,17 +52,6 @@ class RandomSource:
         return self._rng.randrange(start, stop)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by square-and-multiply.
-
-    Never materializes base**exponent; delegates to the builtin three-argument
-    ``pow``.
-    """
-    if modulus < 1:
-        raise MathDomainError("modulus must be >= 1")
-    return pow(base, exponent, modulus)
-
-
 def mod_inv(a: int, modulus: int) -> int:
     """Inverse of a modulo modulus, in [1, modulus)."""
     if modulus < 2:

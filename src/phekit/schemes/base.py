@@ -6,11 +6,13 @@ KeyPair, and the constructor binds each declared key field as an attribute.
 Those whose ciphertexts live modulo one integer share :class:`ModulusScheme`,
 whose private-key powers run modulo the prime-power factors of that integer.
 Capability checks happen here so a raw operation on the wrong scheme fails
-with the fixed wording before any arithmetic runs.
+with the fixed wording before any arithmetic runs. The raw operations trust
+their payloads: the algebra layer runs `check_payload` where one enters.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Optional, Union
@@ -24,7 +26,7 @@ from ..errors import (
     PayloadTypeError,
     PlaintextRangeError,
 )
-from ..numtheory import RandomSource, mod_pow
+from ..numtheory import RandomSource
 
 # single: int | pair: (int, int) | bits: list[int] | point_pair: (CurvePoint, CurvePoint)
 Payload = Union[int, tuple, list]
@@ -78,12 +80,13 @@ class Scheme(ABC):
 
     Subclasses declare the fields of each half of a key pair in
     `public_fields` and `private_fields`, and implement `_keygen`,
-    `encrypt`, `decrypt`, and the raw operation hooks their capability row
-    allows. The constructor sets one attribute per declared field (a private
-    field is None on a public-only key); subclass constructors add only
-    derived constants. Instances precompute decryption constants when the
-    private part is present, and modulus schemes add their CRT constants on
-    their first private-key power, so reuse one instance across many calls.
+    `encrypt`, `decrypt`, the `_is_member` test of `check_payload`, and the
+    raw operation hooks their capability row allows. The constructor sets
+    one attribute per declared field (a private field is None on a
+    public-only key); subclass constructors add only derived constants.
+    Instances precompute decryption constants when the private part is
+    present, and modulus schemes add their CRT constants on their first
+    private-key power, so reuse one instance across many calls.
     """
 
     algorithm: ClassVar[str]
@@ -167,11 +170,20 @@ class Scheme(ABC):
             )
 
     def check_payload(self, c: Payload) -> None:
+        """Accept exactly the payloads this key pair's ciphertexts can take."""
         got = variant_of(c)
         if got != self.payload_variant:
             raise PayloadTypeError(
                 f"{self.algorithm} expects a {self.payload_variant} payload, got {got}"
             )
+        if not self._is_member(c):
+            raise PayloadTypeError(
+                f"{self.algorithm} payload is not a ciphertext under this key pair"
+            )
+
+    @abstractmethod
+    def _is_member(self, c: Payload) -> bool:
+        """Whether a payload of the right variant lies in the ciphertext set."""
 
     def require_private(self) -> None:
         if not self.keys.has_private:
@@ -183,33 +195,25 @@ class Scheme(ABC):
 
     def add(self, c1: Payload, c2: Payload) -> Payload:
         ensure_supported(self.algorithm, "add")
-        self.check_payload(c1)
-        self.check_payload(c2)
         return self._combine(c1, c2)
 
     def mul(self, c1: Payload, c2: Payload) -> Payload:
         ensure_supported(self.algorithm, "mul")
-        self.check_payload(c1)
-        self.check_payload(c2)
         return self._combine(c1, c2)
 
     def xor(self, c1: Payload, c2: Payload) -> Payload:
         ensure_supported(self.algorithm, "xor")
-        self.check_payload(c1)
-        self.check_payload(c2)
         return self._combine(c1, c2)
 
     def scalar(self, c: Payload, k: int) -> Payload:
         ensure_supported(self.algorithm, "scalar")
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise MathDomainError("scalar must be a non-negative integer")
-        self.check_payload(c)
         return self._scalar(c, k)
 
     def regenerate(self, c: Payload, rng: RandomSource) -> Payload:
         """Re-randomize: fold in a fresh encryption of zero."""
         ensure_supported(self.algorithm, "regen")
-        self.check_payload(c)
         return self._combine(c, self.encrypt(0, rng))
 
     # Hooks; only reachable when the capability matrix allows the operation.
@@ -247,7 +251,7 @@ class ModulusScheme(Scheme):
         factor's group order only where x is a unit modulo that factor.
         """
         if not self.keys.has_private:
-            return mod_pow(x, e, self.modulus)
+            return pow(x, e, self.modulus)
         if self._crt is None:
             self._crt = self._crt_constants()
         (p, p_k, order_p), (q, q_k, order_q), p_k_inv = self._crt
@@ -268,8 +272,12 @@ class ModulusScheme(Scheme):
             pow(p_k, -1, q_k),
         )
 
+    def _is_member(self, c: Payload) -> bool:
+        # a unit below the modulus: every power of g, r and h is one
+        return 0 < c < self.modulus and math.gcd(c, self.n) == 1
+
     def _combine(self, c1: Payload, c2: Payload) -> Payload:
         return c1 * c2 % self.modulus
 
     def _scalar(self, c: Payload, k: int) -> Payload:
-        return mod_pow(c, k, self.modulus)
+        return pow(c, k, self.modulus)

@@ -16,7 +16,6 @@ from ..numtheory import (
     generate_modulus,
     lcm,
     mod_inv,
-    mod_pow,
     random_coprime_below,
 )
 from .base import KeyPair, ModulusScheme, Payload
@@ -43,7 +42,7 @@ class DamgardJurik(ModulusScheme):
             # c^lambda kills r and leaves g^(m*lambda); mu = L_s(g^lambda)^-1
             # mod n^s then picks the message out, whatever g is
             self.lam = lcm(self.p - 1, self.q - 1)
-            g_lam = mod_pow(self.g, self.lam, self.modulus)
+            g_lam = pow(self.g, self.lam, self.modulus)
             self.mu = mod_inv(self._extract_exponent(g_lam), self.n_s)
 
     @classmethod
@@ -62,12 +61,11 @@ class DamgardJurik(ModulusScheme):
         if self.g == self.n + 1:
             g_m = self._one_plus_n_pow(m)
         else:
-            g_m = mod_pow(self.g, m, self.modulus)
+            g_m = pow(self.g, m, self.modulus)
         return g_m * self._private_pow(r, self.n_s) % self.modulus
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        self.check_payload(c)
         m_lam = self._extract_exponent(self._private_pow(c, self.lam))
         return m_lam * self.mu % self.n_s
 

@@ -15,6 +15,7 @@ from ..ec import (
     CurveParams,
     CurvePoint,
     get_curve,
+    is_on_curve,
     point_add,
     point_neg,
     scalar_mul,
@@ -70,7 +71,6 @@ class EcElGamal(Scheme):
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        self.check_payload(c)
         c1, c2 = c
         masked = point_add(
             c2, point_neg(scalar_mul(self.x, c1, self.curve), self.curve), self.curve
@@ -105,6 +105,11 @@ class EcElGamal(Scheme):
                     return m
             gamma = point_add(gamma, self._giant_step, curve)
         return None
+
+    def _is_member(self, c: Payload) -> bool:
+        # decryption multiplies c1 by the private x: a point off the curve
+        # would leak x through a weaker group
+        return all(is_on_curve(point, self.curve) for point in c)
 
     def _combine(self, c1: Payload, c2: Payload) -> Payload:
         return (

@@ -18,7 +18,6 @@ from ..numtheory import (
     discrete_log_bounded,
     gen_group_prime,
     mod_inv,
-    mod_pow,
 )
 from .base import Payload, Scheme
 
@@ -47,11 +46,11 @@ class ElGamal(Scheme):
         """
         p, q = gen_group_prime(security_bits, _subgroup_bits(security_bits), rng)
         while True:
-            g = mod_pow(rng.randrange(2, p - 1), (p - 1) // q, p)
+            g = pow(rng.randrange(2, p - 1), (p - 1) // q, p)
             if g != 1:
                 break
         x = rng.randrange(2, q)
-        return {"p": p, "g": g, "h": mod_pow(g, x, p)}, {"x": x}
+        return {"p": p, "g": g, "h": pow(g, x, p)}, {"x": x}
 
     def plaintext_bound(self) -> int:
         return self.p
@@ -60,16 +59,19 @@ class ElGamal(Scheme):
         self.check_plaintext(m)
         r = rng.randrange(2, self.p - 1)
         return (
-            mod_pow(self.g, r, self.p),
-            self._encode(m) * mod_pow(self.h, r, self.p) % self.p,
+            pow(self.g, r, self.p),
+            self._encode(m) * pow(self.h, r, self.p) % self.p,
         )
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        self.check_payload(c)
         c1, c2 = c
-        shared = mod_pow(c1, self.x, self.p)
+        shared = pow(c1, self.x, self.p)
         return self._decode(c2 * mod_inv(shared, self.p) % self.p)
+
+    def _is_member(self, c: Payload) -> bool:
+        # c1 = g^r is a unit; classic ElGamal encrypts m = 0 to c2 = 0
+        return 0 < c[0] < self.p and 0 <= c[1] < self.p
 
     # the group element that carries a plaintext, and back
     def _encode(self, m: int) -> int:
@@ -82,7 +84,7 @@ class ElGamal(Scheme):
         return (c1[0] * c2[0] % self.p, c1[1] * c2[1] % self.p)
 
     def _scalar(self, c: Payload, k: int) -> Payload:
-        return (mod_pow(c[0], k, self.p), mod_pow(c[1], k, self.p))
+        return (pow(c[0], k, self.p), pow(c[1], k, self.p))
 
 
 class ExpElGamal(ElGamal):
@@ -99,7 +101,7 @@ class ExpElGamal(ElGamal):
         return self.dlp_bound
 
     def _encode(self, m: int) -> int:
-        return mod_pow(self.g, m, self.p)
+        return pow(self.g, m, self.p)
 
     def _decode(self, element: int) -> int:
         if self._baby_steps is None:

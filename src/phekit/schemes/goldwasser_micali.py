@@ -64,7 +64,6 @@ class GoldwasserMicali(Scheme):
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        self.check_payload(c)
         m = 0
         for value in c:
             # Legendre symbol: +1 for a residue (bit 0), -1 for x times one
@@ -75,6 +74,10 @@ class GoldwasserMicali(Scheme):
                 )
             m = (m << 1) | (symbol < 0)
         return m
+
+    def _is_member(self, c: Payload) -> bool:
+        # r^2 and x*r^2 both have Jacobi symbol +1 modulo n
+        return all(0 < v < self.n and jacobi(v, self.n) == 1 for v in c)
 
     def _combine(self, c1: Payload, c2: Payload) -> Payload:
         if len(c1) != len(c2):

@@ -20,7 +20,6 @@ from ..numtheory import (
     discrete_log_bounded,
     gen_prime,
     is_probable_prime,
-    mod_pow,
     random_coprime_below,
 )
 from .base import KeyPair, ModulusScheme, Payload
@@ -49,13 +48,12 @@ class NaccacheStern(ModulusScheme):
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.primes = self._message_primes()
         if keys.has_private:
             phi = (self.p - 1) * (self.q - 1)
             # per message prime: the exponent that isolates m mod p_i and the
             # order-p_i base the small discrete log runs against
             self._parts = []
-            for prime in self.primes:
+            for prime in self._message_primes():
                 exponent = phi // prime
                 base = self._private_pow(self.g, exponent)
                 self._parts.append((prime, exponent, base))
@@ -129,7 +127,7 @@ class NaccacheStern(ModulusScheme):
         while budget > 0:
             budget -= 1
             candidate = random_coprime_below(n, rng)
-            if all(mod_pow(candidate, phi // prime, n) != 1 for prime in primes):
+            if all(pow(candidate, phi // prime, n) != 1 for prime in primes):
                 return candidate
         raise KeygenExhaustedError(f"{cls.algorithm}: no generator within the budget")
 
@@ -139,13 +137,10 @@ class NaccacheStern(ModulusScheme):
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
         r = random_coprime_below(self.n, rng)
-        return (
-            mod_pow(self.g, m, self.n) * mod_pow(r, self.sigma, self.n) % self.n
-        )
+        return pow(self.g, m, self.n) * pow(r, self.sigma, self.n) % self.n
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        self.check_payload(c)
         if self._baby_steps is None:
             self._baby_steps = [
                 baby_steps(base, self.n, prime - 1) for prime, _, base in self._parts

@@ -10,13 +10,7 @@ import math
 from typing import Any
 
 from ..errors import MathDomainError
-from ..numtheory import (
-    RandomSource,
-    gen_prime,
-    mod_inv,
-    mod_pow,
-    random_coprime_below,
-)
+from ..numtheory import RandomSource, gen_prime, mod_inv, random_coprime_below
 from .base import KeyPair, ModulusScheme, Payload
 
 
@@ -35,7 +29,7 @@ class OkamotoUchiyama(ModulusScheme):
         self.plaintext_bits = keys.params["plaintext_bits"]
         if keys.has_private:
             self.p_sq = self.p * self.p
-            denom = self._little_l(mod_pow(self.g, self.p - 1, self.p_sq))
+            denom = self._little_l(pow(self.g, self.p - 1, self.p_sq))
             self.denom_inv = mod_inv(denom, self.p)
 
     @classmethod
@@ -63,10 +57,10 @@ class OkamotoUchiyama(ModulusScheme):
                 continue
             # g must land outside the (p-1)-th power residues mod p^2 so the
             # logarithm map below is nondegenerate
-            if mod_pow(g, p - 1, p_sq) != 1:
+            if pow(g, p - 1, p_sq) != 1:
                 break
         params["plaintext_bits"] = p_bits - 1
-        return {"n": n, "g": g, "h": mod_pow(g, n, n)}, {"p": p, "q": q}
+        return {"n": n, "g": g, "h": pow(g, n, n)}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
         return 1 << self.plaintext_bits
@@ -77,10 +71,9 @@ class OkamotoUchiyama(ModulusScheme):
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
         r = random_coprime_below(self.n, rng)
-        return mod_pow(self.g, m, self.n) * self._private_pow(self.h, r) % self.n
+        return pow(self.g, m, self.n) * self._private_pow(self.h, r) % self.n
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        self.check_payload(c)
-        numer = self._little_l(mod_pow(c, self.p - 1, self.p_sq))
+        numer = self._little_l(pow(c, self.p - 1, self.p_sq))
         return numer * self.denom_inv % self.p

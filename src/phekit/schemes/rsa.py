@@ -32,7 +32,10 @@ class Rsa(ModulusScheme):
         self.check_plaintext(m)
         return self._private_pow(m, self.e)
 
+    def _is_member(self, c: Payload) -> bool:
+        # m = 0 encrypts to 0 and m = p to a multiple of p: any residue is one
+        return 0 <= c < self.n
+
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        self.check_payload(c)
         return self._private_pow(c, self.d)

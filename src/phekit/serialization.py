@@ -34,9 +34,30 @@ def _require(condition: bool, field: str, detail: str) -> None:
 
 
 def _parse_natural(value: Any, field: str) -> int:
+    """A canonical decimal string: ASCII digits, no leading zero, so the
+    integer re-serializes to the same text."""
     _require(isinstance(value, str), field, "expected a decimal string")
-    _require(value.isdigit(), field, f"not a decimal integer: {value!r}")
-    return int(value)
+    _require(
+        value.isascii() and value.isdigit() and (value == "0" or value[0] != "0"),
+        field, f"not a canonical decimal integer: {value!r}",
+    )
+    try:
+        return int(value)
+    except ValueError:  # past the interpreter's int/str digit limit
+        raise ParseError(f"field {field!r}: {len(value)} digits is too long") from None
+
+
+def _load_document(text: str, kind: str) -> dict[str, Any]:
+    """The JSON object of a key or ciphertext document of this format version."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        raise ParseError(f"{kind} document is not valid JSON: {exc}") from None
+    _require(isinstance(doc, dict), "(document)", "expected a JSON object")
+    version = doc.get("format_version")
+    _require(type(version) is int and version == FORMAT_VERSION, "format_version",
+             f"unknown version {version!r} (expected {FORMAT_VERSION})")
+    return doc
 
 
 def _params_doc(params: dict[str, Any]) -> dict[str, Any]:
@@ -91,23 +112,14 @@ def _check_point(public: dict[str, int], params: dict[str, Any]) -> None:
     the point must lie on its named curve, in reduced coordinates."""
     name = params["curve"]
     _require(name in curve_names(), "params.curve", f"unknown curve {name!r}")
-    curve = get_curve(name)
-    x, y = public["qx"], public["qy"]
     _require(
-        x < curve.p and y < curve.p and is_on_curve(CurvePoint(x, y), curve), "public",
+        is_on_curve(CurvePoint(public["qx"], public["qy"]), get_curve(name)), "public",
         f"(qx, qy) is not a point of curve {name}",
     )
 
 
 def parse_key(text: str) -> KeyPair:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"key document is not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "(document)", "expected a JSON object")
-    version = doc.get("format_version")
-    _require(version == FORMAT_VERSION, "format_version",
-             f"unknown version {version!r} (expected {FORMAT_VERSION})")
+    doc = _load_document(text, "key")
     algorithm = doc.get("algorithm")
     _require(algorithm in ALGORITHMS, "algorithm", f"unknown algorithm {algorithm!r}")
     bits = doc.get("security_bits")
@@ -128,6 +140,10 @@ def parse_key(text: str) -> KeyPair:
         _require(name in params, f"params.{name}", "missing")
     for name in cls.public_fields:
         _require(name in public, f"public.{name}", "missing")
+    # the modulus every operation reduces by; a degenerate one breaks them all
+    for name in {"n", "p"}.intersection(cls.public_fields):
+        _require(public[name] >= 5, f"public.{name}",
+                 f"must be at least 5, got {public[name]}")
     if private is not None:
         for name in cls.private_fields:
             _require(name in private, f"private.{name}", "missing")

@@ -227,7 +227,7 @@ def test_bits_argument_is_gm_only(paillier, gm):
 def test_ciphertext_roundtrip_compares_equal(paillier):
     c = "1.05" * paillier.encrypt(10000)
     doc = serialize_ciphertext(c)
-    back = parse_ciphertext(doc, keys=paillier.keys)
+    back = paillier.bind(parse_ciphertext(doc))
     assert back == c  # keys are excluded from equality
     assert serialize_ciphertext(back) == doc
     assert paillier.decrypt(back) == 10500
@@ -245,7 +245,7 @@ def test_ciphertext_document_shape(paillier):
 def test_tampered_fingerprint_rejected_at_first_use(paillier):
     doc = json.loads(serialize_ciphertext(paillier.encrypt(5)))
     doc["key_fingerprint"] = "0" * 64
-    tampered = parse_ciphertext(json.dumps(doc), keys=paillier.keys)
+    tampered = paillier.bind(parse_ciphertext(json.dumps(doc)))
     # parsing succeeds; any use against the real keys must fail
     with pytest.raises(OperandMismatchError, match="different key pair"):
         tampered + tampered
@@ -282,7 +282,7 @@ def test_parse_rejects_bad_documents(paillier):
 
 def test_scale_survives_serialization(paillier):
     c = "0.25" * paillier.encrypt(8)
-    back = parse_ciphertext(serialize_ciphertext(c), keys=paillier.keys)
+    back = paillier.bind(parse_ciphertext(serialize_ciphertext(c)))
     assert back.scale_denominator == 4
     assert paillier.decrypt(back) == 2
 

@@ -311,3 +311,44 @@ def test_bench_toy_run(tmp_path, capsys):
         assert svg.startswith("<svg")
     err = capsys.readouterr().err
     assert "wrote" in err
+
+
+def test_ciphertext_that_no_key_pair_produces_exits_4(tmp_path, paillier_keys, capsys):
+    keys, public = paillier_keys
+    c = tmp_path / "c.json"
+    run(["encrypt", "--keys", str(keys), "--plaintext", "5", "--out", str(c)])
+    doc = json.loads(c.read_text())
+    doc["payload"]["data"] = "0"
+    c.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["decrypt", "--keys", str(keys), "--in", str(c)]) == 4
+    assert "not a ciphertext" in capsys.readouterr().err
+    out = tmp_path / "out.json"
+    for argv in (["add", "--left", str(c), "--right", str(c)],
+                 ["smul", "--in", str(c), "--scalar", "2"],
+                 ["regen", "--in", str(c)]):
+        assert run([argv[0], "--keys", str(public), *argv[1:], "--out", str(out)]) == 4
+        assert not out.exists()
+
+
+def test_elgamal_key_with_p_1_exits_4(tmp_path, capsys):
+    keys = tmp_path / "elgamal.json"
+    run(["keygen", "--algorithm", "elgamal", "--key-size", "64", "--out", str(keys)])
+    doc = json.loads(keys.read_text())
+    doc["public"]["p"] = "1"
+    keys.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "0",
+                "--out", str(tmp_path / "c.json")]) == 4
+    assert "public.p" in capsys.readouterr().err
+
+
+def test_key_with_a_non_ascii_digit_exits_4(tmp_path, paillier_keys, capsys):
+    keys, _ = paillier_keys
+    doc = json.loads(keys.read_text())
+    doc["public"]["g"] = "²"
+    keys.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "3",
+                "--out", str(tmp_path / "c.json")]) == 4
+    assert "public.g" in capsys.readouterr().err

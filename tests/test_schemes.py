@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phekit.schemes.benaloh as benaloh_module
+import phekit.schemes.ec_elgamal as ec_elgamal_module
 import phekit.schemes.elgamal as elgamal_module
 import phekit.schemes.naccache_stern as naccache_stern_module
 from conftest import EXPECTED_MATRIX
-from phekit import PHE, ParseError, RandomSource, parse_key, serialize_key
-from phekit.ec import IDENTITY, CurvePoint, get_curve, is_on_curve
+from phekit import PHE, Ciphertext, ParseError, RandomSource, parse_key, serialize_key
+from phekit.ec import IDENTITY, CurvePoint, get_curve, is_on_curve, scalar_mul
 from phekit.errors import (
     BitLengthError,
     CapabilityError,
@@ -27,7 +28,7 @@ from phekit.numtheory import (
     discrete_log_bounded,
     is_probable_prime,
     is_qr_mod_prime,
-    mod_pow,
+    jacobi,
     random_coprime_below,
 )
 from phekit.schemes import (
@@ -355,8 +356,8 @@ def test_generate_okamoto_uchiyama_structure(rng):
     assert n.bit_length() == 48
     assert is_probable_prime(p) and is_probable_prime(q)
     # g must have multiplicative order p modulo p^2
-    assert mod_pow(keys.public["g"], p - 1, p * p) != 1
-    assert keys.public["h"] == mod_pow(keys.public["g"], n, n)
+    assert pow(keys.public["g"], p - 1, p * p) != 1
+    assert keys.public["h"] == pow(keys.public["g"], n, n)
 
 
 def test_generate_benaloh_structure(rng):
@@ -368,7 +369,7 @@ def test_generate_benaloh_structure(rng):
     assert ((p - 1) // r) % r != 0
     assert (q - 1) % r != 0
     phi = (p - 1) * (q - 1)
-    assert mod_pow(keys.public["y"], phi // r, keys.public["n"]) != 1
+    assert pow(keys.public["y"], phi // r, keys.public["n"]) != 1
 
 
 def test_generate_naccache_stern_structure(rng):
@@ -380,7 +381,7 @@ def test_generate_naccache_stern_structure(rng):
     phi = (p - 1) * (q - 1)
     assert phi % sigma == 0
     for prime in (3, 5, 7, 11):
-        assert mod_pow(keys.public["g"], phi // prime, keys.public["n"]) != 1
+        assert pow(keys.public["g"], phi // prime, keys.public["n"]) != 1
 
 
 def test_generate_elgamal_consistency(rng):
@@ -388,7 +389,7 @@ def test_generate_elgamal_consistency(rng):
     p, g, h = keys.public["p"], keys.public["g"], keys.public["h"]
     assert p.bit_length() == 64
     assert is_probable_prime(p)
-    assert mod_pow(g, keys.private["x"], p) == h
+    assert pow(g, keys.private["x"], p) == h
 
 
 @pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
@@ -492,16 +493,16 @@ def test_ec_elgamal_decryption_bound(rng):
         scheme.decrypt(c)
 
 
-def test_payload_variant_mismatch(rng):
+def test_payload_variant_mismatch():
     paillier = scheme_for(PAILLIER_TOY)
     with pytest.raises(PayloadTypeError):
-        paillier.decrypt((1, 2))
+        paillier.check_payload((1, 2))
     with pytest.raises(PayloadTypeError):
-        scheme_for(ELGAMAL_TOY).decrypt(7)
+        scheme_for(ELGAMAL_TOY).check_payload(7)
     with pytest.raises(PayloadTypeError):
-        scheme_for(GM_TOY).decrypt(7)
+        scheme_for(GM_TOY).check_payload(7)
     with pytest.raises(PayloadTypeError):
-        paillier.add(paillier.encrypt(1, rng), [1, 2])
+        paillier.check_payload([1, 2])
 
 
 def test_decrypt_requires_private_key(rng):
@@ -746,8 +747,101 @@ def test_homomorphic_laws_over_random_keys(algorithm, key_seed, s, enc_seed, dat
     else:
         c, law = scheme.xor(ca, cb), a ^ b
     assert scheme.decrypt(c) == law
+    minted = [ca, cb, c, scheme.encrypt(0, rng, **options)]
     if scalar:
         k = data.draw(st.integers(0, (bound - 1) // max(law, 1) if bounded else 2**64))
-        assert scheme.decrypt(scheme.scalar(c, k)) == k * law % bound
+        minted += [scheme.scalar(c, k), scheme.scalar(c, 0)]
+        assert scheme.decrypt(minted[-2]) == k * law % bound
     if regen:
-        assert scheme.decrypt(scheme.regenerate(c, rng)) == law
+        minted.append(scheme.regenerate(c, rng))
+        assert scheme.decrypt(minted[-1]) == law
+    # the boundary check accepts everything the key pair produces
+    for payload in minted:
+        scheme.check_payload(payload)
+
+
+# ------------------------------------- payload membership at the PHE boundary
+
+
+def unbound(phe: PHE, payload) -> Ciphertext:
+    """A ciphertext of `phe`'s algorithm and key pair that no PHE has bound,
+    as `parse_ciphertext` returns one, carrying `payload`."""
+    return replace(phe.encrypt(1), payload=payload, keys=None)
+
+
+def assert_rejected(phe: PHE, payload) -> None:
+    c = unbound(phe, payload)
+    with pytest.raises(PayloadTypeError, match="not a ciphertext"):
+        phe.decrypt(c)
+    with pytest.raises(PayloadTypeError, match="not a ciphertext"):
+        phe.bind(c)
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    ["paillier", "damgard-jurik", "okamoto-uchiyama", "benaloh", "naccache-stern"],
+)
+def test_modulus_schemes_reject_a_non_unit_payload(algorithm):
+    phe = PHE(keys=toy_keys(algorithm, RandomSource(5)))
+    for payload in (0, phe.scheme.modulus, phe.keys.private["p"]):
+        assert_rejected(phe, payload)
+    c = unbound(phe, phe.encrypt(3).payload)
+    assert phe.decrypt(c) == phe.decrypt(phe.bind(c)) == 3
+
+
+def test_rsa_accepts_every_residue_below_n():
+    # textbook RSA maps m = 0 to 0 and m = p to a multiple of p
+    phe = PHE(keys=toy_keys("rsa", RandomSource(5)))
+    p, n = phe.keys.private["p"], phe.scheme.n
+    assert phe.encrypt(0).payload == 0
+    assert phe.encrypt(p).payload % p == 0
+    for m in (0, p):
+        c = unbound(phe, phe.encrypt(m).payload)
+        assert phe.decrypt(c) == phe.decrypt(phe.bind(c)) == m
+    for payload in (n, n + 1, -1):
+        assert_rejected(phe, payload)
+
+
+def test_elgamal_rejects_c1_zero_and_values_beyond_p(rng):
+    for algorithm in ("elgamal", "exp-elgamal"):
+        phe = PHE(keys=toy_keys(algorithm, rng), rng=rng)
+        c1, c2 = phe.encrypt(5).payload
+        p = phe.scheme.p
+        for payload in ((0, c2), (p, c2), (c1, p), (c1 + p, c2)):
+            assert_rejected(phe, payload)
+    # classic ElGamal encrypts 0 to c2 = 0
+    phe = PHE(keys=toy_keys("elgamal", rng), rng=rng)
+    zero = unbound(phe, phe.encrypt(0).payload)
+    assert zero.payload[1] == 0
+    assert phe.decrypt(zero) == 0
+
+
+def test_gm_rejects_a_bit_value_with_jacobi_symbol_minus_one(rng):
+    phe = PHE(keys=toy_keys("goldwasser-micali", rng), rng=rng)
+    n = phe.scheme.n
+    bits = phe.encrypt(0b101).payload
+    odd = next(v for v in range(2, n) if jacobi(v, n) == -1)
+    for value in (odd, 0, n, bits[0] + n):
+        assert_rejected(phe, bits[:1] + [value] + bits[2:])
+
+
+def test_ec_c1_off_the_curve_never_meets_the_private_scalar(monkeypatch):
+    """An invalid-curve c1 is refused before decryption multiplies it by x."""
+    phe = PHE("ec-elgamal", 0, params={"curve": "secp160r1"}, rng=RandomSource(7))
+    x = phe.keys.private["x"]
+    c1, c2 = phe.encrypt(5).payload
+    scalars = []
+
+    def recording(k, point, curve):
+        scalars.append(k)
+        return scalar_mul(k, point, curve)
+
+    monkeypatch.setattr(ec_elgamal_module, "scalar_mul", recording)
+    p = phe.scheme.curve.p
+    for bad in (CurvePoint(c1.x, c1.y + 1), CurvePoint(c1.x, c1.y + p)):
+        assert_rejected(phe, (bad, c2))
+        assert_rejected(phe, (c1, bad))
+    assert x not in scalars
+    # the identity is a ciphertext point: c2 of m = 0 under scalar 0
+    assert phe.decrypt(unbound(phe, (c1, scalar_mul(x, c1, phe.scheme.curve)))) == 0
+    assert phe.decrypt(unbound(phe, (IDENTITY, IDENTITY))) == 0

@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phekit import (
     PHE,
@@ -9,6 +11,7 @@ from phekit import (
     PayloadTypeError,
     RandomSource,
     key_fingerprint,
+    parse_ciphertext,
     parse_key,
     serialize_ciphertext,
     serialize_key,
@@ -175,6 +178,45 @@ def test_parse_key_rejects_an_ec_point_off_its_curve():
         parse_key(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "algorithm, field",
+    sorted((a, f) for a, cls in SCHEME_CLASSES.items()
+           for f in {"n", "p"}.intersection(cls.public_fields)),
+)
+def test_parse_key_rejects_a_degenerate_modulus(all_keys, algorithm, field):
+    for include_private in (True, False):
+        doc = json.loads(serialize_key(all_keys[algorithm], include_private))
+        for bad in ("0", "1", "4"):
+            doc["public"][field] = bad
+            with pytest.raises(ParseError, match=f"'public.{field}'"):
+                parse_key(json.dumps(doc))
+
+
+def test_only_canonical_decimal_strings_parse(all_keys):
+    """Non-ASCII digits and leading zeros would not re-serialize as read."""
+    key_doc = json.loads(serialize_key(all_keys["paillier"]))
+    c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
+    cipher_doc = json.loads(serialize_ciphertext(c))
+    for bad in ("\u00b2", "\u0663", "07", "00", "+7", " 7", "", "1" * 5000):
+        with pytest.raises(ParseError, match="'public.g'"):
+            parse_key(json.dumps(dict(key_doc, public=dict(key_doc["public"], g=bad))))
+        with pytest.raises(ParseError, match="'scale_denominator'"):
+            parse_ciphertext(json.dumps(dict(cipher_doc, scale_denominator=bad)))
+        with pytest.raises(ParseError, match="'payload.data'"):
+            parse_ciphertext(json.dumps(
+                dict(cipher_doc, payload={"kind": "single", "data": bad})))
+    for text in ("[" * 100_000, '{"a":' * 100_000):
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_key(text)
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse_ciphertext(text)
+    for version in (True, 1.0, "1"):
+        with pytest.raises(ParseError, match="'format_version'"):
+            parse_key(json.dumps(dict(key_doc, format_version=version)))
+        with pytest.raises(ParseError, match="'format_version'"):
+            parse_ciphertext(json.dumps(dict(cipher_doc, format_version=version)))
+
+
 # SHA-256 of serialize_key(keys) and of serialize_ciphertext(Enc(5)) for the
 # KEYGEN_FOR_TESTS sizes under RandomSource(31337). Any change to what key
 # generation or encryption draws, or in which order, moves these digests.
@@ -308,3 +350,81 @@ def test_every_payload_variant_is_covered():
     variants = {cls.payload_variant for cls in SCHEME_CLASSES.values()}
     assert variants == {"single", "pair", "bits", "point_pair"}
     assert FORMAT_VERSION == 1
+
+
+# ------------------------------------------------------------- parse fuzz
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# near misses of a decimal string: non-ASCII digits, signs, leading zeros
+numeric_text = st.text(alphabet="0123456789\u00b2\u0663+- x.", max_size=6)
+
+
+@pytest.fixture(scope="module")
+def documents(all_keys) -> list[tuple[str, str]]:
+    """Canonical key (private and public-only) and ciphertext documents."""
+    docs = []
+    for keys in all_keys.values():
+        docs.append(("key", serialize_key(keys)))
+        docs.append(("key", serialize_key(keys, include_private=False)))
+        c = PHE(keys=keys, rng=RandomSource(3)).encrypt(1)
+        docs.append(("ciphertext", serialize_ciphertext(c)))
+    return docs
+
+
+PARSERS = {
+    "key": (parse_key, serialize_key),
+    "ciphertext": (parse_ciphertext, serialize_ciphertext),
+}
+
+
+def paths(doc, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), value=json_values | numeric_text)
+def test_a_canonical_document_parses_to_itself_or_not_at_all(documents, data, value):
+    """Any one value of a canonical document replaced: the parser raises
+    ParseError or gives back a value that serializes to the same bytes.
+    (Fields are replaced, never dropped: an absent optional field takes its
+    default, which does serialize.)"""
+    kind, text = data.draw(st.sampled_from(documents))
+    doc = json.loads(text)
+    path = data.draw(st.sampled_from(list(paths(doc))))
+    mutated = canonical_json(replaced(doc, path, value))
+    parse, serialize = PARSERS[kind]
+    try:
+        parsed = parse(mutated)
+    except ParseError:
+        return
+    assert serialize(parsed) == mutated
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text() | json_values.map(json.dumps), kind=st.sampled_from(sorted(PARSERS)))
+def test_arbitrary_text_parses_stably_or_raises_parse_error(text, kind):
+    parse, serialize = PARSERS[kind]
+    try:
+        parsed = parse(text)
+    except ParseError:
+        return
+    again = serialize(parsed)
+    assert serialize(parse(again)) == again
