@@ -21,6 +21,7 @@ from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
 from .serialization import (
     FORMAT_VERSION,
+    _decimal,
     _load_document,
     _parse_natural,
     _require,
@@ -169,7 +170,7 @@ def serialize_ciphertext(c: Ciphertext) -> str:
         "algorithm": c.algorithm,
         "key_fingerprint": c.key_fingerprint,
         "payload": payload_to_doc(c.payload),
-        "scale_denominator": str(c.scale_denominator),
+        "scale_denominator": _decimal(c.scale_denominator, "scale_denominator"),
     }
     return canonical_json(doc)
 
@@ -283,7 +284,7 @@ class PHE:
         return cipher_scalar(k, c, self)
 
     def regenerate(self, c: Ciphertext) -> Ciphertext:
-        _check_operand(self, c)
+        _check_operand(self, c, "regen")
         return replace(c, payload=self.scheme.regenerate(c.payload, self.rng))
 
     def bind(self, c: Ciphertext) -> Ciphertext:

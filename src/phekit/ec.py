@@ -2,7 +2,9 @@
 
 Curves are y^2 = x^3 + a*x + b over GF(p). Points are affine with an explicit
 identity marker; all group operations go through modular inversion (no
-projective coordinates).
+projective coordinates). A `CurveParams` is also the group of its points,
+with `numtheory.UnitGroup`'s members: ElGamal and the discrete-log search
+run on either.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ IDENTITY = CurvePoint(None, None)
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Weierstrass domain parameters. `order` is the order of base point g."""
+    """Weierstrass domain parameters. `order` is the order of base point g.
+    As a group, written like Z*_m: `op` adds points and `exp(P, k)` is k*P."""
 
     name: str
     p: int
@@ -44,6 +47,16 @@ class CurveParams:
     b: int
     g: CurvePoint
     order: int
+    identity = IDENTITY
+
+    def op(self, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
+        return point_add(p1, p2, self)
+
+    def exp(self, point: CurvePoint, k: int) -> CurvePoint:
+        return scalar_mul(k, point, self)
+
+    def inv(self, point: CurvePoint) -> CurvePoint:
+        return point_neg(point, self)
 
 
 def is_on_curve(point: CurvePoint, curve: CurveParams) -> bool:

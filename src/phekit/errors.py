@@ -43,7 +43,8 @@ class KeygenExhaustedError(PheError):
 
 
 class ParseError(PheError):
-    """Malformed key or ciphertext document."""
+    """Malformed key or ciphertext document, or an integer too long to write
+    in one."""
 
 
 class InexactResultError(PheError):

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 import os
 import random
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence, Tuple
 
 from .errors import MathDomainError, NotInvertibleError
 
@@ -186,52 +187,66 @@ def is_qr_mod_prime(a: int, p: int) -> bool:
     return pow(a, (p - 1) // 2, p) == 1
 
 
-BabySteps = Tuple[dict, int, int]
+@dataclass(frozen=True)
+class UnitGroup:
+    """Z*_m, the units mod m as reduced residues: a group for the discrete-log
+    search, like a curve (`ec.CurveParams`)."""
+
+    modulus: int
+    identity = 1
+
+    def op(self, a: int, b: int) -> int:
+        return a * b % self.modulus
+
+    def exp(self, a: int, k: int) -> int:
+        return pow(a, k, self.modulus)
+
+    def inv(self, a: int) -> int:
+        return mod_inv(a, self.modulus)
 
 
-def baby_steps(base: int, modulus: int, bound: int) -> BabySteps:
+BabySteps = Tuple[dict, int, Any]
+
+
+def baby_steps(group: Any, base: Any, bound: int) -> BabySteps:
     """The baby-step half of `discrete_log_bounded` for one base.
 
     Returns ({base**j: smallest j} for j < step, step, base**-step), with
-    step = isqrt(bound) + 1. Requires gcd(base, modulus) = 1.
+    step = isqrt(bound) + 1, powers taken in `group` (a `UnitGroup` or a
+    curve). A base that is not invertible in the group raises
+    `NotInvertibleError`.
     """
     if bound < 1:
         raise MathDomainError("bound must be >= 1")
-    if math.gcd(base, modulus) != 1:
-        raise MathDomainError("base must be a unit modulo modulus")
-    base %= modulus
     step = math.isqrt(bound) + 1
-    baby: dict[int, int] = {}
-    value = 1 % modulus
+    baby: dict = {}
+    value, op = group.identity, group.op
     for j in range(step):
         baby.setdefault(value, j)
-        value = (value * base) % modulus
-    return baby, step, mod_inv(pow(base, step, modulus), modulus)
+        value = op(value, base)
+    return baby, step, group.inv(group.exp(base, step))
 
 
 def discrete_log_bounded(
-    base: int,
-    target: int,
-    modulus: int,
-    bound: int,
-    table: Optional[BabySteps] = None,
+    group: Any, base: Any, target: Any, bound: int, table: Optional[BabySteps] = None
 ) -> Optional[int]:
-    """Smallest m in [0, bound] with base**m = target (mod modulus), or None.
+    """Smallest m in [0, bound] with base**m = target in `group`, or None.
 
-    Baby-step giant-step: O(sqrt(bound)) time and space. Requires
-    gcd(base, modulus) = 1. `table` is `baby_steps(base, modulus, bound)`,
-    kept by a caller that solves many logs to one base; without it the
-    table is built for this call.
+    Baby-step giant-step: O(sqrt(bound)) group operations and table entries.
+    `target` is an element of the group (for Z*_m, a reduced residue).
+    `table` is `baby_steps(group, base, bound)`, kept by a caller that
+    solves many logs to one base; without it the table is built for this
+    call.
     """
-    baby, step, giant_factor = table or baby_steps(base, modulus, bound)
-    gamma = target % modulus
+    baby, step, giant_factor = table or baby_steps(group, base, bound)
+    gamma, op = target, group.op
     for i in range(step + 1):
         j = baby.get(gamma)
         if j is not None:
             m = i * step + j
             if m <= bound:
                 return m
-        gamma = (gamma * giant_factor) % modulus
+        gamma = op(gamma, giant_factor)
     return None
 
 

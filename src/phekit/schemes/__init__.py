@@ -5,15 +5,15 @@
 math: the fields of its keys (`public_fields`, `private_fields`), the
 search that produces them (`_keygen`) and its operations; `Scheme` in
 `base.py` resolves parameters, assembles the KeyPair and binds the declared
-fields as attributes. Three schemes are special cases of a general one and
+fields as attributes. Four schemes are special cases of a general one and
 subclass it, keeping only their key fields, `_keygen` and small hooks:
 Paillier is Damgard-Jurik at s = 1, Benaloh is Naccache-Stern with the one
-message prime r, and exponential ElGamal is ElGamal on g^m. Each family
-has one `encrypt` and one `decrypt`. Construction precomputes decryption
-constants; the first private-key power of a modulus scheme adds its CRT
-constants and the first decrypt the baby-step tables of the discrete-log
-schemes. So hold on to the instance (or a PHE facade, which holds one)
-rather than rebuilding it per operation.
+message prime r, exponential ElGamal is ElGamal on g^m, and EC-ElGamal is
+exponential ElGamal on a curve. Each family has one `encrypt` and one
+`decrypt`. Construction precomputes decryption constants; the first
+private-key power of a modulus scheme adds its CRT constants and the first
+decrypt the baby-step tables of the discrete-log schemes. So hold on to the
+instance (or a PHE facade, which holds one) rather than rebuilding it.
 """
 
 from __future__ import annotations

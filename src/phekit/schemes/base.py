@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, ClassVar, Optional, Union
 
 from ..capabilities import ensure_supported
@@ -158,6 +159,17 @@ class Scheme(ABC):
         """Exclusive upper bound on plaintexts, or None when unbounded."""
         return None
 
+    @classmethod
+    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        """(field, reason) when a parsed key pair cannot be the scheme's, else None;
+        here, private primes p != q must factor n as p**a * q**b (`n_exponents`)."""
+        if cls.n_exponents is None or not keys.has_private:
+            return None
+        (a, b), p, q = cls.n_exponents, keys.private["p"], keys.private["q"]
+        if p > 1 and q > 1 and p != q and p**a * q**b == keys.public["n"]:
+            return None
+        return "private", f"p and q do not factor public.n as p^{a} * q^{b} with p != q"
+
     # -- validation helpers -------------------------------------------------
 
     def check_plaintext(self, m: int) -> None:
@@ -237,7 +249,6 @@ class ModulusScheme(Scheme):
     payload_variant = "single"
     n_exponents = (1, 1)
     modulus_power = 1
-    _crt: Optional[tuple] = None
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
@@ -252,16 +263,16 @@ class ModulusScheme(Scheme):
         """
         if not self.keys.has_private:
             return pow(x, e, self.modulus)
-        if self._crt is None:
-            self._crt = self._crt_constants()
         (p, p_k, order_p), (q, q_k, order_q), p_k_inv = self._crt
         x_p = pow(x, e % order_p if x % p else e, p_k)
         x_q = pow(x, e % order_q if x % q else e, q_k)
         return x_p + p_k * ((x_q - x_p) * p_k_inv % q_k)
 
-    def _crt_constants(self) -> tuple:
+    @cached_property
+    def _crt(self) -> tuple:
         """Per private prime (prime, its power in `modulus`, that power's
-        group order), then the p-power's inverse modulo the q-power."""
+        group order), then the p-power's inverse modulo the q-power; built
+        on the first private-key power."""
         p, q = self.p, self.q
         a, b = self.n_exponents
         p_k = p ** (a * self.modulus_power)

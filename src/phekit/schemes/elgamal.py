@@ -1,25 +1,26 @@
-"""ElGamal over a prime-order subgroup, in two flavors.
+"""ElGamal over a group with `identity`, `op`, `exp` and `inv`, in two flavors.
 
-Classic ElGamal multiplies plaintexts into the second component and is
-multiplicatively homomorphic. Exponential ElGamal is ElGamal run on g^m: it
-shares ElGamal's encryption and decryption and only encodes m as g^m and
-decodes by a bounded discrete-log search, which turns ciphertext
-multiplication into plaintext addition.
+Classic ElGamal runs in Z*_p, multiplies plaintexts into the second
+component and is multiplicatively homomorphic. Exponential ElGamal is
+ElGamal run on g^m: it only encodes m as g^m and decodes by a bounded
+discrete-log search, which turns ciphertext multiplication into plaintext
+addition. EC-ElGamal (`ec_elgamal.py`) is exponential ElGamal on a curve.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from functools import cached_property
+from typing import Any, Optional
 
 from ..errors import DecryptionBoundError
 from ..numtheory import (
     RandomSource,
+    UnitGroup,
     baby_steps,
     discrete_log_bounded,
     gen_group_prime,
-    mod_inv,
 )
-from .base import Payload, Scheme
+from .base import KeyPair, Payload, Scheme
 
 DEFAULT_DLP_BOUND = 1 << 20
 
@@ -52,46 +53,55 @@ class ElGamal(Scheme):
         x = rng.randrange(2, q)
         return {"p": p, "g": g, "h": pow(g, x, p)}, {"x": x}
 
+    @classmethod
+    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        if keys.has_private:
+            scheme = cls(keys)
+            if scheme.group.exp(scheme.g, scheme.x) != scheme.h:
+                return "private", "g^x is not the public h"
+        return None
+
+    @cached_property
+    def group(self) -> UnitGroup:
+        return UnitGroup(self.p)
+
     def plaintext_bound(self) -> int:
         return self.p
 
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
-        r = rng.randrange(2, self.p - 1)
-        return (
-            pow(self.g, r, self.p),
-            self._encode(m) * pow(self.h, r, self.p) % self.p,
-        )
+        group, r = self.group, self._nonce(rng)
+        return group.exp(self.g, r), group.op(self._encode(m), group.exp(self.h, r))
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        c1, c2 = c
-        shared = pow(c1, self.x, self.p)
-        return self._decode(c2 * mod_inv(shared, self.p) % self.p)
+        group, (c1, c2) = self.group, c
+        return self._decode(group.op(c2, group.inv(group.exp(c1, self.x))))
+
+    def _nonce(self, rng: RandomSource) -> int:
+        return rng.randrange(2, self.p - 1)
 
     def _is_member(self, c: Payload) -> bool:
         # c1 = g^r is a unit; classic ElGamal encrypts m = 0 to c2 = 0
         return 0 < c[0] < self.p and 0 <= c[1] < self.p
 
     # the group element that carries a plaintext, and back
-    def _encode(self, m: int) -> int:
+    def _encode(self, m: int) -> Any:
         return m
 
-    def _decode(self, element: int) -> int:
+    def _decode(self, element: Any) -> int:
         return element
 
     def _combine(self, c1: Payload, c2: Payload) -> Payload:
-        return (c1[0] * c2[0] % self.p, c1[1] * c2[1] % self.p)
+        return (self.group.op(c1[0], c2[0]), self.group.op(c1[1], c2[1]))
 
     def _scalar(self, c: Payload, k: int) -> Payload:
-        return (pow(c[0], k, self.p), pow(c[1], k, self.p))
+        return (self.group.exp(c[0], k), self.group.exp(c[1], k))
 
 
 class ExpElGamal(ElGamal):
     algorithm = "exp-elgamal"
     default_params = {"dlp_bound": DEFAULT_DLP_BOUND}
-    # baby steps of g, built on the first decrypt
-    _baby_steps = None
 
     @property
     def dlp_bound(self) -> int:
@@ -100,14 +110,17 @@ class ExpElGamal(ElGamal):
     def plaintext_bound(self) -> int:
         return self.dlp_bound
 
-    def _encode(self, m: int) -> int:
-        return pow(self.g, m, self.p)
+    @cached_property
+    def _baby_steps(self) -> tuple:
+        """Baby steps of g, built on the first decrypt."""
+        return baby_steps(self.group, self.g, self.dlp_bound)
 
-    def _decode(self, element: int) -> int:
-        if self._baby_steps is None:
-            self._baby_steps = baby_steps(self.g, self.p, self.dlp_bound)
+    def _encode(self, m: int) -> Any:
+        return self.group.exp(self.g, m)
+
+    def _decode(self, element: Any) -> int:
         m = discrete_log_bounded(
-            self.g, element, self.p, self.dlp_bound, self._baby_steps
+            self.group, self.g, element, self.dlp_bound, self._baby_steps
         )
         if m is None:
             raise DecryptionBoundError(

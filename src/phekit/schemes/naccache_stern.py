@@ -10,11 +10,13 @@ so they run under an explicit retry budget instead of looping forever.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any
 
 from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
 from ..numtheory import (
     RandomSource,
+    UnitGroup,
     baby_steps,
     crt,
     discrete_log_bounded,
@@ -43,12 +45,11 @@ class NaccacheStern(ModulusScheme):
     default_params = {"prime_count": 8}
     public_fields = ("n", "g", "sigma")
     private_fields = ("p", "q")
-    # per message prime, the baby steps of its base; built on the first decrypt
-    _baby_steps = None
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
         if keys.has_private:
+            self.units = UnitGroup(self.n)
             phi = (self.p - 1) * (self.q - 1)
             # per message prime: the exponent that isolates m mod p_i and the
             # order-p_i base the small discrete log runs against
@@ -139,17 +140,18 @@ class NaccacheStern(ModulusScheme):
         r = random_coprime_below(self.n, rng)
         return pow(self.g, m, self.n) * pow(r, self.sigma, self.n) % self.n
 
+    @cached_property
+    def _baby_steps(self) -> list:
+        """Per message prime, the baby steps of its base (first decrypt)."""
+        return [baby_steps(self.units, base, prime - 1) for prime, _, base in self._parts]
+
     def decrypt(self, c: Payload) -> int:
         self.require_private()
-        if self._baby_steps is None:
-            self._baby_steps = [
-                baby_steps(base, self.n, prime - 1) for prime, _, base in self._parts
-            ]
         residues = []
         moduli = []
         for (prime, exponent, base), table in zip(self._parts, self._baby_steps):
             target = self._private_pow(c, exponent)
-            residue = discrete_log_bounded(base, target, self.n, prime - 1, table)
+            residue = discrete_log_bounded(self.units, base, target, prime - 1, table)
             if residue is None:
                 raise DecryptionBoundError(
                     f"{self.algorithm}: no residue found modulo {prime}"

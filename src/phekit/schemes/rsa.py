@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Optional
 
-from ..numtheory import RandomSource, generate_modulus, mod_inv
-from .base import ModulusScheme, Payload
+from ..numtheory import RandomSource, generate_modulus, lcm, mod_inv
+from .base import KeyPair, ModulusScheme, Payload
 
 
 class Rsa(ModulusScheme):
@@ -23,6 +23,16 @@ class Rsa(ModulusScheme):
             if math.gcd(e, phi) == 1:
                 break
         return {"n": n, "e": e}, {"p": p, "q": q, "d": mod_inv(e, phi)}
+
+    @classmethod
+    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        fault = super().key_fault(keys)
+        if fault is None and keys.has_private:
+            p, q, d = (keys.private[name] for name in cls.private_fields)
+            # d undoes e on every unit: e*d = 1 modulo the exponent of Z*_n
+            if keys.public["e"] * d % lcm(p - 1, q - 1) != 1:
+                fault = "private", "e * d is not 1 modulo lcm(p - 1, q - 1)"
+        return fault
 
     def plaintext_bound(self) -> int:
         return self.n

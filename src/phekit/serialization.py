@@ -14,9 +14,9 @@ import json
 from typing import Any, Optional
 
 from .capabilities import ALGORITHMS
-from .ec import CurvePoint, curve_names, get_curve, is_on_curve
+from .ec import CurvePoint
 from .errors import ParseError
-from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme, variant_of
+from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
 
 FORMAT_VERSION = 1
 
@@ -45,6 +45,15 @@ def _parse_natural(value: Any, field: str) -> int:
         return int(value)
     except ValueError:  # past the interpreter's int/str digit limit
         raise ParseError(f"field {field!r}: {len(value)} digits is too long") from None
+
+
+def _decimal(value: int, field: str) -> str:
+    """str(value), or a ParseError past the interpreter's int/str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ParseError(f"field {field!r}: {value.bit_length()} bits is too long to "
+                         "write in decimal (see PYTHONINTMAXSTRDIGITS)") from None
 
 
 def _load_document(text: str, kind: str) -> dict[str, Any]:
@@ -85,37 +94,15 @@ def key_document(keys: KeyPair, include_private: bool = True) -> dict[str, Any]:
         "algorithm": keys.algorithm,
         "security_bits": keys.security_bits,
         "params": _params_doc(keys.params),
-        "public": {k: str(v) for k, v in keys.public.items()},
+        "public": {k: _decimal(v, f"public.{k}") for k, v in keys.public.items()},
     }
     if include_private and keys.has_private:
-        doc["private"] = {k: str(v) for k, v in keys.private.items()}
+        doc["private"] = {k: _decimal(v, f"private.{k}") for k, v in keys.private.items()}
     return doc
 
 
 def serialize_key(keys: KeyPair, include_private: bool = True) -> str:
     return canonical_json(key_document(keys, include_private))
-
-
-def _check_factors(cls: type[Scheme], public: dict[str, int], private: dict[str, int]) -> None:
-    """Private-key schemes compute modulo p and q; they must factor n."""
-    if cls.n_exponents is None:
-        return
-    (a, b), p, q = cls.n_exponents, private["p"], private["q"]
-    _require(
-        p > 1 and q > 1 and p != q and p**a * q**b == public["n"], "private",
-        f"p and q do not factor public.n as p^{a} * q^{b} with p != q",
-    )
-
-
-def _check_point(public: dict[str, int], params: dict[str, Any]) -> None:
-    """EC-ElGamal encryption multiplies the public point by a secret scalar;
-    the point must lie on its named curve, in reduced coordinates."""
-    name = params["curve"]
-    _require(name in curve_names(), "params.curve", f"unknown curve {name!r}")
-    _require(
-        is_on_curve(CurvePoint(public["qx"], public["qy"]), get_curve(name)), "public",
-        f"(qx, qy) is not a point of curve {name}",
-    )
 
 
 def parse_key(text: str) -> KeyPair:
@@ -147,16 +134,10 @@ def parse_key(text: str) -> KeyPair:
     if private is not None:
         for name in cls.private_fields:
             _require(name in private, f"private.{name}", "missing")
-        _check_factors(cls, public, private)
-    if algorithm == "ec-elgamal":
-        _check_point(public, params)
-    return KeyPair(
-        algorithm=algorithm,
-        security_bits=bits,
-        public=public,
-        private=private,
-        params=params,
-    )
+    keys = KeyPair(algorithm, bits, public, private, params)
+    field, detail = cls.key_fault(keys) or (None, "")
+    _require(field is None, field, detail)
+    return keys
 
 
 def key_fingerprint(keys: KeyPair) -> str:
@@ -186,10 +167,11 @@ def _point_from_doc(doc: Any, field: str) -> CurvePoint:
 def payload_to_doc(payload: Payload) -> dict[str, Any]:
     kind = variant_of(payload)
     if kind == "single":
-        return {"kind": kind, "data": str(payload)}
+        return {"kind": kind, "data": _decimal(payload, "payload.data")}
     if kind == "point_pair":
         return {"kind": kind, "data": [_point_doc(point) for point in payload]}
-    return {"kind": kind, "data": [str(v) for v in payload]}
+    return {"kind": kind,
+            "data": [_decimal(v, f"payload.data[{i}]") for i, v in enumerate(payload)]}
 
 
 def payload_from_doc(doc: Any, algorithm: str) -> Payload:

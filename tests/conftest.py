@@ -5,6 +5,7 @@ terminal-summary hook prints a single line for each so the final report is
 visible in any pytest run regardless of output capturing.
 """
 
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -71,6 +72,14 @@ def criterion(number: int, label: str):
 @pytest.fixture
 def rng() -> RandomSource:
     return RandomSource(0xC0FFEE)
+
+
+@pytest.fixture
+def int_digit_limit():
+    """`sys.set_int_max_str_digits` for one test; the limit is restored after."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

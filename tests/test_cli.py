@@ -132,6 +132,23 @@ def test_regen_rejected_for_rsa(tmp_path, capsys):
     assert expected_denial("rsa", "regen") in capsys.readouterr().err
 
 
+def test_regen_denial_comes_before_the_payload_check(tmp_path, capsys):
+    """RSA has no regeneration: even a payload no RSA key produces gets the
+    frozen denial (exit 3), not a payload error (exit 4)."""
+    rsa, c = tmp_path / "rsa.json", tmp_path / "c.json"
+    run(["keygen", "--algorithm", "rsa", "--key-size", "128", "--out", str(rsa)])
+    run(["encrypt", "--keys", str(rsa), "--plaintext", "5", "--out", str(c)])
+    doc = json.loads(c.read_text())
+    doc["payload"]["data"] = str(parse_key(rsa.read_text()).public["n"] + 1)
+    c.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "f.json"
+    assert run(["regen", "--keys", str(rsa), "--in", str(c), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: {expected_denial('rsa', 'regen')}"
+    assert not out.exists()
+
+
 def test_regen_rejects_a_foreign_key_pair(tmp_path, paillier_keys, capsys):
     keys, _ = paillier_keys
     other = tmp_path / "other.json"
@@ -352,3 +369,36 @@ def test_key_with_a_non_ascii_digit_exits_4(tmp_path, paillier_keys, capsys):
     assert run(["encrypt", "--keys", str(keys), "--plaintext", "3",
                 "--out", str(tmp_path / "c.json")]) == 4
     assert "public.g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm, field", [("rsa", "d"), ("elgamal", "x"),
+                                              ("ec-elgamal", "x")])
+def test_key_whose_private_half_does_not_match_exits_4(tmp_path, capsys,
+                                                       algorithm, field):
+    keys, c = tmp_path / "keys.json", tmp_path / "c.json"
+    size = ["--curve", "secp160r1"] if algorithm == "ec-elgamal" else ["--key-size", "64"]
+    run(["keygen", "--algorithm", algorithm, *size, "--out", str(keys)])
+    run(["encrypt", "--keys", str(keys), "--plaintext", "42", "--out", str(c)])
+    doc = json.loads(keys.read_text())
+    doc["private"][field] = "0" if field == "d" else str(int(doc["private"][field]) + 1)
+    keys.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["decrypt", "--keys", str(keys), "--in", str(c)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'private'" in captured.err
+
+
+def test_damgard_jurik_ciphertext_past_the_digit_limit_exits_4(tmp_path, capsys,
+                                                               int_digit_limit):
+    # a 256-bit n with s = 8 is a fine key, but its ciphertexts modulo n^9
+    # have about 694 digits, past a limit of 640
+    int_digit_limit(640)
+    keys, c = tmp_path / "dj.json", tmp_path / "c.json"
+    assert run(["keygen", "--algorithm", "damgard-jurik", "--key-size", "256",
+                "--s", "8", "--out", str(keys)]) == 0
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "3",
+                "--out", str(c)]) == 4
+    assert "'payload.data'" in capsys.readouterr().err
+    assert not c.exists()

@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phekit import RandomSource
+from phekit.ec import get_curve, scalar_mul
 from phekit.errors import MathDomainError, NotInvertibleError
 from phekit.numtheory import (
+    UnitGroup,
     baby_steps,
     crt,
     discrete_log_bounded,
@@ -137,21 +139,21 @@ def test_is_qr_mod_prime_fixtures():
 
 
 def test_discrete_log_bounded_fixtures():
-    assert discrete_log_bounded(2, 14, 101, 100) == 10
-    assert discrete_log_bounded(5, 1, 23, 10) == 0
-    assert discrete_log_bounded(2, 3, 101, 4) is None
+    assert discrete_log_bounded(UnitGroup(101), 2, 14, 100) == 10
+    assert discrete_log_bounded(UnitGroup(23), 5, 1, 10) == 0
+    assert discrete_log_bounded(UnitGroup(101), 2, 3, 4) is None
 
 
 def test_discrete_log_bounded_returns_smallest_exponent():
     # 2 has order 3 mod 7, so 1 = 2^0 = 2^3 = ...; the answer must be 0
-    assert discrete_log_bounded(2, 1, 7, 10) == 0
-    assert discrete_log_bounded(2, 2, 7, 10) == 1
+    assert discrete_log_bounded(UnitGroup(7), 2, 1, 10) == 0
+    assert discrete_log_bounded(UnitGroup(7), 2, 2, 10) == 1
 
 
 def test_discrete_log_bounded_roundtrip_small_group():
     # 2 is a primitive root mod 101
     for m in range(101):
-        assert discrete_log_bounded(2, pow(2, m, 101), 101, 100) == m % 100
+        assert discrete_log_bounded(UnitGroup(101), 2, pow(2, m, 101), 100) == m % 100
 
 
 def test_discrete_log_bounded_roundtrip_larger_group(rng):
@@ -159,14 +161,14 @@ def test_discrete_log_bounded_roundtrip_larger_group(rng):
     p, g = 65537, 3
     for _ in range(25):
         m = rng.randrange(0, p - 1)
-        assert discrete_log_bounded(g, pow(g, m, p), p, p - 2) == m
+        assert discrete_log_bounded(UnitGroup(p), g, pow(g, m, p), p - 2) == m
 
 
 def test_discrete_log_bounded_requires_unit_base():
     with pytest.raises(MathDomainError):
-        discrete_log_bounded(6, 3, 9, 5)
+        discrete_log_bounded(UnitGroup(9), 6, 3, 5)
     with pytest.raises(MathDomainError):
-        baby_steps(6, 9, 5)
+        baby_steps(UnitGroup(9), 6, 5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,10 +183,35 @@ def test_discrete_log_bounded_with_a_kept_table_matches_without(
     modulus, base, exponent, target, bound
 ):
     assume(math.gcd(base, modulus) == 1)
-    table = baby_steps(base, modulus, bound)
+    table = baby_steps(UnitGroup(modulus), base, bound)
     for t in (pow(base, exponent, modulus), target, target * modulus):
-        expected = discrete_log_bounded(base, t, modulus, bound)
-        assert discrete_log_bounded(base, t, modulus, bound, table) == expected
+        expected = discrete_log_bounded(UnitGroup(modulus), base, t, bound)
+        assert discrete_log_bounded(UnitGroup(modulus), base, t, bound, table) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base_k=st.integers(0, 18),
+    target_k=st.integers(0, 18),
+    bound=st.integers(1, 60),
+)
+def test_curve_discrete_log_with_a_kept_table_matches_iterated_op(
+    base_k, target_k, bound
+):
+    """On the 19-point toy17 group: the smallest m <= bound found by walking
+    base^0, base^1, ... with `op`, or None."""
+    group = get_curve("toy17")
+    base = scalar_mul(base_k, group.g, group)
+    target = scalar_mul(target_k, group.g, group)
+    expected, power = None, group.identity
+    for m in range(bound + 1):
+        if power == target:
+            expected = m
+            break
+        power = group.op(power, base)
+    table = baby_steps(group, base, bound)
+    assert discrete_log_bounded(group, base, target, bound, table) == expected
+    assert discrete_log_bounded(group, base, target, bound) == expected
 
 
 def test_crt_fixtures():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phekit.ec as ec_module
 import phekit.schemes.benaloh as benaloh_module
-import phekit.schemes.ec_elgamal as ec_elgamal_module
 import phekit.schemes.elgamal as elgamal_module
 import phekit.schemes.naccache_stern as naccache_stern_module
 from conftest import EXPECTED_MATRIX
@@ -674,10 +674,19 @@ def test_gm_decrypt_rejects_a_value_divisible_by_p():
         scheme_for(GM_TOY).decrypt([4, 7 * 3])
 
 
+# params that put the discrete-log bound below the group order
+BOUNDED_DLOG = {
+    "exp-elgamal": {"dlp_bound": 4096},
+    "ec-elgamal": {"curve": "secp160r1", "dlp_bound": 4096},
+}
+
+
 @pytest.mark.parametrize(
     "algorithm, module",
     [
         ("exp-elgamal", elgamal_module),
+        # EC-ElGamal decrypts through exponential ElGamal
+        ("ec-elgamal", elgamal_module),
         # Benaloh decrypts through Naccache-Stern
         ("benaloh", naccache_stern_module),
         ("naccache-stern", naccache_stern_module),
@@ -687,16 +696,15 @@ def test_cached_baby_steps_agree_with_a_fresh_search(algorithm, module, monkeypa
     """Every log the scheme solves with its kept table, solved again without."""
     rng = RandomSource(2024)
     bits, params = TOY_KEYGEN[algorithm]
-    if algorithm == "exp-elgamal":
-        params = {"dlp_bound": 4096}
+    params = BOUNDED_DLOG.get(algorithm, params)
     scheme = scheme_for(generate_keys(algorithm, bits, params=params, rng=rng))
     tables = []
 
-    def checked(base, target, modulus, bound, table=None):
+    def checked(group, base, target, bound, table=None):
         assert table is not None
         tables.append(table)
-        fast = discrete_log_bounded(base, target, modulus, bound, table)
-        assert fast == discrete_log_bounded(base, target, modulus, bound)
+        fast = discrete_log_bounded(group, base, target, bound, table)
+        assert fast == discrete_log_bounded(group, base, target, bound)
         return fast
 
     monkeypatch.setattr(module, "discrete_log_bounded", checked)
@@ -709,7 +717,7 @@ def test_cached_baby_steps_agree_with_a_fresh_search(algorithm, module, monkeypa
     assert [id(t) for t in tables[per_decrypt:]] == [
         id(t) for t in tables[:per_decrypt]
     ] * 3
-    if algorithm == "exp-elgamal":
+    if algorithm in BOUNDED_DLOG:
         over = scheme.add(scheme.encrypt(bound - 1, rng), scheme.encrypt(2, rng))
         with pytest.raises(DecryptionBoundError):
             scheme.decrypt(over)
@@ -836,12 +844,15 @@ def test_ec_c1_off_the_curve_never_meets_the_private_scalar(monkeypatch):
         scalars.append(k)
         return scalar_mul(k, point, curve)
 
-    monkeypatch.setattr(ec_elgamal_module, "scalar_mul", recording)
-    p = phe.scheme.curve.p
+    monkeypatch.setattr(ec_module, "scalar_mul", recording)
+    p = phe.scheme.group.p
     for bad in (CurvePoint(c1.x, c1.y + 1), CurvePoint(c1.x, c1.y + p)):
         assert_rejected(phe, (bad, c2))
         assert_rejected(phe, (c1, bad))
     assert x not in scalars
+    # control: the recording sees the private scalar of a valid decrypt
+    assert phe.decrypt(unbound(phe, (c1, c2))) == 5
+    assert x in scalars
     # the identity is a ciphertext point: c2 of m = 0 under scalar 0
-    assert phe.decrypt(unbound(phe, (c1, scalar_mul(x, c1, phe.scheme.curve)))) == 0
+    assert phe.decrypt(unbound(phe, (c1, scalar_mul(x, c1, phe.scheme.group)))) == 0
     assert phe.decrypt(unbound(phe, (IDENTITY, IDENTITY))) == 0

@@ -180,6 +180,45 @@ def test_parse_key_rejects_an_ec_point_off_its_curve():
 
 @pytest.mark.parametrize(
     "algorithm, field",
+    [("rsa", "d"), ("elgamal", "x"), ("exp-elgamal", "x"), ("ec-elgamal", "x")],
+)
+def test_parse_key_rejects_a_private_half_that_does_not_match(all_keys, algorithm, field):
+    """RSA needs e*d = 1 mod lcm(p-1, q-1), the ElGamal family g^x = h: an
+    RSA d of 0 decrypts everything to 1, an ElGamal x off by one to noise."""
+    keys = all_keys[algorithm]
+    doc = json.loads(serialize_key(keys))
+    good = doc["private"][field]
+    for bad in ("0", str(int(good) + 1)):
+        doc["private"][field] = bad
+        with pytest.raises(ParseError, match="'private'"):
+            parse_key(json.dumps(doc))
+    doc["private"][field] = good
+    assert parse_key(json.dumps(doc)) == keys
+
+
+def test_an_integer_past_the_digit_limit_is_refused_where_it_is_written(
+    int_digit_limit,
+):
+    """Keys of any size generate, parse and encrypt; only an integer with more
+    decimal digits than the interpreter's int/str limit cannot be written. A
+    256-bit n with s = 8 makes ciphertexts of about 694 digits, past 640."""
+    int_digit_limit(640)
+    keys = generate_keys("damgard-jurik", 256, params={"s": 8}, rng=RandomSource(1))
+    assert parse_key(serialize_key(keys)) == keys
+    phe = PHE(keys=keys, rng=RandomSource(2))
+    c = phe.encrypt(5)
+    assert phe.decrypt(c + c) == 10
+    with pytest.raises(ParseError, match="'payload.data'"):
+        serialize_ciphertext(c)
+    n = (1 << 2200) + 1
+    with pytest.raises(ParseError, match="'public.n'"):
+        serialize_key(KeyPair("paillier", 2200, {"n": n, "g": n + 1}, None, {}))
+    int_digit_limit(0)  # no limit
+    assert parse_ciphertext(serialize_ciphertext(c)).payload == c.payload
+
+
+@pytest.mark.parametrize(
+    "algorithm, field",
     sorted((a, f) for a, cls in SCHEME_CLASSES.items()
            for f in {"n", "p"}.intersection(cls.public_fields)),
 )
