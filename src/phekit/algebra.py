@@ -11,6 +11,8 @@ it back out exactly.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -33,12 +35,30 @@ from .serialization import (
 
 ScalarLike = Union[int, str, float, Fraction]
 
+# `Fraction` reads a decimal's digit strings with `int`, which refuses one past
+# the int/str digit limit; an exponent escapes that, and "1e2000000" is a short
+# string with a two-million-digit numerator
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
+def _check_exponent(text: str) -> None:
+    limit = sys.get_int_max_str_digits()
+    match = _EXPONENT.search(text)
+    if not limit or match is None:
+        return
+    # the unreduced numerator or denominator has at most this many digits
+    digits = sum(ch.isdigit() for ch in text[: match.start()]) + abs(int(match[1]))
+    if digits > limit:
+        raise ValueError(f"its exponent passes the {limit}-digit int/str limit")
+
 
 def to_rational(k: ScalarLike) -> Fraction:
     """Exact rational from an int, Fraction, decimal string, or float literal.
 
     Strings and floats go through their decimal spelling, so "1.05" and 1.05
-    both mean 21/20 exactly, never the nearest binary float.
+    both mean 21/20 exactly, never the nearest binary float. A NaN, an
+    infinity, or an exponent that takes the numerator or denominator past the
+    interpreter's int/str digit limit is a MathDomainError.
     """
     if isinstance(k, bool):
         raise MathDomainError("scalar must be a number, not a boolean")
@@ -46,13 +66,13 @@ def to_rational(k: ScalarLike) -> Fraction:
         value = Fraction(k)
     elif isinstance(k, Fraction):
         value = k
-    elif isinstance(k, str):
+    elif isinstance(k, (str, float)):
+        text = str(k)
         try:
-            value = Fraction(k)
+            _check_exponent(text)
+            value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise MathDomainError(f"not a valid scalar: {k!r} ({exc})") from None
-    elif isinstance(k, float):
-        value = Fraction(str(k))
     else:
         raise MathDomainError(f"unsupported scalar type: {type(k).__name__}")
     if value < 0:

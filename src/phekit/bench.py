@@ -1,19 +1,23 @@
 """Timing harness: per-scheme, per-level means for keygen, encrypt, decrypt,
 and each scheme's native homomorphic operation.
 
+One loop, `_time_calls`, times every cell: it prepares each repetition's
+arguments untimed (a plaintext draw, fresh ciphertexts), then times one call.
+
 Two schemes (benaloh, naccache-stern) are excluded at production key sizes by
-default and show up as skip rows; pass toy mode to time them at a small
-modulus instead. Output is a fixed-column CSV plus optional radar charts.
+default and show up as skip rows at the nominal key size; pass toy mode to
+time them at `TOY_MODULUS_BITS` instead. Output is a fixed-column CSV plus
+optional radar charts.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
-from .capabilities import ALGORITHMS, capabilities
+from .capabilities import ALGORITHMS, OPERATIONS, capabilities
 from .errors import DegenerateChartError, MathDomainError, ParseError
 from .numtheory import RandomSource
 from .schemes import generate_keys, scheme_for
@@ -63,17 +67,11 @@ class BenchRecord:
     operation: str
     repetitions: int
     mean_seconds: float
-    # not a CSV column: carries skip reasons and toy-size markers
-    note: str = field(default="", compare=False)
 
 
 def _native_operation(algorithm: str) -> str:
     cap = capabilities(algorithm)
-    if cap.hom_add:
-        return "add"
-    if cap.hom_mul:
-        return "mul"
-    return "xor"
+    return next(op for op in ("add", "mul", "xor") if getattr(cap, OPERATIONS[op][0]))
 
 
 def _key_size_for(algorithm: str, level: int) -> int:
@@ -88,46 +86,37 @@ def run_bench(plan: BenchPlan, rng: Optional[RandomSource] = None) -> list[Bench
     ordered = [a for a in ALGORITHMS if a in plan.algorithms]
     for algorithm in ordered:
         for level in sorted(plan.levels):
-            nominal_size = _key_size_for(algorithm, level)
-            if algorithm in SKIP_AT_SCALE and not plan.toy:
-                records.append(
-                    BenchRecord(
-                        algorithm, level, nominal_size, "skip", 0, 0.0,
-                        note="parameter search impractical at this key size",
-                    )
-                )
-                continue
+            key_size = _key_size_for(algorithm, level)
             if algorithm in SKIP_AT_SCALE:
+                if not plan.toy:
+                    records.append(BenchRecord(algorithm, level, key_size, "skip", 0, 0.0))
+                    continue
                 key_size = TOY_MODULUS_BITS
-                note = f"toy run at {TOY_MODULUS_BITS}-bit modulus"
-            else:
-                key_size = nominal_size
-                note = ""
-            records.extend(
-                _measure_cell(algorithm, level, key_size, note, plan, rng)
-            )
+            records.extend(_measure_cell(algorithm, level, key_size, plan.repetitions, rng))
     return records
 
 
-def _measure_cell(
-    algorithm: str,
-    level: int,
-    key_size: int,
-    note: str,
-    plan: BenchPlan,
-    rng: RandomSource,
-) -> list[BenchRecord]:
-    reps = plan.repetitions
-    is_gm = algorithm == "goldwasser-micali"
-
-    # keygen timing includes the scheme's full parameter search, retries and all
-    keygen_times = []
-    keys = None
+def _time_calls(reps: int, prepare: Callable[[], tuple], operation: Callable) -> list[float]:
+    """Seconds of each of `reps` calls `operation(*prepare())`; `prepare` is untimed."""
+    times = []
     for _ in range(reps):
+        args = prepare()
         start = time.perf_counter()
-        keys = generate_keys(algorithm, key_size, None, rng)
-        keygen_times.append(time.perf_counter() - start)
-    scheme = scheme_for(keys)
+        operation(*args)
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def _measure_cell(
+    algorithm: str, level: int, key_size: int, reps: int, rng: RandomSource
+) -> list[BenchRecord]:
+    # keygen timing includes the scheme's full parameter search, retries and all;
+    # every key pair is drawn before the other cells' plaintexts and nonces
+    keys = []
+    keygen_times = _time_calls(
+        reps, lambda: (), lambda: keys.append(generate_keys(algorithm, key_size, None, rng))
+    )
+    scheme = scheme_for(keys[-1])
     bound = scheme.plaintext_bound()
 
     def draw() -> int:
@@ -137,43 +126,24 @@ def _measure_cell(
         return m
 
     def fresh_cipher():
-        if is_gm:
+        if algorithm == "goldwasser-micali":
             return scheme.encrypt(draw(), rng, bits=PLAINTEXT_BITS)
         return scheme.encrypt(draw(), rng)
 
-    encrypt_times = []
-    for _ in range(reps):
-        m = draw()
-        start = time.perf_counter()
-        scheme.encrypt(m, rng)
-        encrypt_times.append(time.perf_counter() - start)
-
-    decrypt_times = []
-    for _ in range(reps):
-        c = fresh_cipher()
-        start = time.perf_counter()
-        scheme.decrypt(c)
-        decrypt_times.append(time.perf_counter() - start)
-
-    op_name = _native_operation(algorithm)
-    combine = {"add": scheme.add, "mul": scheme.mul, "xor": scheme.xor}[op_name]
-    homop_times = []
-    for _ in range(reps):
-        c1, c2 = fresh_cipher(), fresh_cipher()
-        start = time.perf_counter()
-        combine(c1, c2)
-        homop_times.append(time.perf_counter() - start)
-
-    def record(operation: str, times: list[float]) -> BenchRecord:
-        return BenchRecord(
-            algorithm, level, key_size, operation, reps, sum(times) / len(times), note
-        )
-
+    # encrypt passes no `bits`: Goldwasser-Micali's cell times its minimal width
+    timed = {
+        "keygen": keygen_times,
+        "encrypt": _time_calls(reps, lambda: (draw(), rng), scheme.encrypt),
+        "decrypt": _time_calls(reps, lambda: (fresh_cipher(),), scheme.decrypt),
+        "homop": _time_calls(
+            reps,
+            lambda: (fresh_cipher(), fresh_cipher()),
+            getattr(scheme, _native_operation(algorithm)),
+        ),
+    }
     return [
-        record("keygen", keygen_times),
-        record("encrypt", encrypt_times),
-        record("decrypt", decrypt_times),
-        record("homop", homop_times),
+        BenchRecord(algorithm, level, key_size, operation, reps, sum(times) / len(times))
+        for operation, times in timed.items()
     ]
 
 

@@ -50,36 +50,27 @@ class Capability:
     regeneration: bool
 
 
-def _cap(mul: bool, add: bool, scalar: bool, xor: bool, regen: bool) -> Capability:
-    return Capability(mul, add, scalar, xor, regen)
-
-
 _MATRIX: dict[str, Capability] = {
-    "rsa": _cap(True, False, False, False, False),
-    "goldwasser-micali": _cap(False, False, False, True, False),
-    "elgamal": _cap(True, False, False, False, False),
-    "exp-elgamal": _cap(False, True, True, False, True),
-    "benaloh": _cap(False, True, True, False, True),
-    "ec-elgamal": _cap(False, True, True, False, False),
-    "naccache-stern": _cap(False, True, True, False, True),
-    "okamoto-uchiyama": _cap(False, True, True, False, True),
-    "paillier": _cap(False, True, True, False, True),
-    "damgard-jurik": _cap(False, True, True, False, True),
+    "rsa": Capability(True, False, False, False, False),
+    "goldwasser-micali": Capability(False, False, False, True, False),
+    "elgamal": Capability(True, False, False, False, False),
+    "exp-elgamal": Capability(False, True, True, False, True),
+    "benaloh": Capability(False, True, True, False, True),
+    "ec-elgamal": Capability(False, True, True, False, False),
+    "naccache-stern": Capability(False, True, True, False, True),
+    "okamoto-uchiyama": Capability(False, True, True, False, True),
+    "paillier": Capability(False, True, True, False, True),
+    "damgard-jurik": Capability(False, True, True, False, True),
 }
 
-# operation token -> (Capability field, phrase used in the frozen message)
-_OP_FIELDS: dict[str, str] = {
-    "mul": "hom_mul",
-    "add": "hom_add",
-    "scalar": "scalar_mul",
-    "xor": "hom_xor",
-    "regen": "regeneration",
-}
-
-_OP_PHRASES: dict[str, str] = {
-    "add": "the addition",
-    "mul": "the multiplication",
-    "xor": "the exclusive or",
+# operation token -> (Capability field, frozen denial text after the display
+# name), in Capability field order
+OPERATIONS: dict[str, tuple[str, str]] = {
+    "mul": ("hom_mul", "is not homomorphic with respect to the multiplication"),
+    "add": ("hom_add", "is not homomorphic with respect to the addition"),
+    "scalar": ("scalar_mul", "does not support scalar multiplication"),
+    "xor": ("hom_xor", "is not homomorphic with respect to the exclusive or"),
+    "regen": ("regeneration", "does not support ciphertext regeneration"),
 }
 
 
@@ -95,15 +86,8 @@ def ensure_supported(algorithm: str, operation: str) -> None:
     The message wording is part of the public contract; callers match on it.
     """
     cap = capabilities(algorithm)
-    if operation not in _OP_FIELDS:
+    if operation not in OPERATIONS:
         raise CapabilityError(f"unknown operation: {operation}")
-    if getattr(cap, _OP_FIELDS[operation]):
-        return
-    name = DISPLAY_NAMES[algorithm]
-    if operation in _OP_PHRASES:
-        raise CapabilityError(
-            f"{name} is not homomorphic with respect to {_OP_PHRASES[operation]}"
-        )
-    if operation == "scalar":
-        raise CapabilityError(f"{name} does not support scalar multiplication")
-    raise CapabilityError(f"{name} does not support ciphertext regeneration")
+    flag, denial = OPERATIONS[operation]
+    if not getattr(cap, flag):
+        raise CapabilityError(f"{DISPLAY_NAMES[algorithm]} {denial}")

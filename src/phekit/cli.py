@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import bench as bench_mod
 from .algebra import PHE, parse_ciphertext, serialize_ciphertext
-from .capabilities import ALGORITHMS, capabilities
+from .capabilities import ALGORITHMS, OPERATIONS, capabilities
 from .errors import CapabilityError, PheError
 from .numtheory import TEST_SEED_ENV, RandomSource
 from .schemes import KeyPair, generate_keys
@@ -189,14 +189,11 @@ def _cmd_regen(args: argparse.Namespace) -> int:
 
 def _cmd_capabilities(args: argparse.Namespace) -> int:
     cap = capabilities(args.algorithm)
-
-    def flag(b: bool) -> str:
-        return "yes" if b else "no"
-
-    print(
-        f"{args.algorithm}: mul={flag(cap.hom_mul)} add={flag(cap.hom_add)} "
-        f"scalar={flag(cap.scalar_mul)} xor={flag(cap.hom_xor)} regen={flag(cap.regeneration)}"
+    flags = " ".join(
+        f"{op}={'yes' if getattr(cap, flag) else 'no'}"
+        for op, (flag, _) in OPERATIONS.items()
     )
+    print(f"{args.algorithm}: {flags}")
     return EXIT_OK
 
 

@@ -71,10 +71,13 @@ def lcm(a: int, b: int) -> int:
 
 
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
-    """Miller-Rabin with random bases after small-prime trial division.
+    """Miller-Rabin after small-prime trial division, with bases drawn from a
+    generator seeded with n, so the same n always gets the same verdict.
 
-    False-positive probability is at most 4**-rounds. Inputs below 997**2 are
-    decided exactly by the trial division.
+    False-positive probability is at most 4**-rounds for inputs not chosen
+    against these bases: the bases are a function of n, so a composite could
+    be searched for that passes them. Inputs below 997**2 are decided exactly
+    by the trial division.
     """
     if rounds < 1:
         raise MathDomainError("rounds must be >= 1")
@@ -91,9 +94,9 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    rng = random.SystemRandom()
+    bases = random.Random(n)
     for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
+        a = bases.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -49,10 +49,21 @@ def test_to_rational_accepts_common_spellings():
     assert to_rational(0.1) == Fraction(1, 10)  # decimal spelling, not the float
 
 
-@pytest.mark.parametrize("bad", [True, -1, "-0.5", "abc", "1/0", None, [1]])
+@pytest.mark.parametrize("bad", [True, -1, "-0.5", "abc", "1/0", None, [1],
+                                 float("nan"), float("inf"), float("-inf")])
 def test_to_rational_rejects(bad):
     with pytest.raises(MathDomainError):
         to_rational(bad)
+
+
+def test_to_rational_bounds_the_exponent_by_the_digit_limit(int_digit_limit):
+    int_digit_limit(640)
+    for bad in ("1e700", "1e-700", "1E640", "1.5e-639", "1e" + "9" * 700):
+        with pytest.raises(MathDomainError, match="not a valid scalar"):
+            to_rational(bad)
+    # 10**639 and 10**-639 have 640 digits, which the limit allows
+    assert to_rational("1e639") == 10**639
+    assert to_rational("1e-639") == Fraction(1, 10**639)
 
 
 # ------------------------------------------------------- capability matrix
@@ -169,6 +180,11 @@ def test_capability_errors_surface_through_operators(paillier, rsa):
 def test_cross_algorithm_operands_rejected(paillier, rsa):
     with pytest.raises(OperandMismatchError, match="cannot combine"):
         paillier.encrypt(1) + rsa.encrypt(1)
+    foreign = rsa.encrypt(1)
+    for use in (paillier.decrypt, lambda c: paillier.scalar(2, c), paillier.regenerate):
+        with pytest.raises(OperandMismatchError,
+                           match="keys are for paillier, ciphertext is rsa"):
+            use(foreign)
 
 
 def test_foreign_key_pair_rejected(paillier):

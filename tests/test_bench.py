@@ -79,7 +79,6 @@ def test_skip_rows_at_scale():
         assert r.repetitions == 0
         assert r.mean_seconds == 0.0
         assert r.key_size == 1024  # the size that was skipped, not the toy size
-        assert r.note
 
 
 def test_toy_mode_measures_the_slow_pair():
@@ -89,7 +88,6 @@ def test_toy_mode_measures_the_slow_pair():
     for r in records:
         assert r.operation != "skip"
         assert r.key_size == TOY_MODULUS_BITS
-        assert "toy" in r.note
 
 
 def test_ec_uses_curve_sizes():

@@ -402,3 +402,33 @@ def test_damgard_jurik_ciphertext_past_the_digit_limit_exits_4(tmp_path, capsys,
                 "--out", str(c)]) == 4
     assert "'payload.data'" in capsys.readouterr().err
     assert not c.exists()
+
+
+def test_smul_scalar_past_the_digit_limit_exits_4(tmp_path, paillier_keys, capsys,
+                                                  int_digit_limit):
+    # "1e700" is five characters but a 701-digit numerator
+    int_digit_limit(640)
+    keys, _ = paillier_keys
+    c, out = tmp_path / "c.json", tmp_path / "scaled.json"
+    run(["encrypt", "--keys", str(keys), "--plaintext", "3", "--out", str(c)])
+    capsys.readouterr()
+    assert run(["smul", "--keys", str(keys), "--in", str(c), "--scalar", "1e700",
+                "--out", str(out)]) == 4
+    assert "1e700" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_keygen_dlp_bound_bounds_the_plaintext(tmp_path, capsys):
+    keys, c = tmp_path / "k.json", tmp_path / "c.json"
+    assert run(["keygen", "--algorithm", "exp-elgamal", "--key-size", "64",
+                "--dlp-bound", "1000", "--out", str(keys)]) == 0
+    assert parse_key(keys.read_text()).params["dlp_bound"] == 1000
+    for m in ("1000", "1001"):
+        assert run(["encrypt", "--keys", str(keys), "--plaintext", m,
+                    "--out", str(c)]) == 4
+        assert not c.exists()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "999",
+                "--out", str(c)]) == 0
+    capsys.readouterr()
+    assert run(["decrypt", "--keys", str(keys), "--in", str(c)]) == 0
+    assert capsys.readouterr().out == "999\n"

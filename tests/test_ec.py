@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phekit.ec import (
     CURVE_BY_ECC_BITS,
@@ -145,3 +147,27 @@ def test_get_curve_unknown_name():
 def test_curve_point_identity_flag():
     assert IDENTITY.is_identity
     assert not CurvePoint(5, 1).is_identity
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+
+
+# `cryptography` 48 has no secp160r1, so that curve keeps only the registry
+# invariants above
+@pytest.mark.parametrize("name", ["secp224r1", "secp256r1", "secp384r1"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_scalar_mul_matches_cryptography(oracle, name, data):
+    curve = get_curve(name)
+    # integers() leans towards small and boundary values; the randoms branch
+    # adds full-width scalars
+    k = data.draw(
+        st.integers(1, curve.order - 1)
+        | st.randoms(use_true_random=False).map(lambda r: r.randrange(1, curve.order)),
+        label="k",
+    )
+    private = oracle.derive_private_key(k, getattr(oracle, name.upper())())
+    public = private.public_key().public_numbers()
+    assert scalar_mul(k, curve.g, curve) == CurvePoint(public.x, public.y)

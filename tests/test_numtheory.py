@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -56,6 +57,18 @@ def test_is_probable_prime_fixtures():
     assert not is_probable_prime(3233)  # 61 * 53
     with pytest.raises(MathDomainError):
         is_probable_prime(7, rounds=0)
+
+
+def test_is_probable_prime_takes_no_system_randomness(monkeypatch):
+    prime = gen_prime(512, RandomSource(7))
+    composite = gen_prime(256, RandomSource(8)) * gen_prime(256, RandomSource(9))
+
+    def refuse():
+        raise AssertionError("Miller-Rabin drew a base from SystemRandom")
+
+    monkeypatch.setattr(random, "SystemRandom", refuse)
+    assert is_probable_prime(prime)
+    assert not is_probable_prime(composite)
 
 
 def test_is_probable_prime_agrees_with_sieve_below_one_million():

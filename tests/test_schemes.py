@@ -423,6 +423,18 @@ def test_benaloh_budget_exhaustion(rng, monkeypatch):
         generate_keys("benaloh", 48, params={"block_size": 17}, rng=rng)
 
 
+def test_naccache_stern_rejects_too_few_primes_or_too_small_a_key(rng):
+    with pytest.raises(MathDomainError, match="at least two message primes"):
+        generate_keys("naccache-stern", 256, params={"prime_count": 1}, rng=rng)
+    with pytest.raises(MathDomainError, match="32 too small for 8 message primes"):
+        generate_keys("naccache-stern", 32, rng=rng)
+
+
+def test_ec_keygen_at_an_unregistered_size_lists_the_sizes(rng):
+    with pytest.raises(MathDomainError, match=r"\(sizes: 160, 224, 256, 384\)"):
+        generate_keys("ec-elgamal", 200, rng=rng)
+
+
 def test_damgard_jurik_rejects_bad_s(rng):
     with pytest.raises(MathDomainError):
         generate_keys("damgard-jurik", 64, params={"s": 0}, rng=rng)
