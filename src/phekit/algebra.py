@@ -52,6 +52,13 @@ def _check_exponent(text: str) -> None:
         raise ValueError(f"its exponent passes the {limit}-digit int/str limit")
 
 
+def _excerpt(text: str, limit: int) -> str:
+    """text, or its first `limit` characters and its length when longer."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def to_rational(k: ScalarLike) -> Fraction:
     """Exact rational from an int, Fraction, decimal string, or float literal.
 
@@ -72,7 +79,10 @@ def to_rational(k: ScalarLike) -> Fraction:
             _check_exponent(text)
             value = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise MathDomainError(f"not a valid scalar: {k!r} ({exc})") from None
+            # both parts can repeat the whole scalar, of any length
+            raise MathDomainError(
+                f"not a valid scalar: {_excerpt(repr(text), 34)} ({_excerpt(str(exc), 64)})"
+            ) from None
     else:
         raise MathDomainError(f"unsupported scalar type: {type(k).__name__}")
     if value < 0:

@@ -1,8 +1,10 @@
-"""Affine Weierstrass elliptic-curve arithmetic and a named-curve registry.
+"""Weierstrass elliptic-curve arithmetic and a named-curve registry.
 
 Curves are y^2 = x^3 + a*x + b over GF(p). Points are affine with an explicit
-identity marker; all group operations go through modular inversion (no
-projective coordinates). A `CurveParams` is also the group of its points,
+identity marker, and one point addition (`point_add`) costs a modular
+inversion. Scalar multiples and fixed-base powers run in Jacobian
+coordinates (`JacobianCurve`), which need no inversion, and convert back to
+affine once at the end. A `CurveParams` is also the group of its points,
 with `numtheory.UnitGroup`'s members: ElGamal and the discrete-log search
 run on either.
 """
@@ -10,10 +12,10 @@ run on either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import MathDomainError, UnknownCurveError
-from .numtheory import mod_inv
+from .numtheory import fixed_base_pow, fixed_base_table, mod_inv
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,91 @@ class CurveParams:
     def inv(self, point: CurvePoint) -> CurvePoint:
         return point_neg(point, self)
 
+    def fixed_base(self, point: CurvePoint, bits: int) -> Callable[[int], CurvePoint]:
+        """k -> k*point by a fixed-base table for scalars below 2**bits."""
+        jacobian = JacobianCurve(self)
+        table = fixed_base_table(jacobian, jacobian.lift(point), bits)
+        return lambda k: jacobian.affine(fixed_base_pow(jacobian, table, k))
+
+
+Jacobian = tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class JacobianCurve:
+    """The points of `curve` as Jacobian triples (X, Y, Z), standing for the
+    affine point (X/Z^2, Y/Z^3), with Z = 0 for the identity. Adding and
+    doubling take no inversion (Cohen-Miyaji-Ono), so chains of them run
+    here and convert to affine once; a group with `identity`, `op` and
+    `exp`, like `CurveParams`."""
+
+    curve: CurveParams
+    identity = (1, 1, 0)
+
+    def lift(self, point: CurvePoint) -> Jacobian:
+        return self.identity if point.is_identity else (point.x, point.y, 1)
+
+    def affine(self, point: Jacobian) -> CurvePoint:
+        x, y, z = point
+        if not z:
+            return IDENTITY
+        p = self.curve.p
+        z_inv = mod_inv(z, p)
+        zz_inv = z_inv * z_inv % p
+        return CurvePoint(x * zz_inv % p, y * zz_inv * z_inv % p)
+
+    def double(self, point: Jacobian) -> Jacobian:
+        x, y, z = point
+        if not z or not y:
+            # the identity, or a point of order 2
+            return self.identity
+        p = self.curve.p
+        yy = y * y % p
+        zz = z * z % p
+        s = 4 * x * yy % p
+        m = (3 * x * x + self.curve.a * zz * zz) % p
+        x3 = (m * m - 2 * s) % p
+        return x3, (m * (s - x3) - 8 * yy * yy) % p, 2 * y * z % p
+
+    def op(self, p1: Jacobian, p2: Jacobian) -> Jacobian:
+        """The group law: identity cases, then doubling or the inverse pair
+        when both stand for one x, else the chord rule."""
+        x1, y1, z1 = p1
+        x2, y2, z2 = p2
+        if not z1:
+            return p2
+        if not z2:
+            return p1
+        p = self.curve.p
+        z1z1 = z1 * z1 % p
+        u2 = x2 * z1z1 % p
+        s2 = y2 * z1 * z1z1 % p
+        if z2 == 1:
+            # p2 came from an affine point
+            u1, s1 = x1, y1
+        else:
+            z2z2 = z2 * z2 % p
+            u1 = x1 * z2z2 % p
+            s1 = y1 * z2 * z2z2 % p
+        h = (u2 - u1) % p
+        r = (s2 - s1) % p
+        if not h:
+            return self.double(p1) if not r else self.identity
+        hh = h * h % p
+        hhh = h * hh % p
+        v = u1 * hh % p
+        x3 = (r * r - hhh - 2 * v) % p
+        return x3, (r * (v - x3) - s1 * hhh) % p, z1 * z2 * h % p
+
+    def exp(self, point: Jacobian, k: int) -> Jacobian:
+        """k*point for k >= 0, by left-to-right double-and-add."""
+        result = self.identity
+        for bit in bin(k)[2:]:
+            result = self.double(result)
+            if bit == "1":
+                result = self.op(result, point)
+        return result
+
 
 def is_on_curve(point: CurvePoint, curve: CurveParams) -> bool:
     """The identity, or reduced coordinates that satisfy the curve equation."""
@@ -94,18 +181,12 @@ def point_neg(point: CurvePoint, curve: CurveParams) -> CurvePoint:
 
 
 def scalar_mul(k: int, point: CurvePoint, curve: CurveParams) -> CurvePoint:
-    """k*P by double-and-add. k is reduced mod the group order first."""
+    """k*P by double-and-add in Jacobian coordinates, with one inversion at
+    the end. k is reduced mod the group order first."""
     if k < 0:
         raise MathDomainError("negative scalars are not supported")
-    k %= curve.order
-    result = IDENTITY
-    addend = point
-    while k:
-        if k & 1:
-            result = point_add(result, addend, curve)
-        addend = point_add(addend, addend, curve)
-        k >>= 1
-    return result
+    jacobian = JacobianCurve(curve)
+    return jacobian.affine(jacobian.exp(jacobian.lift(point), k % curve.order))
 
 
 # Registry. toy17 is a textbook 19-point group for tests; the rest are the

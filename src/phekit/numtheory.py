@@ -6,11 +6,13 @@ must not be shared across concurrent callers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from functools import cache, partial
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from .errors import MathDomainError, NotInvertibleError
 
@@ -18,11 +20,11 @@ TEST_SEED_ENV = "PHE_TEST_SEED"
 
 DEFAULT_MR_ROUNDS = 40
 
-# Primes below 1000, for trial division ahead of Miller-Rabin. Covers every
-# composite below 997^2, so small inputs are decided exactly.
-_SMALL_PRIMES: tuple[int, ...] = tuple(
-    n for n in range(2, 1000) if all(n % d for d in range(2, int(n ** 0.5) + 1))
-)
+# Trial division ahead of Miller-Rabin covers the primes below this limit:
+# one gcd with the product of those below 1000, which decides every input
+# below 997^2, and for larger inputs one with the product of the rest
+# (`_trial_division`, built on the first call)
+_TRIAL_LIMIT = 1 << 16
 
 
 class RandomSource:
@@ -70,25 +72,42 @@ def lcm(a: int, b: int) -> int:
     return math.lcm(a, b)
 
 
+@cache
+def _trial_division() -> tuple[frozenset, int, int]:
+    """The primes below 1000, their product, and the product of the primes
+    from 1000 up to `_TRIAL_LIMIT`."""
+    sieve = bytearray([1]) * _TRIAL_LIMIT
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(_TRIAL_LIMIT) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, _TRIAL_LIMIT, i)))
+    small = frozenset(itertools.compress(range(1000), sieve))
+    rest = itertools.compress(range(1000, _TRIAL_LIMIT), memoryview(sieve)[1000:])
+    return small, math.prod(small), math.prod(rest)
+
+
 def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     """Miller-Rabin after small-prime trial division, with bases drawn from a
     generator seeded with n, so the same n always gets the same verdict.
 
     False-positive probability is at most 4**-rounds for inputs not chosen
     against these bases: the bases are a function of n, so a composite could
-    be searched for that passes them. Inputs below 997**2 are decided exactly
-    by the trial division.
+    be searched for that passes them. Inputs below 2**16 are decided exactly
+    by the trial division, which finds a factor of every composite below 2**32.
     """
     if rounds < 1:
         raise MathDomainError("rounds must be >= 1")
-    if n < 2:
+    small_primes, small, rest = _trial_division()
+    if n < 1000:
+        return n in small_primes
+    if math.gcd(n, small) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    # n is odd and > 997 here
+    if n < _TRIAL_LIMIT:
+        # a composite below 997^2 has a factor below 1000
+        return True
+    if math.gcd(n, rest % n) != 1:
+        return False
+    # n is odd and has no factor below 2^16 here
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -206,6 +225,51 @@ class UnitGroup:
 
     def inv(self, a: int) -> int:
         return mod_inv(a, self.modulus)
+
+    def fixed_base(self, base: int, bits: int) -> Callable[[int], int]:
+        """k -> base**k by a fixed-base table for exponents below 2**bits."""
+        return partial(fixed_base_pow, self, fixed_base_table(self, base, bits))
+
+
+def fixed_base_table(group: Any, base: Any, bits: int) -> tuple[int, list]:
+    """(w, [base**(2**(w*i)) for each w-bit digit i of a `bits`-bit exponent]).
+
+    w makes `fixed_base_pow` cheapest, at ceil(bits/w) + 2**w - 2 group ops:
+    6 for 1024 bits (171 entries, about 28 KB per 1024-bit base), 4 for 160.
+    Building it takes about one plain power's worth of group ops.
+    """
+    width = min(range(1, 9), key=lambda w: -(-bits // w) + (1 << w))
+    table, value, op = [base], base, group.op
+    for _ in range(-(-bits // width) - 1):
+        for _ in range(width):
+            value = op(value, value)
+        table.append(value)
+    return width, table
+
+
+def fixed_base_pow(group: Any, table: tuple[int, list], k: int) -> Any:
+    """base**k in `group` from `fixed_base_table(group, base, bits)`, k >= 0.
+
+    Brickell-Gordon-McCurley-Wilson (HAC 14.117): with digits k_i of k in
+    base 2**w, base**k is the product over d of (prod of entries i with
+    k_i >= d), in at most len(entries) + 2**w - 2 group ops and no squaring.
+    An exponent past the table's width falls back to `group.exp`.
+    """
+    width, entries = table
+    mask = (1 << width) - 1
+    if k >> (width * len(entries)):
+        return group.exp(entries[0], k)
+    by_digit: list[list] = [[] for _ in range(mask + 1)]
+    for entry in entries:
+        by_digit[k & mask].append(entry)
+        k >>= width
+    op = group.op
+    result = partial_product = group.identity
+    for digit in range(mask, 0, -1):
+        for entry in by_digit[digit]:
+            partial_product = op(partial_product, entry)
+        result = op(result, partial_product)
+    return result
 
 
 BabySteps = Tuple[dict, int, Any]

@@ -263,9 +263,16 @@ class ModulusScheme(Scheme):
         """
         if not self.keys.has_private:
             return pow(x, e, self.modulus)
-        (p, p_k, order_p), (q, q_k, order_q), p_k_inv = self._crt
-        x_p = pow(x, e % order_p if x % p else e, p_k)
-        x_q = pow(x, e % order_q if x % q else e, q_k)
+        (p, p_k, order_p), (q, q_k, order_q), _ = self._crt
+        return self._crt_join(
+            pow(x, e % order_p if x % p else e, p_k),
+            pow(x, e % order_q if x % q else e, q_k),
+        )
+
+    def _crt_join(self, x_p: int, x_q: int) -> int:
+        """The residue modulo `modulus` that is x_p modulo the p-power and x_q
+        modulo the q-power."""
+        (_, p_k, _), (_, q_k, _), p_k_inv = self._crt
         return x_p + p_k * ((x_q - x_p) * p_k_inv % q_k)
 
     @cached_property

@@ -8,6 +8,7 @@ both schemes share this module's encryption and decryption.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Any
 
 from ..errors import MathDomainError
@@ -62,12 +63,39 @@ class DamgardJurik(ModulusScheme):
             g_m = self._one_plus_n_pow(m)
         else:
             g_m = pow(self.g, m, self.modulus)
-        return g_m * self._private_pow(r, self.n_s) % self.modulus
+        return g_m * self._nonce_pow(r) % self.modulus
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         m_lam = self._extract_exponent(self._private_pow(c, self.lam))
         return m_lam * self.mu % self.n_s
+
+    def _nonce_pow(self, r: int) -> int:
+        """r^(n^s) mod n^(s+1) for a unit r, the same integer as builtin `pow`.
+
+        With the private key, per prime by the p-adic lift: if a = b mod p^j
+        then a^p = b^p mod p^(j+1), so x^(p^s) mod p^(s+1) depends only on x
+        mod p, and s p-th powers at rising precision compute it from
+        r^(q^s) mod p = r^(q^s mod (p-1)) mod p. The same for q; the two
+        are joined by CRT.
+        """
+        if not self.keys.has_private:
+            return pow(r, self.n_s, self.modulus)
+        lifted = []
+        for prime, exponent in self._lift:
+            x, prime_j = pow(r, exponent, prime), prime
+            for _ in range(self.s):
+                prime_j *= prime
+                x = pow(x, prime, prime_j)
+            lifted.append(x)
+        return self._crt_join(*lifted)
+
+    @cached_property
+    def _lift(self) -> tuple:
+        """(p, q^s mod (p-1)) and (q, p^s mod (q-1)), built on the first
+        private-key encryption."""
+        p, q, s = self.p, self.q, self.s
+        return (p, pow(q, s, p - 1)), (q, pow(p, s, q - 1))
 
     def _one_plus_n_pow(self, m: int) -> int:
         """(1+n)^m mod n^(s+1) via the binomial expansion, s+1 terms."""

@@ -49,8 +49,9 @@ class EcElGamal(ExpElGamal):
     def plaintext_bound(self) -> int:
         return min(self.keys.params["dlp_bound"], self.group.order)
 
-    def _nonce(self, rng: RandomSource) -> int:
-        return rng.randrange(1, self.group.order)
+    @property
+    def _nonce_range(self) -> tuple[int, int]:
+        return 1, self.group.order
 
     @classmethod
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:

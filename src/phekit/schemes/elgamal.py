@@ -1,4 +1,5 @@
-"""ElGamal over a group with `identity`, `op`, `exp` and `inv`, in two flavors.
+"""ElGamal over a group with `identity`, `op`, `exp`, `inv` and
+`fixed_base`, in two flavors.
 
 Classic ElGamal runs in Z*_p, multiplies plaintexts into the second
 component and is multiplicatively homomorphic. Exponential ElGamal is
@@ -65,21 +66,30 @@ class ElGamal(Scheme):
     def group(self) -> UnitGroup:
         return UnitGroup(self.p)
 
+    @cached_property
+    def _fixed_bases(self) -> tuple:
+        """k -> g**k and k -> h**k by fixed-base tables sized for the nonces,
+        built on the first encryption."""
+        bits = self._nonce_range[1].bit_length()
+        return self.group.fixed_base(self.g, bits), self.group.fixed_base(self.h, bits)
+
     def plaintext_bound(self) -> int:
         return self.p
 
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
-        group, r = self.group, self._nonce(rng)
-        return group.exp(self.g, r), group.op(self._encode(m), group.exp(self.h, r))
+        g_pow, h_pow = self._fixed_bases
+        r = rng.randrange(*self._nonce_range)
+        return g_pow(r), self.group.op(self._encode(m), h_pow(r))
 
     def decrypt(self, c: Payload) -> int:
         self.require_private()
         group, (c1, c2) = self.group, c
         return self._decode(group.op(c2, group.inv(group.exp(c1, self.x))))
 
-    def _nonce(self, rng: RandomSource) -> int:
-        return rng.randrange(2, self.p - 1)
+    @property
+    def _nonce_range(self) -> tuple[int, int]:
+        return 2, self.p - 1
 
     def _is_member(self, c: Payload) -> bool:
         # c1 = g^r is a unit; classic ElGamal encrypts m = 0 to c2 = 0
@@ -116,7 +126,7 @@ class ExpElGamal(ElGamal):
         return baby_steps(self.group, self.g, self.dlp_bound)
 
     def _encode(self, m: int) -> Any:
-        return self.group.exp(self.g, m)
+        return self._fixed_bases[0](m)
 
     def _decode(self, element: Any) -> int:
         m = discrete_log_bounded(

@@ -418,6 +418,21 @@ def test_smul_scalar_past_the_digit_limit_exits_4(tmp_path, paillier_keys, capsy
     assert not out.exists()
 
 
+def test_smul_long_scalar_is_cut_in_the_error(tmp_path, paillier_keys, capsys):
+    keys, _ = paillier_keys
+    c, out = tmp_path / "c.json", tmp_path / "scaled.json"
+    run(["encrypt", "--keys", str(keys), "--plaintext", "3", "--out", str(c)])
+    capsys.readouterr()
+    for scalar in ("1e" + "9" * 5000, "1.5x" * 2000):
+        assert run(["smul", "--keys", str(keys), "--in", str(c), "--scalar", scalar,
+                    "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a valid scalar" in captured.err
+        assert len(captured.err) < 200
+        assert not out.exists()
+
+
 def test_keygen_dlp_bound_bounds_the_plaintext(tmp_path, capsys):
     keys, c = tmp_path / "k.json", tmp_path / "c.json"
     assert run(["keygen", "--algorithm", "exp-elgamal", "--key-size", "64",

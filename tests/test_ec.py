@@ -19,6 +19,27 @@ from phekit.numtheory import is_probable_prime
 TOY = get_curve("toy17")
 
 
+def affine_scalar_mul(k, point, curve):
+    """k*P by right-to-left double-and-add over affine `point_add`: the
+    reference for the Jacobian `scalar_mul` and the fixed-base tables."""
+    k %= curve.order
+    result, addend = IDENTITY, point
+    while k:
+        if k & 1:
+            result = point_add(result, addend, curve)
+        addend = point_add(addend, addend, curve)
+        k >>= 1
+    return result
+
+
+def toy_points():
+    """Every point of toy17, the identity first."""
+    return [IDENTITY] + [
+        CurvePoint(x, y) for x in range(17) for y in range(17)
+        if is_on_curve(CurvePoint(x, y), TOY)
+    ]
+
+
 def test_toy17_registry_entry():
     assert (TOY.p, TOY.a, TOY.b) == (17, 2, 2)
     assert (TOY.g.x, TOY.g.y) == (5, 1)
@@ -56,6 +77,44 @@ def test_scalar_mul_fixtures():
     assert scalar_mul(20, g, TOY) == g
     with pytest.raises(MathDomainError):
         scalar_mul(-1, g, TOY)
+
+
+def test_jacobian_scalar_mul_matches_affine_on_every_toy17_point():
+    points = toy_points()
+    assert len(points) == TOY.order
+    for point in points:
+        for k in range(41):
+            assert scalar_mul(k, point, TOY) == affine_scalar_mul(k, point, TOY)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["secp160r1", "secp256r1"]),
+       j=st.integers(1, 2**400), k=st.integers(0, 2**400))
+def test_jacobian_scalar_mul_matches_affine(name, j, k):
+    curve = get_curve(name)
+    point = affine_scalar_mul(j, curve.g, curve)
+    for scalar in (k, 0, 1, curve.order - 1, curve.order, curve.order + 1):
+        assert scalar_mul(scalar, point, curve) == affine_scalar_mul(scalar, point, curve)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["secp160r1", "secp224r1"]),
+       j=st.integers(1, 2**224), data=st.data())
+def test_fixed_base_table_matches_affine(name, j, data):
+    curve = get_curve(name)
+    point = affine_scalar_mul(j, curve.g, curve)
+    power = curve.fixed_base(point, curve.order.bit_length())
+    ks = [0, 1, 2, curve.order - 1] + data.draw(
+        st.lists(st.integers(0, curve.order - 1), min_size=1, max_size=4))
+    for k in ks:
+        assert power(k) == affine_scalar_mul(k, point, curve)
+
+
+def test_fixed_base_table_on_every_toy17_point():
+    for point in toy_points():
+        power = TOY.fixed_base(point, TOY.order.bit_length())
+        for k in range(TOY.order):
+            assert power(k) == affine_scalar_mul(k, point, TOY)
 
 
 def test_scalar_mul_matches_iterated_addition():

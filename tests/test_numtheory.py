@@ -13,6 +13,7 @@ from phekit.numtheory import (
     baby_steps,
     crt,
     discrete_log_bounded,
+    fixed_base_table,
     gen_group_prime,
     gen_prime,
     is_probable_prime,
@@ -81,6 +82,44 @@ def test_is_probable_prime_agrees_with_sieve_below_one_million():
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     for n in range(limit):
         assert is_probable_prime(n, rounds=8) == bool(sieve[n]), n
+
+
+PRIMES_BELOW_1000 = [d for d in range(2, 1000) if all(d % e for e in range(2, d))]
+
+
+def reference_is_probable_prime(n: int, rounds: int = 40) -> bool:
+    """Division by the primes below 1000, then Miller-Rabin with the same
+    n-seeded bases: the primality test before its gcd trial division."""
+    if n < 2:
+        return False
+    for p in PRIMES_BELOW_1000:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    bases = random.Random(n)
+    for _ in range(rounds):
+        x = pow(bases.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2**16, 2**80), factor=st.sampled_from([1, 1009, 65521, 2**61 - 1]))
+def test_is_probable_prime_agrees_with_division_below_1000(n, factor):
+    """The gcd with the primes below 2^16 changes no verdict, including on
+    multiples of primes between 1000 and 2^16."""
+    n = n | 1
+    assert is_probable_prime(n) == reference_is_probable_prime(n)
+    assert is_probable_prime(n * factor) == reference_is_probable_prime(n * factor)
 
 
 def test_gen_prime_eight_bits(rng):
@@ -225,6 +264,24 @@ def test_curve_discrete_log_with_a_kept_table_matches_iterated_op(
     table = baby_steps(group, base, bound)
     assert discrete_log_bounded(group, base, target, bound, table) == expected
     assert discrete_log_bounded(group, base, target, bound) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bits=st.integers(16, 96), data=st.data())
+def test_fixed_base_pow_matches_builtin_pow(seed, bits, data):
+    """BGMW from a fixed-base table against builtin pow, over the group of a
+    random toy ElGamal key: edge exponents, random ones and ones past the
+    table's width (which fall back to pow)."""
+    p, _ = gen_group_prime(bits, 8, RandomSource(seed))
+    g = data.draw(st.integers(2, p - 1))
+    power = UnitGroup(p).fixed_base(g, p.bit_length())
+    width, entries = fixed_base_table(UnitGroup(p), g, p.bit_length())
+    covered = width * len(entries)
+    assert covered >= p.bit_length()
+    exponents = [0, 1, 2, p - 2, p - 1, 2**covered - 1, 2**covered, p**2]
+    exponents += data.draw(st.lists(st.integers(0, p), min_size=1, max_size=8))
+    for k in exponents:
+        assert power(k) == pow(g, k, p), k
 
 
 def test_crt_fixtures():

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -638,6 +640,79 @@ def test_decrypt_matches_the_pow_formula(algorithm, key_seed, s, k):
     for c in awkward_inputs(scheme, k) + [scheme.encrypt(k % scheme.plaintext_bound(),
                                                          RandomSource(k))]:
         assert scheme.decrypt(c) == slow_decrypt(scheme, c)
+
+
+@fast_path_settings
+@given(
+    algorithm=st.sampled_from(["paillier", "damgard-jurik"]),
+    key_seed=seeds,
+    s=st.integers(1, 4),
+    r_seed=seeds,
+)
+def test_nonce_lift_matches_builtin_pow(algorithm, key_seed, s, r_seed):
+    """r^(n^s) by the per-prime lift against builtin pow modulo n^(s+1)."""
+    scheme = scheme_for(crt_keys(algorithm, key_seed, s))
+    n, s = scheme.n, scheme.s
+    nonces = [1, n - 1, random_coprime_below(n, RandomSource(r_seed))]
+    for r in nonces:
+        assert scheme._nonce_pow(r) == pow(r, n**s, n ** (s + 1))
+
+
+@fast_path_settings
+@given(
+    algorithm=st.sampled_from(["elgamal", "exp-elgamal", "ec-elgamal"]),
+    key_seed=seeds,
+    enc_seed=seeds,
+    data=st.data(),
+)
+def test_fixed_base_encryption_matches_plain_powers(algorithm, key_seed, enc_seed, data):
+    """Each ElGamal-family ciphertext equals (g^r, encode(m) * h^r) with the
+    same nonce r, the powers taken by `group.exp`."""
+    if algorithm == "ec-elgamal":
+        params = {"curve": data.draw(st.sampled_from(["toy17", "secp160r1"]))}
+        keys = generate_keys(algorithm, 0, params=params, rng=RandomSource(key_seed))
+    else:
+        keys = crt_keys(algorithm, key_seed, 1)
+    scheme = scheme_for(keys)
+    group = scheme.group
+    m = data.draw(st.integers(0, min(scheme.plaintext_bound(), 2**16) - 1))
+    c1, c2 = scheme.encrypt(m, RandomSource(enc_seed))
+    r = RandomSource(enc_seed).randrange(*scheme._nonce_range)
+    encoded = m if algorithm == "elgamal" else group.exp(scheme.g, m)
+    assert c1 == group.exp(scheme.g, r)
+    assert c2 == group.op(encoded, group.exp(scheme.h, r))
+
+
+@pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
+def test_constructing_a_scheme_builds_no_fixed_base_table(algorithm, rng):
+    """Tables and lift exponents wait for the first encryption, so a scheme
+    rebuilt per call pays for none of them."""
+    keys = toy_keys(algorithm, rng)
+    for copy in (keys, keys.public_only()):
+        scheme = scheme_for(copy)
+        assert "_fixed_bases" not in vars(scheme)
+        assert "_lift" not in vars(scheme)
+    scheme = scheme_for(keys)
+    scheme.encrypt(1, rng)
+    assert ("_fixed_bases" in vars(scheme)) == ("elgamal" in algorithm)
+    assert ("_lift" in vars(scheme)) == (algorithm in ("paillier", "damgard-jurik"))
+
+
+def test_importing_phekit_builds_no_table():
+    """No fixed-base table and no trial-division sieve at import."""
+    code = (
+        "import sys\n"
+        "built = []\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in (\n"
+        "            'fixed_base_table', '_trial_division'):\n"
+        "        built.append(frame.f_code.co_name)\n"
+        "sys.setprofile(watch)\n"
+        "import phekit, phekit.ec, phekit.cli, phekit.bench\n"
+        "sys.setprofile(None)\n"
+        "assert not built, built\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 @fast_path_settings
