@@ -12,7 +12,7 @@ message prime r, exponential ElGamal is ElGamal on g^m, and EC-ElGamal is
 exponential ElGamal on a curve. Each family has one `encrypt` and one
 `decrypt`. Construction precomputes decryption constants and nothing else.
 The first private-key power of a modulus scheme adds its CRT constants (and,
-for Paillier and Damgard-Jurik, the exponents of the per-prime r^(n^s) on
+for Paillier and Damgard-Jurik, the constants of the per-prime r^(n^s) on
 the first encryption); the first encryption of an ElGamal-family scheme
 builds fixed-base tables for g and h (one entry per 6-bit digit of a
 1024-bit nonce, about 28 KB per base); and the first decrypt builds the

@@ -1,8 +1,8 @@
 """Paillier: additively homomorphic modulo n, ciphertexts modulo n^2.
 
-Paillier is Damgard-Jurik at s = 1: encryption, decryption and the
-decryption constant mu = L(g^lambda mod n^2)^-1 mod n are Damgard-Jurik's.
-Its key files carry no `s`.
+Paillier is Damgard-Jurik at s = 1, so encryption and decryption are
+Damgard-Jurik's: decryption is Paillier's CRT form, L_p(c^(p-1) mod p^2) * h_p
+mod p per prime with h_p = L_p(g^(p-1) mod p^2)^-1. Its key files carry no `s`.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@ import json
 import pytest
 
 from conftest import expected_denial
-from phekit import parse_key
+from phekit import parse_key, serialize_key
 from phekit.cli import run
 from phekit.numtheory import TEST_SEED_ENV
+from phekit.schemes import KeyPair
 
 
 @pytest.fixture(autouse=True)
@@ -174,6 +175,21 @@ def test_key_without_its_params_exits_4(tmp_path, capsys):
     assert run(["encrypt", "--keys", str(dj), "--plaintext", "3",
                 "--out", str(tmp_path / "c.json")]) == 4
     assert "params.s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s, private, code", [
+    (2, True, 0), (3, True, 4), (0, True, 4), (3, False, 0), (0, False, 4)])
+def test_damgard_jurik_s_outside_its_domain_exits_4(tmp_path, capsys, s, private, code):
+    """Damgard and Jurik define the scheme for 1 <= s < p, q: with p = 3, a
+    private key with s = 3 is refused where the key file is read, naming the
+    field, and so is s = 0 on any key."""
+    keys, out = tmp_path / "dj.json", tmp_path / "c.json"
+    pair = KeyPair("damgard-jurik", 4, {"n": 15, "g": 16}, {"p": 3, "q": 5}, {"s": s})
+    keys.write_text(serialize_key(pair if private else pair.public_only()))
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "0",
+                "--out", str(out)]) == code
+    assert ("params.s" in capsys.readouterr().err) == (code == 4)
+    assert out.exists() == (code == 0)
 
 
 def test_key_whose_factors_miss_the_modulus_exits_4(tmp_path, paillier_keys, capsys):

@@ -5,7 +5,8 @@
 breaks the traced run; this catches it here rather than in the next
 benchmark run. The per-scheme `encrypt`/`decrypt` spans are wrapped on the
 class that defines the method, so `roundtrip` also checks that every
-algorithm still records them.
+algorithm still records them. `cli` runs each command as a child process
+and replays it in process under tracing; the two must write the same bytes.
 """
 
 import json
@@ -20,7 +21,7 @@ from phekit.schemes import SCHEME_CLASSES
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["tally", "roundtrip"])
+@pytest.mark.parametrize("workload", ["tally", "roundtrip", "cli"])
 def test_traced_run_completes(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

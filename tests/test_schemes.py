@@ -581,16 +581,34 @@ def group_exponent(scheme) -> int:
     return lam
 
 
+def damgard_jurik_log(a: int, n: int, s: int) -> int:
+    """i from a = (1+n)^i mod n^(s+1): Damgard and Jurik's textbook
+    extraction, with k! inverted modulo n^j (so every prime of n exceeds s)."""
+    i = 0
+    for j in range(1, s + 1):
+        n_j = n**j
+        t1 = (a % (n_j * n) - 1) // n
+        t2 = i
+        for k in range(2, j + 1):
+            i -= 1
+            t2 = t2 * i % n_j
+            t1 = (t1 - t2 * n ** (k - 1) * pow(math.factorial(k), -1, n_j)) % n_j
+        i = t1
+    return i
+
+
 def slow_decrypt(scheme, c: int) -> int:
-    """Each CRT scheme's decryption formula with builtin pow modulo `modulus`."""
+    """Each CRT scheme's decryption formula with builtin pow modulo `modulus`;
+    Paillier and Damgard-Jurik raise c to lambda = lcm(p - 1, q - 1) and scale
+    by mu = log(g^lambda)^-1 mod n^s, both computed here from p, q and g."""
+    p, q = scheme.keys.private["p"], scheme.keys.private["q"]
     if scheme.algorithm == "rsa":
         return pow(c, scheme.keys.private["d"], scheme.n)
-    if scheme.algorithm == "paillier":
-        return (pow(c, scheme.lam, scheme.modulus) - 1) // scheme.n * scheme.mu % scheme.n
-    if scheme.algorithm == "damgard-jurik":
-        m_lam = scheme._extract_exponent(pow(c, scheme.lam, scheme.modulus))
-        return m_lam * scheme.mu % scheme.n_s
-    p = scheme.keys.private["p"]
+    if scheme.algorithm in ("paillier", "damgard-jurik"):
+        n, s, modulus = scheme.n, scheme.s, scheme.modulus
+        lam = math.lcm(p - 1, q - 1)
+        mu = pow(damgard_jurik_log(pow(scheme.g, lam, modulus), n, s), -1, n**s)
+        return damgard_jurik_log(pow(c, lam, modulus), n, s) * mu % n**s
     return (pow(c, p - 1, p * p) - 1) // p * scheme.denom_inv % p
 
 
@@ -636,9 +654,20 @@ def test_private_pow_matches_builtin_pow(algorithm, key_seed, s, k, e):
     k=st.integers(1, 2**128),
 )
 def test_decrypt_matches_the_pow_formula(algorithm, key_seed, s, k):
-    scheme = scheme_for(crt_keys(algorithm, key_seed, s))
-    for c in awkward_inputs(scheme, k) + [scheme.encrypt(k % scheme.plaintext_bound(),
-                                                         RandomSource(k))]:
+    """RSA and Okamoto-Uchiyama agree on every awkward input. Paillier and
+    Damgard-Jurik decrypt per prime, which is defined on ciphertexts, the
+    units below the modulus; `PHE.bind` refuses the other awkward inputs."""
+    keys = crt_keys(algorithm, key_seed, s)
+    scheme = scheme_for(keys)
+    inputs = awkward_inputs(scheme, k)
+    if algorithm in ("paillier", "damgard-jurik"):
+        phe = PHE(keys=keys)
+        units = [x for x in inputs if scheme._is_member(x)]
+        for x in set(inputs) - set(units):
+            with pytest.raises(PayloadTypeError):
+                phe.bind(Ciphertext(algorithm, x, phe.fingerprint))
+        inputs = units + [1, scheme.n - 1, scheme.modulus - 1]
+    for c in inputs + [scheme.encrypt(k % scheme.plaintext_bound(), RandomSource(k))]:
         assert scheme.decrypt(c) == slow_decrypt(scheme, c)
 
 
@@ -656,6 +685,20 @@ def test_nonce_lift_matches_builtin_pow(algorithm, key_seed, s, r_seed):
     nonces = [1, n - 1, random_coprime_below(n, RandomSource(r_seed))]
     for r in nonces:
         assert scheme._nonce_pow(r) == pow(r, n**s, n ** (s + 1))
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_nonce_power_and_decryption_with_a_prime_at_most_s(s):
+    """n = 15: p = 3 <= s from s = 3 on, which no toy keygen reaches. The
+    per-prime nonce power matches builtin pow on every unit r, and every
+    message decrypts."""
+    n = 15
+    scheme = scheme_for(replace(DJ_TOY, params={"s": s}))
+    for r in range(1, n):
+        if math.gcd(r, n) == 1:
+            assert scheme._nonce_pow(r) == pow(r, n**s, n ** (s + 1))
+    for m in range(0, n**s, max(1, n**s // 300)):
+        assert scheme.decrypt(scheme.encrypt(m, RandomSource(m))) == m
 
 
 @fast_path_settings
@@ -722,10 +765,11 @@ def test_damgard_jurik_lambda_decryption_matches_the_d_exponent(
 ):
     # the textbook exponent d = 1 mod n^s, 0 mod lambda reads m out directly
     scheme = scheme_for(crt_keys("damgard-jurik", key_seed, s))
-    d = crt([1, 0], [scheme.n_s, scheme.lam])
+    p, q = scheme.keys.private["p"], scheme.keys.private["q"]
+    d = crt([1, 0], [scheme.n_s, math.lcm(p - 1, q - 1)])
     m = data.draw(st.integers(0, scheme.n_s - 1))
     c = scheme.encrypt(m, RandomSource(enc_seed))
-    assert scheme.decrypt(c) == scheme._extract_exponent(pow(c, d, scheme.modulus)) == m
+    assert scheme.decrypt(c) == damgard_jurik_log(pow(c, d, scheme.modulus), scheme.n, s) == m
 
 
 @fast_path_settings
