@@ -118,6 +118,9 @@ def _measure_cell(
     )
     scheme = scheme_for(keys[-1])
     bound = scheme.plaintext_bound()
+    # one untimed encrypt and decrypt, on draws of their own, builds the
+    # fixed-base and baby-step tables, so every timed call is a steady one
+    scheme.decrypt(scheme.encrypt(0, RandomSource()))
 
     def draw() -> int:
         m = rng.getrandbits(PLAINTEXT_BITS)

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import bench as bench_mod
 from .algebra import PHE, parse_ciphertext, serialize_ciphertext
 from .capabilities import ALGORITHMS, OPERATIONS, capabilities
 from .errors import CapabilityError, PheError
@@ -198,6 +197,8 @@ def _cmd_capabilities(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench as bench_mod  # only this command needs it
+
     try:
         levels = tuple(int(part) for part in args.levels.split(",") if part)
     except ValueError:

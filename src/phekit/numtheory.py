@@ -333,6 +333,36 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     return x % m
 
 
+def binomial_pow(x: int, e: int, terms: int, modulus: int) -> int:
+    """(1+x)^e mod modulus as the first `terms` binomial terms C(e, k) x^k,
+    for e >= 0 and x^terms divisible by modulus."""
+    result = term = power = 1
+    for k in range(1, terms):
+        # C(e, k) from C(e, k-1): an exact integer, so nothing is inverted
+        term = term * (e - k + 1) // k
+        power = power * x % modulus
+        result = (result + term * power) % modulus
+    return result
+
+
+def binomial_log(a: int, base: int, digits: int) -> int:
+    """i mod base^digits from a = (1+base)^i mod base^(digits+1), for an odd
+    base: Paillier's L(a) at one digit.
+
+    Digit by digit: with i mod base^(j-1) known, L(a mod base^(j+1)) minus the
+    exact integers C(i, k) * base^(k-1), k in [2, j], is i mod base^j. No
+    factorial is inverted, so base may have a prime factor <= digits.
+    """
+    i = 0
+    for j in range(1, digits + 1):
+        base_j = base**j
+        t = (a % (base_j * base) - 1) // base
+        for k in range(2, j + 1):
+            t -= math.comb(i, k) * base ** (k - 1)
+        i = t % base_j
+    return i
+
+
 def random_coprime_below(n: int, rng: RandomSource) -> int:
     """Uniform r in [2, n-1] with gcd(r, n) = 1, by rejection sampling."""
     if n < 3:

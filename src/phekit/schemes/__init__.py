@@ -10,12 +10,13 @@ subclass it, keeping only their key fields, `_keygen` and small hooks:
 Paillier is Damgard-Jurik at s = 1, Benaloh is Naccache-Stern with the one
 message prime r, exponential ElGamal is ElGamal on g^m, and EC-ElGamal is
 exponential ElGamal on a curve. Each family has one `encrypt` and one
-`decrypt`. Construction precomputes decryption constants and nothing else.
-The first private-key power of a modulus scheme adds its CRT constants (and,
-for Paillier and Damgard-Jurik, the constants of the per-prime r^(n^s) on
-the first encryption); the first encryption of an ElGamal-family scheme
-builds fixed-base tables for g and h (one entry per 6-bit digit of a
-1024-bit nonce, about 28 KB per base); and the first decrypt builds the
+`decrypt`; Okamoto-Uchiyama, Paillier and Damgard-Jurik decrypt through one
+routine, `ModulusScheme._log_decrypt`. One build rule holds throughout: a
+private key's per-prime and decryption constants are built with the
+instance (for a modulus scheme, one table of its private primes), and
+tables are built on first use: the first encryption of an ElGamal-family
+scheme builds fixed-base tables for g and h (one entry per 6-bit digit of a
+1024-bit nonce, about 28 KB per base), and the first decrypt builds the
 baby-step tables of the discrete-log schemes. So hold on to the instance
 (or a PHE facade, which holds one) rather than rebuilding it.
 """

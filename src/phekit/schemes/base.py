@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Any, ClassVar, Optional, Union
 
 from ..capabilities import ensure_supported
@@ -27,7 +26,7 @@ from ..errors import (
     PayloadTypeError,
     PlaintextRangeError,
 )
-from ..numtheory import RandomSource
+from ..numtheory import RandomSource, binomial_log, mod_inv
 
 # single: int | pair: (int, int) | bits: list[int] | point_pair: (CurvePoint, CurvePoint)
 Payload = Union[int, tuple, list]
@@ -85,9 +84,10 @@ class Scheme(ABC):
     raw operation hooks their capability row allows. The constructor sets
     one attribute per declared field (a private field is None on a
     public-only key); subclass constructors add only derived constants.
-    Instances precompute decryption constants when the private part is
-    present, and modulus schemes add their CRT constants on their first
-    private-key power, so reuse one instance across many calls.
+    One build rule holds for every scheme: a private key's per-prime and
+    decryption constants are built with the instance, and tables (fixed-base
+    powers, baby steps) are built on first use, so reuse one instance across
+    many calls.
     """
 
     algorithm: ClassVar[str]
@@ -243,7 +243,10 @@ class ModulusScheme(Scheme):
 
     Combining multiplies two ciphertexts and a scalar raises one to a power,
     both modulo `modulus` = `n ** modulus_power`, with the public
-    n = p**a * q**b (`n_exponents`).
+    n = p**a * q**b (`n_exponents`). As for every scheme, a private key's
+    per-prime constants are built with the instance (`_primes`, the one
+    table the private-key powers and `_log_decrypt` read), and tables are
+    built on first use.
     """
 
     payload_variant = "single"
@@ -253,6 +256,17 @@ class ModulusScheme(Scheme):
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
         self.modulus = self.n**self.modulus_power
+        if keys.has_private:
+            rows = []
+            for prime, a in zip((self.p, self.q), self.n_exponents):
+                k = a * self.modulus_power
+                # h_p inverts e_p modulo p^(k-1), with g^(p-1) = (1+p)^e_p mod p^k
+                h = None if k == 1 else mod_inv(binomial_log(
+                    pow(self.g, prime - 1, prime**k), prime, k - 1), prime ** (k - 1))
+                rows.append((prime, prime**k, prime ** (k - 1) * (prime - 1), h))
+            # (prime, p^k, order of the units mod p^k, h_p or None) per prime,
+            # then p^k's inverse modulo q^k
+            self._primes = (*rows, pow(rows[0][1], -1, rows[1][1]))
 
     def _private_pow(self, x: int, e: int) -> int:
         """x**e mod `modulus`, the same integer as builtin `pow`.
@@ -263,7 +277,7 @@ class ModulusScheme(Scheme):
         """
         if not self.keys.has_private:
             return pow(x, e, self.modulus)
-        (p, p_k, order_p), (q, q_k, order_q), _ = self._crt
+        (p, p_k, order_p, _), (q, q_k, order_q, _), _ = self._primes
         return self._crt_join(
             pow(x, e % order_p if x % p else e, p_k),
             pow(x, e % order_q if x % q else e, q_k),
@@ -272,23 +286,22 @@ class ModulusScheme(Scheme):
     def _crt_join(self, x_p: int, x_q: int) -> int:
         """The residue modulo `modulus` that is x_p modulo the p-power and x_q
         modulo the q-power."""
-        (_, p_k, _), (_, q_k, _), p_k_inv = self._crt
+        (_, p_k, _, _), (_, q_k, _, _), p_k_inv = self._primes
         return x_p + p_k * ((x_q - x_p) * p_k_inv % q_k)
 
-    @cached_property
-    def _crt(self) -> tuple:
-        """Per private prime (prime, its power in `modulus`, that power's
-        group order), then the p-power's inverse modulo the q-power; built
-        on the first private-key power."""
-        p, q = self.p, self.q
-        a, b = self.n_exponents
-        p_k = p ** (a * self.modulus_power)
-        q_k = q ** (b * self.modulus_power)
-        return (
-            (p, p_k, p_k // p * (p - 1)),
-            (q, q_k, q_k // q * (q - 1)),
-            pow(p_k, -1, q_k),
-        )
+    def _log_decrypt(self, c: int) -> int:
+        """m from c = g^m * x with x^(p-1) = 1 mod p^k: for each prime with
+        k >= 2, c^(p-1) mod p^k is (1+p)^(m * e_p), so h_p times its exponent
+        in base p is m mod p^(k-1); two such residues join by CRT."""
+        self.require_private()
+        (p, p_k, _, h_p), (q, q_k, _, h_q), p_k_inv = self._primes
+        p_digits, q_digits = (a * self.modulus_power - 1 for a in self.n_exponents)
+        m_p = binomial_log(pow(c, p - 1, p_k), p, p_digits) * h_p % (p_k // p)
+        if h_q is None:
+            return m_p
+        m_q = binomial_log(pow(c, q - 1, q_k), q, q_digits) * h_q % (q_k // q)
+        # p^k * p_k_inv = 1 mod q^k, so p * p_k_inv inverts p^(k-1) mod q^(k-1)
+        return m_p + p_k // p * ((m_q - m_p) * p * p_k_inv % (q_k // q))
 
     def _is_member(self, c: Payload) -> bool:
         # a unit below the modulus: every power of g, r and h is one

@@ -8,10 +8,11 @@ second factor of r in p-1, and runs under the same retry budget.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from ..errors import KeygenExhaustedError, MathDomainError
 from ..numtheory import RandomSource, gen_prime, is_probable_prime
+from .base import KeyPair
 from .naccache_stern import RETRY_BUDGET, NaccacheStern
 
 
@@ -25,6 +26,13 @@ class Benaloh(NaccacheStern):
 
     def _message_primes(self) -> list[int]:
         return [self.r]
+
+    @classmethod
+    def _message_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        r = keys.public["r"]
+        if r < 3 or not is_probable_prime(r):
+            return "public.r", f"must be an odd prime, got {r}"
+        return None
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):

@@ -10,8 +10,9 @@ so they run under an explicit retry budget instead of looping forever.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from typing import Any
+from typing import Any, Optional
 
 from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
 from ..numtheory import (
@@ -64,18 +65,37 @@ class NaccacheStern(ModulusScheme):
         return message_primes(self.keys.params["prime_count"])
 
     @classmethod
+    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        """Decryption needs sigma to be the message primes' product and, with the
+        private key, each message prime p_i to divide phi once, g^(phi/p_i) != 1."""
+        fault = super().key_fault(keys) or cls._message_fault(keys)
+        if fault is None and keys.has_private:
+            scheme = cls(keys)
+            phi = (scheme.p - 1) * (scheme.q - 1)
+            for prime, exponent, base in scheme._parts:
+                if phi % prime or exponent % prime == 0:
+                    return "private", f"message prime {prime} does not divide phi once"
+                if base == 1:  # the generator: g, or y for Benaloh
+                    return f"public.{cls.public_fields[1]}", f"its phi/{prime}-th power is 1"
+        return fault
+
+    @classmethod
+    def _message_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        count, sigma = keys.params["prime_count"], keys.public["sigma"]
+        # the first `count` odd primes multiply to at least 3^count, past count bits
+        if not 2 <= count < sigma.bit_length():
+            return "params.prime_count", f"must be 2 to sigma's bit length - 1, got {count}"
+        if math.prod(message_primes(count)) != sigma:
+            return "public.sigma", f"is not the product of the first {count} odd primes"
+        return None
+
+    @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         count = params["prime_count"]
         if count < 2:
             raise MathDomainError("naccache-stern needs at least two message primes")
         primes = message_primes(count)
-        half = count // 2
-        u = 1
-        for prime in primes[:half]:
-            u *= prime
-        v = 1
-        for prime in primes[half:]:
-            v *= prime
+        u, v = math.prod(primes[: count // 2]), math.prod(primes[count // 2 :])
         sigma = u * v
 
         p_bits = security_bits // 2

@@ -10,8 +10,8 @@ import math
 from typing import Any
 
 from ..errors import MathDomainError
-from ..numtheory import RandomSource, gen_prime, mod_inv, random_coprime_below
-from .base import KeyPair, ModulusScheme, Payload
+from ..numtheory import RandomSource, gen_prime, random_coprime_below
+from .base import ModulusScheme, Payload
 
 
 class OkamotoUchiyama(ModulusScheme):
@@ -24,14 +24,6 @@ class OkamotoUchiyama(ModulusScheme):
     private_fields = ("p", "q")
     n_exponents = (2, 1)
 
-    def __init__(self, keys: KeyPair):
-        super().__init__(keys)
-        self.plaintext_bits = keys.params["plaintext_bits"]
-        if keys.has_private:
-            self.p_sq = self.p * self.p
-            denom = self._little_l(pow(self.g, self.p - 1, self.p_sq))
-            self.denom_inv = mod_inv(denom, self.p)
-
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         if params["plaintext_bits"] is not None:
@@ -42,31 +34,23 @@ class OkamotoUchiyama(ModulusScheme):
         p_bits = (security_bits + 2) // 3
         q_bits = security_bits - 2 * p_bits
         while True:
-            p = gen_prime(p_bits, rng)
-            q = gen_prime(q_bits, rng)
-            if p == q:
-                continue
+            p, q = gen_prime(p_bits, rng), gen_prime(q_bits, rng)
             n = p * p * q
-            if n.bit_length() != security_bits:
-                continue
-            break
-        p_sq = p * p
+            if p != q and n.bit_length() == security_bits:
+                break
         while True:
             g = rng.randrange(2, n)
             if math.gcd(g, n) != 1:
                 continue
             # g must land outside the (p-1)-th power residues mod p^2 so the
-            # logarithm map below is nondegenerate
-            if pow(g, p - 1, p_sq) != 1:
+            # logarithm map of decryption is nondegenerate
+            if pow(g, p - 1, p * p) != 1:
                 break
         params["plaintext_bits"] = p_bits - 1
         return {"n": n, "g": g, "h": pow(g, n, n)}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
-        return 1 << self.plaintext_bits
-
-    def _little_l(self, u: int) -> int:
-        return (u - 1) // self.p
+        return 1 << self.keys.params["plaintext_bits"]
 
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
@@ -74,6 +58,4 @@ class OkamotoUchiyama(ModulusScheme):
         return pow(self.g, m, self.n) * self._private_pow(self.h, r) % self.n
 
     def decrypt(self, c: Payload) -> int:
-        self.require_private()
-        numer = self._little_l(pow(c, self.p - 1, self.p_sq))
-        return numer * self.denom_inv % self.p
+        return self._log_decrypt(c)

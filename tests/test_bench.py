@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from phekit import RandomSource
+from phekit import RandomSource, bench
 from phekit.bench import (
     CSV_HEADER,
     LEVEL_TO_CURVE_BITS,
@@ -94,6 +94,32 @@ def test_ec_uses_curve_sizes():
     plan = BenchPlan(algorithms=("ec-elgamal",), repetitions=1)
     records = run_bench(plan, RandomSource(3))
     assert all(r.key_size == 160 for r in records)
+
+
+@pytest.mark.parametrize(
+    "algorithm, key_size, tables",
+    [
+        ("elgamal", 64, {"_fixed_bases"}),
+        ("exp-elgamal", 64, {"_fixed_bases", "_baby_steps"}),
+        ("ec-elgamal", 160, {"_fixed_bases", "_baby_steps"}),
+        ("naccache-stern", TOY_MODULUS_BITS, {"_baby_steps"}),
+    ],
+)
+def test_tables_exist_before_the_first_timed_call(monkeypatch, algorithm, key_size, tables):
+    """The cell's untimed warm-up builds the one-off tables, so no timed
+    repetition pays for them."""
+    built = []
+    time_calls = bench._time_calls
+
+    def spy(reps, prepare, operation):
+        scheme = getattr(operation, "__self__", None)  # None for keygen
+        if scheme is not None:
+            built.append(tables & set(vars(scheme)))
+        return time_calls(reps, prepare, operation)
+
+    monkeypatch.setattr(bench, "_time_calls", spy)
+    bench._measure_cell(algorithm, 80, key_size, 1, RandomSource(5))
+    assert built == [tables] * 3  # encrypt, decrypt, homop
 
 
 def test_csv_golden_shape():

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -344,6 +346,11 @@ def test_bench_toy_run(tmp_path, capsys):
         assert svg.startswith("<svg")
     err = capsys.readouterr().err
     assert "wrote" in err
+
+
+def test_importing_the_cli_leaves_the_bench_harness_out():
+    code = "import sys, phekit.cli\nassert 'phekit.bench' not in sys.modules\n"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_ciphertext_that_no_key_pair_produces_exits_4(tmp_path, paillier_keys, capsys):

@@ -11,6 +11,8 @@ from phekit.errors import MathDomainError, NotInvertibleError
 from phekit.numtheory import (
     UnitGroup,
     baby_steps,
+    binomial_log,
+    binomial_pow,
     crt,
     discrete_log_bounded,
     fixed_base_table,
@@ -282,6 +284,41 @@ def test_fixed_base_pow_matches_builtin_pow(seed, bits, data):
     exponents += data.draw(st.lists(st.integers(0, p), min_size=1, max_size=8))
     for k in exponents:
         assert power(k) == pow(g, k, p), k
+
+
+# odd bases, with 15 and 21 among those that have a prime factor <= digits
+odd_bases = st.one_of(
+    st.sampled_from([3, 5, 9, 15, 21, 105]), st.integers(1, 400).map(lambda v: 2 * v + 1)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=odd_bases, digits=st.integers(1, 5), z=st.integers(0, 2**40), data=st.data())
+def test_binomial_log_inverts_binomial_pow(base, digits, z, data):
+    """(1 + base*z)^i by its first digits+1 binomial terms is builtin pow
+    modulo base^(digits+1), and binomial_log reads i mod base^digits back."""
+    modulus = base ** (digits + 1)
+    i = data.draw(st.integers(0, base ** (digits + 2)))
+    assert binomial_pow(base * z, i, digits + 1, modulus) == pow(1 + base * z, i, modulus)
+    assert binomial_log(binomial_pow(base, i, digits + 1, modulus), base, digits) == (
+        i % base**digits
+    )
+
+
+@pytest.mark.parametrize(
+    "base, digits", [(3, 1), (3, 4), (5, 3), (9, 2), (15, 2), (15, 3), (21, 2), (35, 2)]
+)
+def test_binomial_log_matches_a_brute_force_log(base, digits):
+    """1+base has order base^digits modulo base^(digits+1); every power of it
+    gives back its exponent."""
+    modulus = base ** (digits + 1)
+    logs: dict[int, int] = {}
+    x = 1
+    for i in range(base**digits):
+        logs.setdefault(x, i)
+        x = x * (1 + base) % modulus
+    assert x == 1 and len(logs) == base**digits
+    assert all(binomial_log(a, base, digits) == i for a, i in logs.items())
 
 
 def test_crt_fixtures():

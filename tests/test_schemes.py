@@ -40,6 +40,7 @@ from phekit.schemes import (
     scheme_class,
     scheme_for,
 )
+from phekit.schemes.base import ModulusScheme
 
 
 class FixedRandom:
@@ -575,7 +576,7 @@ def group_exponent(scheme) -> int:
     if scheme.algorithm == "paillier":
         return scheme.n * lam
     if scheme.algorithm == "damgard-jurik":
-        return scheme.n_s * lam
+        return scheme.n**scheme.s * lam
     if scheme.algorithm == "okamoto-uchiyama":
         return math.lcm(p * (p - 1), q - 1)
     return lam
@@ -600,7 +601,8 @@ def damgard_jurik_log(a: int, n: int, s: int) -> int:
 def slow_decrypt(scheme, c: int) -> int:
     """Each CRT scheme's decryption formula with builtin pow modulo `modulus`;
     Paillier and Damgard-Jurik raise c to lambda = lcm(p - 1, q - 1) and scale
-    by mu = log(g^lambda)^-1 mod n^s, both computed here from p, q and g."""
+    by mu = log(g^lambda)^-1 mod n^s, both computed here from p, q and g;
+    Okamoto-Uchiyama scales L(c^(p-1) mod p^2) by L(g^(p-1) mod p^2)^-1 mod p."""
     p, q = scheme.keys.private["p"], scheme.keys.private["q"]
     if scheme.algorithm == "rsa":
         return pow(c, scheme.keys.private["d"], scheme.n)
@@ -609,7 +611,8 @@ def slow_decrypt(scheme, c: int) -> int:
         lam = math.lcm(p - 1, q - 1)
         mu = pow(damgard_jurik_log(pow(scheme.g, lam, modulus), n, s), -1, n**s)
         return damgard_jurik_log(pow(c, lam, modulus), n, s) * mu % n**s
-    return (pow(c, p - 1, p * p) - 1) // p * scheme.denom_inv % p
+    h_p = pow((pow(scheme.g, p - 1, p * p) - 1) // p, -1, p)
+    return (pow(c, p - 1, p * p) - 1) // p * h_p % p
 
 
 @fast_path_settings
@@ -728,17 +731,17 @@ def test_fixed_base_encryption_matches_plain_powers(algorithm, key_seed, enc_see
 
 @pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
 def test_constructing_a_scheme_builds_no_fixed_base_table(algorithm, rng):
-    """Tables and lift exponents wait for the first encryption, so a scheme
-    rebuilt per call pays for none of them."""
+    """Tables wait for the first encryption, so a scheme rebuilt per call
+    pays for none of them; a public-only copy builds no per-prime table."""
     keys = toy_keys(algorithm, rng)
     for copy in (keys, keys.public_only()):
         scheme = scheme_for(copy)
         assert "_fixed_bases" not in vars(scheme)
-        assert "_lift" not in vars(scheme)
+    assert "_primes" not in vars(scheme_for(keys.public_only()))
     scheme = scheme_for(keys)
+    assert ("_primes" in vars(scheme)) == isinstance(scheme, ModulusScheme)
     scheme.encrypt(1, rng)
     assert ("_fixed_bases" in vars(scheme)) == ("elgamal" in algorithm)
-    assert ("_lift" in vars(scheme)) == (algorithm in ("paillier", "damgard-jurik"))
 
 
 def test_importing_phekit_builds_no_table():
@@ -766,8 +769,8 @@ def test_damgard_jurik_lambda_decryption_matches_the_d_exponent(
     # the textbook exponent d = 1 mod n^s, 0 mod lambda reads m out directly
     scheme = scheme_for(crt_keys("damgard-jurik", key_seed, s))
     p, q = scheme.keys.private["p"], scheme.keys.private["q"]
-    d = crt([1, 0], [scheme.n_s, math.lcm(p - 1, q - 1)])
-    m = data.draw(st.integers(0, scheme.n_s - 1))
+    d = crt([1, 0], [scheme.n**s, math.lcm(p - 1, q - 1)])
+    m = data.draw(st.integers(0, scheme.n**s - 1))
     c = scheme.encrypt(m, RandomSource(enc_seed))
     assert scheme.decrypt(c) == damgard_jurik_log(pow(c, d, scheme.modulus), scheme.n, s) == m
 

@@ -132,10 +132,41 @@ def test_parse_key_rejects_bad_documents(all_keys):
     n = all_keys["paillier"].public["n"]
     corrupt("public.g", public={"n": str(n)})
     corrupt("private.d", source="rsa", private={"p": "3", "q": "5"})
+
+    def public(source, **fields):
+        return {k: str(v) for k, v in dict(all_keys[source].public, **fields).items()}
+
+    # Naccache-Stern's sigma must be the product of the first prime_count odd
+    # primes (3 * 5 * 7 * 11 = 1155 here), Benaloh's r an odd prime
+    ns, benaloh = all_keys["naccache-stern"].public, all_keys["benaloh"].public
+    corrupt("public.sigma", "naccache-stern", public=public("naccache-stern", sigma=1155 // 7))
+    for count in ("0", "1", "11", "3000"):
+        corrupt("params.prime_count", "naccache-stern", params={"prime_count": count})
+    for r in (9, 2, 1, 0):
+        corrupt("public.r", "benaloh", public=public("benaloh", r=r))
+    # with the private key: 13 divides neither key's phi, 5^2 divides
+    # Benaloh's, and a generator raised to sigma (or r) has a phi/p_i-th
+    # power of 1
+    corrupt("'private': message prime 13", "naccache-stern", params={"prime_count": "5"},
+            public=public("naccache-stern", sigma=1155 * 13))
+    for r in (13, 5):
+        corrupt(f"'private': message prime {r}", "benaloh", public=public("benaloh", r=r))
+    corrupt("public.g", "naccache-stern",
+            public=public("naccache-stern", g=pow(ns["g"], 1155, ns["n"])))
+    corrupt("public.y", "benaloh",
+            public=public("benaloh", y=pow(benaloh["y"], 17, benaloh["n"])))
     with pytest.raises(ParseError, match="not valid JSON"):
         parse_key("{nope")
     with pytest.raises(ParseError, match="document"):
         parse_key("[]")
+
+
+@pytest.mark.parametrize("algorithm", ["benaloh", "naccache-stern"])
+def test_keys_with_message_primes_parse_for_every_seed(algorithm):
+    bits, params = KEYGEN_FOR_TESTS[algorithm]
+    for seed in range(20):
+        keys = generate_keys(algorithm, bits, params=params, rng=RandomSource(seed))
+        assert parse_key(serialize_key(keys)) == keys
 
 
 @pytest.mark.parametrize(
