@@ -17,7 +17,7 @@ from typing import Optional
 from .algebra import PHE, parse_ciphertext, serialize_ciphertext
 from .capabilities import ALGORITHMS, OPERATIONS, capabilities
 from .errors import CapabilityError, PheError
-from .numtheory import TEST_SEED_ENV, RandomSource
+from .numtheory import RandomSource
 from .schemes import KeyPair, generate_keys
 from .serialization import parse_key, serialize_key
 
@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 EXIT_CRYPTO = 4
+
+# a decimal seed here makes every random draw reproducible: for tests only
+TEST_SEED_ENV = "PHE_TEST_SEED"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,13 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _rng_from_env() -> RandomSource:
-    if os.environ.get(TEST_SEED_ENV) is not None:
-        print(
-            f"warning: {TEST_SEED_ENV} is set; keys are deterministic and "
-            "unfit for real use",
-            file=sys.stderr,
-        )
-    return RandomSource.from_env()
+    raw = os.environ.get(TEST_SEED_ENV)
+    if raw is None:
+        return RandomSource()
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise UsageError(f"{TEST_SEED_ENV} must be a decimal integer, got {raw!r}")
+    print(
+        f"warning: {TEST_SEED_ENV} is set; keys are deterministic and "
+        "unfit for real use",
+        file=sys.stderr,
+    )
+    return RandomSource(seed)
 
 
 def _load_keys(path: str) -> KeyPair:

@@ -8,15 +8,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from functools import cache, partial
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from .errors import MathDomainError, NotInvertibleError
-
-TEST_SEED_ENV = "PHE_TEST_SEED"
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -35,18 +32,9 @@ class RandomSource:
     """
 
     def __init__(self, seed: Optional[int] = None):
-        self.seeded = seed is not None
         self._rng: random.Random = (
             random.Random(seed) if seed is not None else random.SystemRandom()
         )
-
-    @classmethod
-    def from_env(cls) -> "RandomSource":
-        """Seeded from the environment when the test-seed variable is set."""
-        raw = os.environ.get(TEST_SEED_ENV)
-        if raw is None:
-            return cls()
-        return cls(seed=int(raw))
 
     def getrandbits(self, k: int) -> int:
         return self._rng.getrandbits(k)
@@ -64,12 +52,6 @@ def mod_inv(a: int, modulus: int) -> int:
     except ValueError:
         g = math.gcd(a, modulus)
         raise NotInvertibleError(f"{a} is not invertible mod {modulus} (gcd={g})") from None
-
-
-def lcm(a: int, b: int) -> int:
-    if a < 1 or b < 1:
-        raise MathDomainError("lcm arguments must be >= 1")
-    return math.lcm(a, b)
 
 
 @cache

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, ClassVar, Optional, Union
 
 from ..capabilities import ensure_supported
@@ -252,10 +253,11 @@ class ModulusScheme(Scheme):
     payload_variant = "single"
     n_exponents = (1, 1)
     modulus_power = 1
+    # the public bases that encryption raises to powers, decryption's log base first
+    generators: ClassVar[tuple[str, ...]] = ("g",)
 
     def __init__(self, keys: KeyPair):
         super().__init__(keys)
-        self.modulus = self.n**self.modulus_power
         if keys.has_private:
             rows = []
             for prime, a in zip((self.p, self.q), self.n_exponents):
@@ -267,6 +269,41 @@ class ModulusScheme(Scheme):
             # (prime, p^k, order of the units mod p^k, h_p or None) per prime,
             # then p^k's inverse modulo q^k
             self._primes = (*rows, pow(rows[0][1], -1, rows[1][1]))
+
+    @cached_property
+    def modulus(self) -> int:
+        return self.n**self.modulus_power
+
+    @classmethod
+    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        """Past the factors of n and the scheme's own parameters
+        (`_params_fault`): each of `generators` must be a unit other than 1
+        below the modulus, or its powers would not hide what they carry.
+        With the private key, g^(p-1) must not be 1 modulo p^2 at a prime
+        whose h_p `_log_decrypt` reads, or that h_p would not exist."""
+        fault = super().key_fault(keys) or cls._params_fault(keys)
+        if fault is not None:
+            return fault
+        # a public key's s has no bound: build no modulus, and compare with
+        # n^min(power, value's bits), which n > 2 makes exact
+        scheme = cls(keys.public_only())
+        n, power = scheme.n, scheme.modulus_power
+        for name in cls.generators:
+            value = getattr(scheme, name)
+            below = value < n ** min(power, value.bit_length())
+            if not (value > 1 and below and math.gcd(value, n) == 1):
+                return f"public.{name}", "must be a unit other than 1 below the modulus"
+        if keys.has_private:
+            for prime, a in zip((keys.private["p"], keys.private["q"]), cls.n_exponents):
+                if a * power > 1 and pow(scheme.g, prime - 1, prime * prime) == 1:
+                    return "public.g", "its (p-1)-th power is 1 modulo p^2 for a private prime p"
+        return None
+
+    @classmethod
+    def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        """(field, reason) when a parameter of the scheme, in params or in the
+        public half, is out of its domain; checked once the factors are."""
+        return None
 
     def _private_pow(self, x: int, e: int) -> int:
         """x**e mod `modulus`, the same integer as builtin `pow`.

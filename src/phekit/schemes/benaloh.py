@@ -20,6 +20,7 @@ class Benaloh(NaccacheStern):
     algorithm = "benaloh"
     default_params = {"block_size": 257}
     public_fields = ("n", "y", "r")
+    generators = ("y",)
     # Naccache-Stern's generator and message modulus under their Benaloh names
     g = property(lambda self: self.y)
     sigma = property(lambda self: self.r)
@@ -28,10 +29,12 @@ class Benaloh(NaccacheStern):
         return [self.r]
 
     @classmethod
-    def _message_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+    def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         r = keys.public["r"]
         if r < 3 or not is_probable_prime(r):
             return "public.r", f"must be an odd prime, got {r}"
+        if keys.params["block_size"] != r:
+            return "params.block_size", f"must be the block public.r = {r}"
         return None
 
     @classmethod
@@ -47,38 +50,30 @@ class Benaloh(NaccacheStern):
             raise MathDomainError(
                 f"security_bits {security_bits} too small for block_size {r}"
             )
-        budget = RETRY_BUDGET
+        budget = iter(range(RETRY_BUDGET))  # shared with `_generator`
 
         # p = r*t + 1 with exactly p_bits bits, t even (else p is even),
         # r not dividing t (keeps r^2 out of p-1); top two bits forced so
         # n = p*q reaches the full requested size
         t_lo = ((3 << (p_bits - 2)) // r) + 1
         t_hi = ((1 << p_bits) - 2) // r
-        p = None
-        while budget > 0:
-            budget -= 1
+        for _ in budget:
             t = rng.randrange(t_lo, t_hi + 1) & ~1
             if t < t_lo or t % r == 0:
                 continue
-            candidate = r * t + 1
-            if candidate.bit_length() != p_bits:
-                continue
-            if is_probable_prime(candidate):
-                p = candidate
+            p = r * t + 1
+            if p.bit_length() == p_bits and is_probable_prime(p):
                 break
-        if p is None:
+        else:
             raise KeygenExhaustedError(
                 f"benaloh: no prime p = 1 (mod {r}) found within the retry budget"
             )
 
-        q = None
-        while budget > 0:
-            budget -= 1
-            candidate = gen_prime(q_bits, rng)
-            if candidate != p and (candidate - 1) % r != 0:
-                q = candidate
+        for _ in budget:
+            q = gen_prime(q_bits, rng)
+            if q != p and (q - 1) % r != 0:
                 break
-        if q is None:
+        else:
             raise KeygenExhaustedError("benaloh: no suitable prime q within the budget")
 
         n = p * q

@@ -34,14 +34,13 @@ class DamgardJurik(ModulusScheme):
         return self.s + 1
 
     @classmethod
-    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
-        fault = super().key_fault(keys)
+    def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         # the domain Damgard and Jurik give the scheme: 1 <= s < p, q
         s = keys.params.get("s", 1)
         primes = (keys.private["p"], keys.private["q"]) if keys.has_private else ()
-        if fault is None and not (s >= 1 and all(s < prime for prime in primes)):
-            fault = "params.s", f"must be at least 1 and below both private primes, got {s}"
-        return fault
+        if not (s >= 1 and all(s < prime for prime in primes)):
+            return "params.s", f"must be at least 1 and below both private primes, got {s}"
+        return None
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):

@@ -62,7 +62,7 @@ class EcElGamal(ExpElGamal):
             return "params.curve", f"unknown curve {name!r}"
         if not is_on_curve(cls(keys).h, get_curve(name)):
             return "public", f"(qx, qy) is not a point of curve {name}"
-        return super().key_fault(keys)
+        return cls._exponent_fault(keys)
 
     def _is_member(self, c: Payload) -> bool:
         # decryption multiplies c1 by the private x: a point off the curve

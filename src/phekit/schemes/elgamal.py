@@ -56,6 +56,17 @@ class ElGamal(Scheme):
 
     @classmethod
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        p = keys.public["p"]
+        for name in ("g", "h"):
+            # 0 is no unit; 1 and p-1, of order 1 and 2, would leave the
+            # plaintext in c2 up to its sign
+            if not 2 <= keys.public[name] <= p - 2:
+                return f"public.{name}", "must lie in 2..p-2"
+        return cls._exponent_fault(keys)
+
+    @classmethod
+    def _exponent_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        """With the private key, g^x must be the public h."""
         if keys.has_private:
             scheme = cls(keys)
             if scheme.group.exp(scheme.g, scheme.x) != scheme.h:

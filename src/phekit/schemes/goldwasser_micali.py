@@ -17,7 +17,7 @@ from ..numtheory import (
     jacobi,
     random_coprime_below,
 )
-from .base import Payload, Scheme
+from .base import KeyPair, Payload, Scheme
 
 
 class GoldwasserMicali(Scheme):
@@ -31,14 +31,28 @@ class GoldwasserMicali(Scheme):
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         p, q, n = generate_modulus(security_bits, rng)
         while True:
-            x = rng.randrange(2, n)
-            if x % p == 0 or x % q == 0:
-                continue
+            x = random_coprime_below(n, rng)
             # non-residue modulo both primes: jacobi(x, n) = (-1)(-1) = +1,
             # so ciphertext residues are indistinguishable without p
             if not is_qr_mod_prime(x, p) and not is_qr_mod_prime(x, q):
                 break
         return {"n": n, "x": x}, {"p": p, "q": q}
+
+    @classmethod
+    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        """x must be a non-residue modulo both primes. Without them, Jacobi
+        symbol +1 modulo n is what can be checked: with -1, the symbol of
+        each ciphertext value gives its bit away."""
+        n, x = keys.public["n"], keys.public["x"]
+        if n % 2 == 0:
+            return "public.n", "must be odd"
+        if not (0 < x < n and jacobi(x, n) == 1):
+            return "public.x", "must lie below n with Jacobi symbol +1 modulo n"
+        fault = super().key_fault(keys)
+        primes = (keys.private["p"], keys.private["q"]) if keys.has_private else ()
+        if fault is None and any(is_qr_mod_prime(x, prime) for prime in primes):
+            fault = "public.x", "is a quadratic residue modulo a private prime"
+        return fault
 
     def plaintext_bound(self) -> Optional[int]:
         return None  # any width: the payload grows with the plaintext

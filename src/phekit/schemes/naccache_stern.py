@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from ..errors import DecryptionBoundError, KeygenExhaustedError, MathDomainError
 from ..numtheory import (
@@ -68,7 +68,7 @@ class NaccacheStern(ModulusScheme):
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         """Decryption needs sigma to be the message primes' product and, with the
         private key, each message prime p_i to divide phi once, g^(phi/p_i) != 1."""
-        fault = super().key_fault(keys) or cls._message_fault(keys)
+        fault = super().key_fault(keys)
         if fault is None and keys.has_private:
             scheme = cls(keys)
             phi = (scheme.p - 1) * (scheme.q - 1)
@@ -76,11 +76,11 @@ class NaccacheStern(ModulusScheme):
                 if phi % prime or exponent % prime == 0:
                     return "private", f"message prime {prime} does not divide phi once"
                 if base == 1:  # the generator: g, or y for Benaloh
-                    return f"public.{cls.public_fields[1]}", f"its phi/{prime}-th power is 1"
+                    return f"public.{cls.generators[0]}", f"its phi/{prime}-th power is 1"
         return fault
 
     @classmethod
-    def _message_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+    def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         count, sigma = keys.params["prime_count"], keys.public["sigma"]
         # the first `count` odd primes multiply to at least 3^count, past count bits
         if not 2 <= count < sigma.bit_length():
@@ -107,18 +107,16 @@ class NaccacheStern(ModulusScheme):
                 f"security_bits {security_bits} too small for {count} message primes"
             )
 
-        budget = RETRY_BUDGET
+        # one key's retries: each search loop below and `_generator` take
+        # theirs from this iterator and stop when it runs out
+        budget = iter(range(RETRY_BUDGET))
 
         def factor_with(cofactor: int, bits: int, aux_bits: int) -> tuple[int, int]:
             # prime of the form 2*aux*cofactor + 1 with aux prime
-            nonlocal budget
-            while budget > 0:
-                budget -= 1
+            for _ in budget:
                 aux = gen_prime(aux_bits, rng)
                 candidate = 2 * aux * cofactor + 1
-                if candidate.bit_length() != bits:
-                    continue
-                if is_probable_prime(candidate):
+                if candidate.bit_length() == bits and is_probable_prime(candidate):
                     return candidate, aux
             raise KeygenExhaustedError(
                 "naccache-stern: no prime with the required smooth part "
@@ -132,8 +130,6 @@ class NaccacheStern(ModulusScheme):
             # auxiliary primes must stay clear of the message primes
             if p != q and a != b and a not in primes and b not in primes:
                 break
-            if budget <= 0:
-                raise KeygenExhaustedError("naccache-stern: retry budget exhausted")
 
         n = p * q
         g = cls._generator(n, (p - 1) * (q - 1), primes, budget, rng)
@@ -141,12 +137,11 @@ class NaccacheStern(ModulusScheme):
 
     @classmethod
     def _generator(
-        cls, n: int, phi: int, primes: list[int], budget: int, rng: RandomSource
+        cls, n: int, phi: int, primes: list[int], budget: Iterator[int], rng: RandomSource
     ) -> int:
         """A unit g mod n with g^(phi/p_i) != 1 for every message prime p_i,
-        so g^m determines m modulo each p_i."""
-        while budget > 0:
-            budget -= 1
+        so g^m determines m modulo each p_i; each candidate spends one retry."""
+        for _ in budget:
             candidate = random_coprime_below(n, rng)
             if all(pow(candidate, phi // prime, n) != 1 for prime in primes):
                 return candidate

@@ -6,12 +6,11 @@ p; the cap is published in the key parameters without revealing p itself.
 
 from __future__ import annotations
 
-import math
-from typing import Any
+from typing import Any, Optional
 
 from ..errors import MathDomainError
 from ..numtheory import RandomSource, gen_prime, random_coprime_below
-from .base import ModulusScheme, Payload
+from .base import KeyPair, ModulusScheme, Payload
 
 
 class OkamotoUchiyama(ModulusScheme):
@@ -23,6 +22,7 @@ class OkamotoUchiyama(ModulusScheme):
     public_fields = ("n", "g", "h")
     private_fields = ("p", "q")
     n_exponents = (2, 1)
+    generators = ("g", "h")
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
@@ -39,15 +39,21 @@ class OkamotoUchiyama(ModulusScheme):
             if p != q and n.bit_length() == security_bits:
                 break
         while True:
-            g = rng.randrange(2, n)
-            if math.gcd(g, n) != 1:
-                continue
+            g = random_coprime_below(n, rng)
             # g must land outside the (p-1)-th power residues mod p^2 so the
             # logarithm map of decryption is nondegenerate
             if pow(g, p - 1, p * p) != 1:
                 break
         params["plaintext_bits"] = p_bits - 1
         return {"n": n, "g": g, "h": pow(g, n, n)}, {"p": p, "q": q}
+
+    @classmethod
+    def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        fault = super().key_fault(keys)
+        n, g, h = (keys.public[name] for name in cls.public_fields)
+        if fault is None and pow(g, n, n) != h:
+            fault = "public.h", "is not g^n mod n"
+        return fault
 
     def plaintext_bound(self) -> int:
         return 1 << self.keys.params["plaintext_bits"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
-from ..numtheory import RandomSource, generate_modulus, lcm, mod_inv
+from ..numtheory import RandomSource, generate_modulus, mod_inv
 from .base import KeyPair, ModulusScheme, Payload
 
 
@@ -13,6 +13,7 @@ class Rsa(ModulusScheme):
     algorithm = "rsa"
     public_fields = ("n", "e")
     private_fields = ("p", "q", "d")
+    generators = ()
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
@@ -26,11 +27,16 @@ class Rsa(ModulusScheme):
 
     @classmethod
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        n, e = keys.public["n"], keys.public["e"]
+        # e = 1 leaves every plaintext as it is; a unit modulo the even
+        # phi(n) is odd, and one past n only renames one below it
+        if not (3 <= e < n and e % 2):
+            return "public.e", "must be odd, at least 3 and below n"
         fault = super().key_fault(keys)
         if fault is None and keys.has_private:
             p, q, d = (keys.private[name] for name in cls.private_fields)
             # d undoes e on every unit: e*d = 1 modulo the exponent of Z*_n
-            if keys.public["e"] * d % lcm(p - 1, q - 1) != 1:
+            if e * d % math.lcm(p - 1, q - 1) != 1:
                 fault = "private", "e * d is not 1 modulo lcm(p - 1, q - 1)"
         return fault
 

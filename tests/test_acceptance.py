@@ -22,9 +22,8 @@ from phekit.bench import (
     parse_csv,
     run_bench,
 )
-from phekit.cli import run
+from phekit.cli import TEST_SEED_ENV, run
 from phekit.ec import CURVE_BY_ECC_BITS, CurvePoint, get_curve, scalar_mul
-from phekit.numtheory import TEST_SEED_ENV
 from phekit.schemes import KeyPair, generate_keys, scheme_for
 
 ADDITIVE = tuple(a for a, flags in EXPECTED_MATRIX.items() if flags[1])

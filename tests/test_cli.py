@@ -1,13 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import phekit
 from conftest import expected_denial
 from phekit import parse_key, serialize_key
-from phekit.cli import run
-from phekit.numtheory import TEST_SEED_ENV
+from phekit.cli import TEST_SEED_ENV, run
 from phekit.schemes import KeyPair
 
 
@@ -318,6 +320,30 @@ def test_seeded_runs_are_byte_stable(tmp_path, capsys):
     run(["encrypt", "--keys", str(k1), "--plaintext", "41", "--out", str(c1)])
     run(["encrypt", "--keys", str(k1), "--plaintext", "41", "--out", str(c2)])
     assert c1.read_bytes() == c2.read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["abc", "", "1.5", "0x10"])
+def test_a_malformed_test_seed_exits_2_and_writes_nothing(tmp_path, paillier_keys,
+                                                         monkeypatch, seed):
+    """A seed that is no decimal integer is a usage error that names the
+    variable: exit 2, no traceback, no file written."""
+    keys, _ = paillier_keys
+    out = tmp_path / "k.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(phekit.__file__).parents[1]))
+    env[TEST_SEED_ENV] = seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "phekit", "keygen", "--algorithm", "paillier",
+         "--key-size", "64", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert TEST_SEED_ENV in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+    monkeypatch.setenv(TEST_SEED_ENV, seed)
+    with pytest.raises(SystemExit) as excinfo:
+        run(["encrypt", "--keys", str(keys), "--plaintext", "7", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert not out.exists()
 
 
 def test_unseeded_runs_differ(tmp_path, monkeypatch):

@@ -21,7 +21,6 @@ from phekit.numtheory import (
     is_probable_prime,
     is_qr_mod_prime,
     jacobi,
-    lcm,
     mod_inv,
     random_coprime_below,
 )
@@ -44,14 +43,6 @@ def test_mod_inv_property(rng):
         if math.gcd(a, n) != 1:
             continue
         assert mod_inv(a, n) * a % n == 1
-
-
-def test_lcm_fixtures():
-    assert lcm(2, 4) == 4
-    assert lcm(3, 5) == 15
-    assert lcm(60, 52) == 780
-    with pytest.raises(MathDomainError):
-        lcm(0, 5)
 
 
 def test_is_probable_prime_fixtures():
@@ -375,15 +366,3 @@ def test_random_source_seeded_reproducibility():
     assert [a.getrandbits(64) for _ in range(10)] == [
         b.getrandbits(64) for _ in range(10)
     ]
-    assert a.seeded and b.seeded
-    assert not RandomSource().seeded
-
-
-def test_random_source_from_env(monkeypatch):
-    monkeypatch.setenv("PHE_TEST_SEED", "31337")
-    a = RandomSource.from_env()
-    b = RandomSource.from_env()
-    assert a.seeded
-    assert a.getrandbits(64) == b.getrandbits(64)
-    monkeypatch.delenv("PHE_TEST_SEED")
-    assert not RandomSource.from_env().seeded

@@ -426,6 +426,32 @@ def test_benaloh_budget_exhaustion(rng, monkeypatch):
         generate_keys("benaloh", 48, params={"block_size": 17}, rng=rng)
 
 
+def test_naccache_stern_spends_one_retry_budget(monkeypatch):
+    """Both prime searches and the generator search draw from one budget: the
+    smallest budget that makes the seeded key makes the same key as the full
+    one, and one retry less runs out in the generator search, the last."""
+    def keygen(budget):
+        monkeypatch.setattr(naccache_stern_module, "RETRY_BUDGET", budget)
+        return generate_keys("naccache-stern", 48, params={"prime_count": 4},
+                             rng=RandomSource(5))
+
+    full = naccache_stern_module.RETRY_BUDGET
+    expected = keygen(full)
+    low, high = 0, full  # keygen(low) runs out, keygen(high) does not
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            keygen(mid)
+            high = mid
+        except KeygenExhaustedError:
+            low = mid
+    assert keygen(high) == expected
+    with pytest.raises(KeygenExhaustedError, match="no generator within the budget"):
+        keygen(high - 1)
+    with pytest.raises(KeygenExhaustedError, match="smooth part"):
+        keygen(0)
+
+
 def test_naccache_stern_rejects_too_few_primes_or_too_small_a_key(rng):
     with pytest.raises(MathDomainError, match="at least two message primes"):
         generate_keys("naccache-stern", 256, params={"prime_count": 1}, rng=rng)

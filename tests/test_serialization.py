@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from phekit import (
     serialize_key,
 )
 from phekit.ec import IDENTITY, CurvePoint, get_curve
+from phekit.numtheory import jacobi
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys, scheme_for
 from phekit.serialization import (
     FORMAT_VERSION,
@@ -150,11 +153,51 @@ def test_parse_key_rejects_bad_documents(all_keys):
     corrupt("'private': message prime 13", "naccache-stern", params={"prime_count": "5"},
             public=public("naccache-stern", sigma=1155 * 13))
     for r in (13, 5):
-        corrupt(f"'private': message prime {r}", "benaloh", public=public("benaloh", r=r))
+        corrupt(f"'private': message prime {r}", "benaloh", params={"block_size": str(r)},
+                public=public("benaloh", r=r))
     corrupt("public.g", "naccache-stern",
             public=public("naccache-stern", g=pow(ns["g"], 1155, ns["n"])))
     corrupt("public.y", "benaloh",
             public=public("benaloh", y=pow(benaloh["y"], 17, benaloh["n"])))
+    # Benaloh's params repeat its block r
+    corrupt("'params.block_size': must be the block public.r = 17", "benaloh",
+            params={"block_size": "257"})
+    # RSA's e: odd, 3 <= e < n
+    for e in (1, 2, 65536, all_keys["rsa"].public["n"], all_keys["rsa"].public["n"] + 2):
+        corrupt("public.e", "rsa", public=public("rsa", e=e))
+    # the ElGamal family's g and h: 2..p-2
+    for source in ("elgamal", "exp-elgamal"):
+        p = all_keys[source].public["p"]
+        for name in ("g", "h"):
+            for bad in (0, 1, p - 1, p):
+                corrupt(f"public.{name}", source, public=public(source, **{name: bad}))
+    # Goldwasser-Micali: an odd n, then x below n with Jacobi symbol +1, then,
+    # with the private key, x a non-residue modulo both primes
+    gm = all_keys["goldwasser-micali"].public
+    corrupt("public.n", "goldwasser-micali", public=public("goldwasser-micali", n=gm["n"] + 1))
+    minus_one = next(a for a in range(2, gm["n"]) if jacobi(a, gm["n"]) == -1)
+    for x in (0, minus_one, gm["x"] + gm["n"]):
+        corrupt("'public.x': must lie below n", "goldwasser-micali",
+                public=public("goldwasser-micali", x=x))
+    corrupt("'public.x': is a quadratic residue", "goldwasser-micali",
+            public=public("goldwasser-micali", x=4))
+    # a modulus scheme's generators: units other than 1 below the modulus
+    # (5p is Naccache-Stern's non-unit g, n^(s+1) + 1 a 1 in disguise)
+    for source, name in [("paillier", "g"), ("damgard-jurik", "g"), ("naccache-stern", "g"),
+                         ("okamoto-uchiyama", "g"), ("okamoto-uchiyama", "h"), ("benaloh", "y")]:
+        modulus = scheme_for(all_keys[source]).modulus
+        for bad in (0, 1, 5 * all_keys[source].private["p"], modulus, modulus + 1):
+            corrupt(f"'public.{name}': must be a unit", source, public=public(source, **{name: bad}))
+    # Okamoto-Uchiyama's h is g^n mod n
+    ou = all_keys["okamoto-uchiyama"].public
+    corrupt("'public.h': is not g\\^n", "okamoto-uchiyama",
+            public=public("okamoto-uchiyama", h=ou["h"] * ou["g"] % ou["n"]))
+    # with the private key, g^(p-1) = 1 mod p^2 leaves the log decryption no
+    # h_p: -1 modulo the modulus is such a g (with h = g^n for Okamoto-Uchiyama)
+    for source in ("paillier", "damgard-jurik", "okamoto-uchiyama"):
+        g = scheme_for(all_keys[source]).modulus - 1
+        fields = {"g": g, "h": g} if source == "okamoto-uchiyama" else {"g": g}
+        corrupt("'public.g': its \\(p-1\\)-th power is 1", source, public=public(source, **fields))
     with pytest.raises(ParseError, match="not valid JSON"):
         parse_key("{nope")
     with pytest.raises(ParseError, match="document"):
@@ -225,6 +268,64 @@ def test_parse_key_rejects_a_private_half_that_does_not_match(all_keys, algorith
             parse_key(json.dumps(doc))
     doc["private"][field] = good
     assert parse_key(json.dumps(doc)) == keys
+
+
+KEY_INTEGERS = sorted(
+    (algorithm, half, name)
+    for algorithm, cls in SCHEME_CLASSES.items()
+    for half, names in (("public", cls.public_fields), ("private", cls.private_fields))
+    for name in names
+)
+
+
+@pytest.mark.parametrize("algorithm, half, name", KEY_INTEGERS)
+def test_a_key_with_one_integer_replaced_is_refused_or_decrypts(all_keys, algorithm, half,
+                                                               name):
+    """One public or private integer of a full key pair replaced by 0, 1, 2,
+    its value + 1, the modulus - 1 or a random value below the modulus:
+    `parse_key` refuses the result, or it decrypts what it encrypts."""
+    keys = all_keys[algorithm]
+    scheme = scheme_for(keys)
+    if algorithm == "ec-elgamal":
+        modulus = scheme.group.p
+    else:  # the ciphertext modulus, else n, else ElGamal's p
+        modulus = getattr(scheme, "modulus", None) or keys.public.get("n") or scheme.p
+    draws = random.Random(f"{algorithm}.{half}.{name}")
+    value = getattr(keys, half)[name]
+    doc = json.loads(serialize_key(keys))
+    for bad in {0, 1, 2, value + 1, modulus - 1, *(draws.randrange(modulus) for _ in range(8))}:
+        doc[half][name] = str(bad)
+        try:
+            tampered = scheme_for(parse_key(json.dumps(doc)))
+        except ParseError:
+            continue
+        rng = RandomSource(bad)
+        bound = tampered.plaintext_bound() or 1 << 8
+        for m in (0, 1, bound - 1, rng.randrange(bound)):
+            assert tampered.decrypt(tampered.encrypt(m, rng)) == m, (bad, m)
+
+
+def test_parse_key_refuses_public_keys_that_encrypt_in_the_clear(all_keys):
+    """A server that holds only the public key must not publish plaintexts:
+    RSA's e = 1 leaves m as it is, ElGamal's h = 1 leaves m in c2,
+    exponential ElGamal's g = h = 1 encrypts every m to (1, 1), and a
+    Goldwasser-Micali x with Jacobi symbol -1 gives each bit away in the
+    symbol of its ciphertext value."""
+    def refused(source, field, **values):
+        public_only = all_keys[source].public_only()
+        text = serialize_key(replace(public_only, public=dict(public_only.public, **values)))
+        with pytest.raises(ParseError, match=f"'public.{field}'"):
+            parse_key(text)
+
+    n = all_keys["rsa"].public["n"]
+    for e in (1, 2, n, n + 2):
+        refused("rsa", "e", e=e)
+    p = all_keys["elgamal"].public["p"]
+    for h in (1, p - 1):
+        refused("elgamal", "h", h=h)
+    refused("exp-elgamal", "g", g=1, h=1)
+    n = all_keys["goldwasser-micali"].public["n"]
+    refused("goldwasser-micali", "x", x=next(a for a in range(2, n) if jacobi(a, n) == -1))
 
 
 def test_an_integer_past_the_digit_limit_is_refused_where_it_is_written(
