@@ -6,7 +6,7 @@ math: the fields of its keys (`public_fields`, `private_fields`), the
 search that produces them (`_keygen`) and its operations; `Scheme` in
 `base.py` resolves parameters, assembles the KeyPair and binds the declared
 fields as attributes. Four schemes are special cases of a general one and
-subclass it, keeping only their key fields, `_keygen` and small hooks:
+subclass it in its module, one module per family, keeping only what differs:
 Paillier is Damgard-Jurik at s = 1, Benaloh is Naccache-Stern with the one
 message prime r, exponential ElGamal is ElGamal on g^m, and EC-ElGamal is
 exponential ElGamal on a curve. Each family has one `encrypt` and one
@@ -29,14 +29,11 @@ from ..capabilities import ALGORITHMS
 from ..errors import CapabilityError
 from ..numtheory import RandomSource
 from .base import KeyPair, Payload, Scheme, variant_of
-from .benaloh import Benaloh
-from .damgard_jurik import DamgardJurik
-from .ec_elgamal import EcElGamal
-from .elgamal import ElGamal, ExpElGamal
+from .damgard_jurik import DamgardJurik, Paillier
+from .elgamal import EcElGamal, ElGamal, ExpElGamal
 from .goldwasser_micali import GoldwasserMicali
-from .naccache_stern import NaccacheStern
+from .naccache_stern import Benaloh, NaccacheStern
 from .okamoto_uchiyama import OkamotoUchiyama
-from .paillier import Paillier
 from .rsa import Rsa
 
 SCHEME_CLASSES: dict[str, type[Scheme]] = {

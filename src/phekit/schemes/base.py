@@ -32,6 +32,10 @@ from ..numtheory import RandomSource, binomial_log, mod_inv
 # single: int | pair: (int, int) | bits: list[int] | point_pair: (CurvePoint, CurvePoint)
 Payload = Union[int, tuple, list]
 
+# the parameters that hold positive integers, at key generation as in key
+# files; every other parameter is a string
+INT_PARAMS = frozenset({"s", "dlp_bound", "block_size", "prime_count", "plaintext_bits"})
+
 
 @dataclass(frozen=True)
 class KeyPair:
@@ -122,6 +126,13 @@ class Scheme(ABC):
                 raise MathDomainError(
                     f"unknown {cls.algorithm} parameter(s): {', '.join(sorted(unknown))}"
                 )
+            for name in INT_PARAMS.intersection(params):
+                value = params[name]
+                if type(value) is not int or value < 1:
+                    raise MathDomainError(
+                        f"{cls.algorithm} parameter {name} must be a positive integer, "
+                        f"got {value!r}"
+                    )
             resolved.update(params)
         return resolved
 

@@ -1,8 +1,8 @@
 """Damgard-Jurik: Paillier generalized to ciphertexts modulo n^(s+1).
 
 Messages live modulo n^s, so one key pair can carry plaintexts far larger
-than the modulus. Paillier is the special case s = 1 (`paillier.py`), so
-both schemes share this module's encryption and decryption.
+than the modulus. Paillier is the special case s = 1, so both schemes share
+this module's key generation, encryption and decryption.
 
 The private key decrypts per prime through `ModulusScheme._log_decrypt`, as
 Okamoto-Uchiyama does: modulo p^(s+1), c^(p-1) drops the nonce's r^(n^s)
@@ -27,7 +27,7 @@ class DamgardJurik(ModulusScheme):
 
     @property
     def s(self) -> int:
-        return self.keys.params["s"]
+        return self.keys.params.get("s", 1)  # 1 for Paillier, whose keys carry none
 
     @property
     def modulus_power(self) -> int:
@@ -35,18 +35,19 @@ class DamgardJurik(ModulusScheme):
 
     @classmethod
     def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
-        # the domain Damgard and Jurik give the scheme: 1 <= s < p, q
+        # the domain Damgard and Jurik give the scheme: 1 <= s < p, q, where
+        # both doors hold every integer parameter to at least 1
         s = keys.params.get("s", 1)
         primes = (keys.private["p"], keys.private["q"]) if keys.has_private else ()
-        if not (s >= 1 and all(s < prime for prime in primes)):
-            return "params.s", f"must be at least 1 and below both private primes, got {s}"
+        if not all(s < prime for prime in primes):
+            return "params.s", f"must be below both private primes, got {s}"
         return None
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
-        if params["s"] < 1:
-            raise MathDomainError("damgard-jurik parameter s must be >= 1")
         p, q, n = generate_modulus(security_bits, rng)
+        if params.get("s", 1) >= min(p, q):
+            raise MathDomainError("damgard-jurik parameter s must be below both primes")
         return {"n": n, "g": n + 1}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
@@ -82,3 +83,12 @@ class DamgardJurik(ModulusScheme):
             pz = pow(t, prime - 1, prime_k) - 1
             lifted.append(t * binomial_pow(pz, a, self.s + 1, prime_k) % prime_k)
         return self._crt_join(*lifted)
+
+
+class Paillier(DamgardJurik):
+    """Paillier: Damgard-Jurik at s = 1, ciphertexts modulo n^2, decrypted in
+    Paillier's CRT form L_p(c^(p-1) mod p^2) * h_p mod p per prime with
+    h_p = L_p(g^(p-1) mod p^2)^-1. Its key files carry no `s`."""
+
+    algorithm = "paillier"
+    default_params = {}

@@ -48,6 +48,19 @@ class OkamotoUchiyama(ModulusScheme):
         return {"n": n, "g": g, "h": pow(g, n, n)}, {"p": p, "q": q}
 
     @classmethod
+    def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
+        # decryption reads m modulo p, so 2^plaintext_bits must not pass p;
+        # without p, allow what key generation writes for n's size
+        if keys.has_private:
+            limit = keys.private["p"].bit_length() - 1
+        else:
+            limit = (keys.public["n"].bit_length() + 2) // 3 - 1
+        bits = keys.params["plaintext_bits"]
+        if bits > limit:
+            return "params.plaintext_bits", f"must be at most {limit}, got {bits}"
+        return None
+
+    @classmethod
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         fault = super().key_fault(keys)
         n, g, h = (keys.public[name] for name in cls.public_fields)

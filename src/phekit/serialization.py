@@ -16,12 +16,10 @@ from typing import Any, Optional
 from .capabilities import ALGORITHMS
 from .ec import CurvePoint
 from .errors import ParseError
-from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
+from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme, variant_of
+from .schemes.base import INT_PARAMS
 
 FORMAT_VERSION = 1
-
-# params entries that hold integers; everything else stays a string
-_INT_PARAMS = {"s", "dlp_bound", "block_size", "prime_count", "plaintext_bits"}
 
 
 def canonical_json(doc: Any) -> str:
@@ -76,15 +74,21 @@ def _params_doc(params: dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def _params_from_doc(doc: Any) -> dict[str, Any]:
+def _params_from_doc(doc: Any, cls: type[Scheme]) -> dict[str, Any]:
+    # exactly the scheme's params: a parent scheme it specializes would read a stray one
     _require(isinstance(doc, dict), "params", "expected an object")
     params: dict[str, Any] = {}
     for key, value in doc.items():
-        if key in _INT_PARAMS:
-            params[key] = _parse_natural(value, f"params.{key}")
+        field = f"params.{key}"
+        _require(key in cls.default_params, field, f"{cls.algorithm} takes no such parameter")
+        if key in INT_PARAMS:
+            params[key] = _parse_natural(value, field)
+            _require(params[key] >= 1, field, "must be at least 1")
         else:
-            _require(isinstance(value, str), f"params.{key}", "expected a string")
+            _require(isinstance(value, str), field, "expected a string")
             params[key] = value
+    for name in cls.default_params:
+        _require(name in params, f"params.{name}", "missing")
     return params
 
 
@@ -121,10 +125,8 @@ def parse_key(text: str) -> KeyPair:
         private_doc = doc["private"]
         _require(isinstance(private_doc, dict), "private", "expected an object")
         private = {k: _parse_natural(v, f"private.{k}") for k, v in private_doc.items()}
-    params = _params_from_doc(doc.get("params", {}))
     cls = SCHEME_CLASSES[algorithm]
-    for name in cls.default_params:
-        _require(name in params, f"params.{name}", "missing")
+    params = _params_from_doc(doc.get("params", {}), cls)
     for name in cls.public_fields:
         _require(name in public, f"public.{name}", "missing")
     # the modulus every operation reduces by; a degenerate one breaks them all

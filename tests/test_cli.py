@@ -181,6 +181,18 @@ def test_key_without_its_params_exits_4(tmp_path, capsys):
     assert "params.s" in capsys.readouterr().err
 
 
+def test_paillier_key_with_an_s_exits_4(tmp_path, paillier_keys, capsys):
+    """Paillier is Damgard-Jurik at s = 1 and its key files carry no s."""
+    for path in paillier_keys:
+        doc = json.loads(path.read_text())
+        doc["params"]["s"] = "7"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["encrypt", "--keys", str(path), "--plaintext", "3",
+                    "--out", str(tmp_path / "c.json")]) == 4
+        assert "params.s" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("s, private, code", [
     (2, True, 0), (3, True, 4), (0, True, 4), (3, False, 0), (0, False, 4)])
 def test_damgard_jurik_s_outside_its_domain_exits_4(tmp_path, capsys, s, private, code):

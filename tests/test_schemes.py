@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phekit.ec as ec_module
-import phekit.schemes.benaloh as benaloh_module
 import phekit.schemes.elgamal as elgamal_module
 import phekit.schemes.naccache_stern as naccache_stern_module
 from conftest import EXPECTED_MATRIX
@@ -421,7 +420,7 @@ def test_benaloh_rejects_block_too_large_for_keysize(rng):
 
 
 def test_benaloh_budget_exhaustion(rng, monkeypatch):
-    monkeypatch.setattr(benaloh_module, "RETRY_BUDGET", 0)
+    monkeypatch.setattr(naccache_stern_module, "RETRY_BUDGET", 0)
     with pytest.raises(KeygenExhaustedError):
         generate_keys("benaloh", 48, params={"block_size": 17}, rng=rng)
 
@@ -467,6 +466,28 @@ def test_ec_keygen_at_an_unregistered_size_lists_the_sizes(rng):
 def test_damgard_jurik_rejects_bad_s(rng):
     with pytest.raises(MathDomainError):
         generate_keys("damgard-jurik", 64, params={"s": 0}, rng=rng)
+
+
+@pytest.mark.parametrize("algorithm, name, value", [
+    ("damgard-jurik", "s", "2"), ("damgard-jurik", "s", True), ("damgard-jurik", "s", 2.0),
+    ("naccache-stern", "prime_count", "3"), ("benaloh", "block_size", 5.0),
+    ("exp-elgamal", "dlp_bound", "5"), ("exp-elgamal", "dlp_bound", 0),
+    ("exp-elgamal", "dlp_bound", -3), ("ec-elgamal", "dlp_bound", 0),
+])
+def test_integer_params_are_positive_integers_at_keygen(algorithm, name, value):
+    """Checked before the search, by the rule `parse_key` applies to key files:
+    a string, float or bool would fail later or write a file that does not
+    parse, and a dlp_bound below 1 makes a key that refuses every plaintext."""
+    params = {name: value, **({"curve": "toy17"} if algorithm == "ec-elgamal" else {})}
+    with pytest.raises(MathDomainError, match=f"parameter {name} must be a positive integer"):
+        generate_keys(algorithm, 64, params=params, rng=RandomSource(1))
+
+
+def test_damgard_jurik_keygen_refuses_s_past_its_primes():
+    """16-bit moduli have 8-bit primes; parse_key refuses s >= p, q, so key
+    generation does too."""
+    with pytest.raises(MathDomainError, match="s must be below both primes"):
+        generate_keys("damgard-jurik", 16, params={"s": 300}, rng=RandomSource(1))
 
 
 def test_unknown_param_rejected(rng):

@@ -204,6 +204,50 @@ def test_parse_key_rejects_bad_documents(all_keys):
         parse_key("[]")
 
 
+def test_parse_key_refuses_params_its_scheme_does_not_take(all_keys):
+    """A key file carries exactly its scheme's params. Paillier runs
+    Damgard-Jurik's code, so a stray `s` in a Paillier file would otherwise
+    be carried along, or read as its s."""
+    for algorithm, keys in all_keys.items():
+        for include_private in (True, False):
+            doc = json.loads(serialize_key(keys, include_private))
+            for name in {"s", "dlp_bound", "wat"} - set(keys.params):
+                with pytest.raises(ParseError, match=f"'params.{name}': {algorithm} takes"):
+                    parse_key(json.dumps(dict(doc, params=dict(doc["params"], **{name: "7"}))))
+
+
+def test_parse_key_refuses_an_integer_param_of_zero(all_keys):
+    """Integer params are at least 1: an exp-elgamal dlp_bound of 0 would
+    make a key that refuses every plaintext."""
+    checked = set()
+    for algorithm, keys in all_keys.items():
+        for name in (n for n, value in keys.params.items() if isinstance(value, int)):
+            for include_private in (True, False):
+                doc = json.loads(serialize_key(keys, include_private))
+                doc["params"][name] = "0"
+                with pytest.raises(ParseError, match=f"'params.{name}': must be at least 1"):
+                    parse_key(json.dumps(doc))
+            checked.add(name)
+    assert checked == {"s", "dlp_bound", "block_size", "prime_count", "plaintext_bits"}
+
+
+def test_okamoto_uchiyama_plaintext_bits_stay_below_p(all_keys):
+    """Decryption reads m modulo p: 2^plaintext_bits may not pass p. With
+    the private key the bound is p's bit length, without it what key
+    generation writes for n's size."""
+    keys = all_keys["okamoto-uchiyama"]
+    p = keys.private["p"]
+    assert keys.params["plaintext_bits"] == p.bit_length() - 1
+    for include_private in (True, False):
+        doc = json.loads(serialize_key(keys, include_private))
+        for bits in (p.bit_length(), p.bit_length() + 1, 60):
+            doc["params"]["plaintext_bits"] = str(bits)
+            with pytest.raises(ParseError, match="'params.plaintext_bits'"):
+                parse_key(json.dumps(doc))
+        doc["params"]["plaintext_bits"] = str(p.bit_length() - 2)
+        assert parse_key(json.dumps(doc)).params["plaintext_bits"] == p.bit_length() - 2
+
+
 @pytest.mark.parametrize("algorithm", ["benaloh", "naccache-stern"])
 def test_keys_with_message_primes_parse_for_every_seed(algorithm):
     bits, params = KEYGEN_FOR_TESTS[algorithm]
@@ -599,3 +643,73 @@ def test_arbitrary_text_parses_stably_or_raises_parse_error(text, kind):
         return
     again = serialize(parsed)
     assert serialize(parse(again)) == again
+
+
+# ------------------------------------------------------------- params at both doors
+
+# Integers stay small: a Damgard-Jurik s or an exp-elgamal dlp_bound sets how
+# long encryption and decryption take (a dlp_bound of 2^70 means 2^35 baby
+# steps), and these tests encrypt and decrypt with what they make.
+param_values = (st.integers(-3, 40) | st.booleans() | st.floats(-3, 40) | st.text(max_size=3)
+                | st.sampled_from(["2", "toy17", "secp160r1"]))
+param_texts = (st.integers(0, 40).map(str) | numeric_text | st.sampled_from(["toy17", "secp160r1"])
+               | st.none() | st.booleans() | st.integers(-3, 40))
+
+
+def decrypts_what_it_encrypts(keys: KeyPair) -> None:
+    scheme = scheme_for(keys)
+    rng = RandomSource(9)
+    bound = scheme.plaintext_bound() or 1 << 8
+    for m in {0, bound // 2, bound - 1}:
+        assert scheme.decrypt(scheme.encrypt(m, rng)) == m, m
+
+
+@pytest.mark.parametrize("algorithm", sorted(KEYGEN_FOR_TESTS))
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_keygen_refuses_a_param_or_makes_a_key_that_round_trips(algorithm, data):
+    """One param of a toy key drawn from each declared name and an unknown
+    one: key generation raises a ValueError, or its key serializes, parses
+    back to the same bytes and decrypts what it encrypts."""
+    bits, params = KEYGEN_FOR_TESTS[algorithm]
+    name = data.draw(st.sampled_from(sorted(SCHEME_CLASSES[algorithm].default_params) + ["wat"]))
+    params = dict(params or {}, **{name: data.draw(param_values)})
+    try:
+        keys = generate_keys(algorithm, bits, params=params, rng=RandomSource(5))
+    except ValueError:
+        return
+    text = serialize_key(keys)
+    assert parse_key(text) == keys
+    assert serialize_key(parse_key(text)) == text
+    decrypts_what_it_encrypts(keys)
+
+
+@pytest.mark.parametrize("algorithm", sorted(KEYGEN_FOR_TESTS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_a_key_file_with_one_param_changed_is_refused_or_decrypts(all_keys, algorithm, data):
+    """One params entry of a toy key file added, dropped or replaced:
+    `parse_key` refuses the file naming a field, or the key decrypts what it
+    encrypts. An added or dropped entry is refused under its own name; a
+    replaced one under its name or the public field it is checked against
+    (Naccache-Stern's sigma, EC-ElGamal's point)."""
+    doc = json.loads(serialize_key(all_keys[algorithm]))
+    declared = sorted(doc["params"])
+    action = data.draw(st.sampled_from(["add", "drop", "replace"] if declared else ["add"]))
+    if action == "add":
+        name = data.draw(st.sampled_from(
+            sorted({"s", "dlp_bound", "block_size", "curve", "wat"} - set(declared))))
+    else:
+        name = data.draw(st.sampled_from(declared))
+    if action == "drop":
+        del doc["params"][name]
+    else:
+        doc["params"][name] = data.draw(param_texts)
+    try:
+        keys = parse_key(json.dumps(doc))
+    except ParseError as exc:
+        fields = [f"'params.{name}'"] + (["'public"] if action == "replace" else [])
+        assert any(field in str(exc) for field in fields), str(exc)
+        return
+    assert action == "replace"
+    decrypts_what_it_encrypts(keys)
