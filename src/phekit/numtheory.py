@@ -17,10 +17,17 @@ from .errors import MathDomainError, NotInvertibleError
 
 DEFAULT_MR_ROUNDS = 40
 
+# HAC Table 4.4 as (fewest bits, rounds), read by `search_rounds`
+_SEARCH_ROUNDS = (
+    (1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
+    (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
+)
+
 # Trial division ahead of Miller-Rabin covers the primes below this limit:
 # one gcd with the product of those below 1000, which decides every input
 # below 997^2, and for larger inputs one with the product of the rest
-# (`_trial_division`, built on the first call)
+# (`_trial_division`, built on the first call), which decides every input
+# below 2^32
 _TRIAL_LIMIT = 1 << 16
 
 
@@ -74,8 +81,13 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
 
     False-positive probability is at most 4**-rounds for inputs not chosen
     against these bases: the bases are a function of n, so a composite could
-    be searched for that passes them. Inputs below 2**16 are decided exactly
-    by the trial division, which finds a factor of every composite below 2**32.
+    be searched for that passes them. The default 40 rounds is for such
+    input: key files, params and direct calls. A prime search that draws its
+    own candidates at random passes `search_rounds(bits)` instead, the
+    average-case count for a 2**-80 error. Fewer rounds only accept what 40
+    would reject if a composite passes all of the first rounds' bases; a
+    prime gets the same verdict. Inputs below 2**32 are decided exactly by
+    the trial division, which finds a factor of every composite there.
     """
     if rounds < 1:
         raise MathDomainError("rounds must be >= 1")
@@ -89,7 +101,9 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
         return True
     if math.gcd(n, rest % n) != 1:
         return False
-    # n is odd and has no factor below 2^16 here
+    # n is odd and has no factor below 2^16 here, so below 2^32 it is prime
+    if n < _TRIAL_LIMIT**2:
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -110,6 +124,18 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     return True
 
 
+def search_rounds(bits: int) -> int:
+    """Miller-Rabin rounds for a candidate of `bits` bits that a prime search
+    drew at random: HAC Table 4.4, after Damgard, Landrock and Pomerance
+    ("Average case error estimates for the strong probable prime test",
+    Math. Comp. 61, 1993), which bounds the chance that such a candidate is
+    composite yet passes by 2**-80. From 27 rounds at 100 bits down to 2 at
+    1300; below 100 bits the default 40. The bound assumes the candidate was
+    not chosen against the test, so input read from a key file keeps 40.
+    """
+    return next((t for k, t in _SEARCH_ROUNDS if bits >= k), DEFAULT_MR_ROUNDS)
+
+
 def gen_prime(bits: int, rng: RandomSource) -> int:
     """Random probable prime of exactly `bits` bits.
 
@@ -121,7 +147,7 @@ def gen_prime(bits: int, rng: RandomSource) -> int:
     top = (1 << (bits - 1)) | (1 << (bits - 2))
     while True:
         candidate = rng.getrandbits(bits) | top | 1
-        if is_probable_prime(candidate):
+        if is_probable_prime(candidate, search_rounds(bits)):
             return candidate
 
 
@@ -162,7 +188,7 @@ def gen_group_prime(
         # 2qc < 2^bits always holds; only the lower edge needs a check
         if p.bit_length() != bits:
             continue
-        if is_probable_prime(p):
+        if is_probable_prime(p, search_rounds(bits)):
             return p, q
 
 

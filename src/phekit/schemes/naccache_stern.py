@@ -24,6 +24,7 @@ from ..numtheory import (
     gen_prime,
     is_probable_prime,
     random_coprime_below,
+    search_rounds,
 )
 from .base import KeyPair, ModulusScheme, Payload
 
@@ -116,7 +117,9 @@ class NaccacheStern(ModulusScheme):
             for _ in budget:
                 aux = gen_prime(aux_bits, rng)
                 candidate = 2 * aux * cofactor + 1
-                if candidate.bit_length() == bits and is_probable_prime(candidate):
+                if candidate.bit_length() == bits and is_probable_prime(
+                    candidate, search_rounds(bits)
+                ):
                     return candidate, aux
             raise KeygenExhaustedError(
                 "naccache-stern: no prime with the required smooth part "
@@ -230,7 +233,7 @@ class Benaloh(NaccacheStern):
             if t < t_lo or t % r == 0:
                 continue
             p = r * t + 1
-            if p.bit_length() == p_bits and is_probable_prime(p):
+            if p.bit_length() == p_bits and is_probable_prime(p, search_rounds(p_bits)):
                 break
         else:
             raise KeygenExhaustedError(

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -23,6 +24,7 @@ from phekit.numtheory import (
     jacobi,
     mod_inv,
     random_coprime_below,
+    search_rounds,
 )
 
 
@@ -113,6 +115,67 @@ def test_is_probable_prime_agrees_with_division_below_1000(n, factor):
     n = n | 1
     assert is_probable_prime(n) == reference_is_probable_prime(n)
     assert is_probable_prime(n * factor) == reference_is_probable_prime(n * factor)
+
+
+def test_is_probable_prime_decides_below_2_32_without_miller_rabin(monkeypatch):
+    """Trial division to 2^16 finds a factor of every composite below 2^32,
+    so no base is drawn there; 65537^2 has no factor below 2^16 and is
+    rejected by Miller-Rabin."""
+    seeded = []
+
+    class RecordingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", RecordingRandom)
+    assert is_probable_prime(2**32 - 5)
+    assert not is_probable_prime(65521 * 65537)
+    assert seeded == []
+    assert not is_probable_prime(65537**2)
+    assert is_probable_prime(2**32 + 15)  # the first prime past 2^32
+    assert seeded == [65537**2, 2**32 + 15]
+
+
+# HAC Table 4.4: (fewest bits, rounds); below 100 bits the 40-round default
+HAC_TABLE_4_4 = [
+    (1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
+    (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
+]
+
+
+def test_search_rounds_pins_hac_table_4_4():
+    assert inspect.signature(is_probable_prime).parameters["rounds"].default == 40
+    assert search_rounds(99) == 40 and search_rounds(8) == 40
+    assert search_rounds(4096) == 2
+    above = 40
+    for bits, rounds in reversed(HAC_TABLE_4_4):
+        assert search_rounds(bits - 1) == above, bits - 1
+        assert search_rounds(bits) == rounds, bits
+        above = rounds
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bits=st.integers(100, 1400),
+    kind=st.sampled_from(["odd", "prime", "two primes"]),
+    seed=st.integers(0, 2**32),
+)
+def test_search_rounds_verdict_matches_40_rounds(bits, kind, seed):
+    """On random odd numbers, `gen_prime` outputs and products of two primes,
+    the size-derived round count gives the 40-round verdict."""
+    rng = RandomSource(seed)
+    if kind == "odd":
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    elif kind == "prime":
+        n = gen_prime(bits, rng)
+    else:
+        n = gen_prime(bits // 2, rng) * gen_prime(bits - bits // 2, rng)
+    assert n.bit_length() == bits
+    verdict = is_probable_prime(n, search_rounds(bits))
+    assert verdict == reference_is_probable_prime(n)
+    if kind != "odd":
+        assert verdict == (kind == "prime")
 
 
 def test_gen_prime_eight_bits(rng):
