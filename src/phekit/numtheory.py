@@ -84,10 +84,11 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     be searched for that passes them. The default 40 rounds is for such
     input: key files, params and direct calls. A prime search that draws its
     own candidates at random passes `search_rounds(bits)` instead, the
-    average-case count for a 2**-80 error. Fewer rounds only accept what 40
-    would reject if a composite passes all of the first rounds' bases; a
-    prime gets the same verdict. Inputs below 2**32 are decided exactly by
-    the trial division, which finds a factor of every composite there.
+    average-case count for a 2**-80 error (HAC Table 4.4, after Damgard,
+    Landrock and Pomerance). Fewer rounds only accept what 40 would reject
+    if a composite passes all of the first rounds' bases; a prime gets the
+    same verdict. Inputs below 2**32 are decided exactly by the trial
+    division, which finds a factor of every composite there.
     """
     if rounds < 1:
         raise MathDomainError("rounds must be >= 1")
