@@ -23,11 +23,11 @@ _SEARCH_ROUNDS = (
     (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
 )
 
-# Trial division ahead of Miller-Rabin covers the primes below this limit:
-# one gcd with the product of those below 1000, which decides every input
-# below 997^2, and for larger inputs one with the product of the rest
-# (`_trial_division`, built on the first call), which decides every input
-# below 2^32
+# Trial division ahead of Miller-Rabin (`trial_divide`) covers the primes
+# below this limit: one gcd with the product of those below 1000, which
+# decides every input below 997^2, and for larger inputs one with the
+# product of the rest (`_trial_division`, built on the first call), which
+# decides every input below 2^32
 _TRIAL_LIMIT = 1 << 16
 
 
@@ -75,23 +75,15 @@ def _trial_division() -> tuple[frozenset, int, int]:
     return small, math.prod(small), math.prod(rest)
 
 
-def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
-    """Miller-Rabin after small-prime trial division, with bases drawn from a
-    generator seeded with n, so the same n always gets the same verdict.
+def trial_divide(n: int) -> Optional[bool]:
+    """n's primality by division by the primes below `_TRIAL_LIMIT` alone:
+    True when n is prime, False when it is composite, None when undecided.
 
-    False-positive probability is at most 4**-rounds for inputs not chosen
-    against these bases: the bases are a function of n, so a composite could
-    be searched for that passes them. The default 40 rounds is for such
-    input: key files, params and direct calls. A prime search that draws its
-    own candidates at random passes `search_rounds(bits)` instead, the
-    average-case count for a 2**-80 error (HAC Table 4.4, after Damgard,
-    Landrock and Pomerance). Fewer rounds only accept what 40 would reject
-    if a composite passes all of the first rounds' bases; a prime gets the
-    same verdict. Inputs below 2**32 are decided exactly by the trial
-    division, which finds a factor of every composite there.
+    Two gcds, one with the primes below 1000 and, for n past 2**16, one with
+    the rest. A composite below 2**32 has a factor below 2**16, so every n
+    below 2**32 is decided; above that, None means n has no factor below
+    2**16 and needs Miller-Rabin (`is_probable_prime`).
     """
-    if rounds < 1:
-        raise MathDomainError("rounds must be >= 1")
     small_primes, small, rest = _trial_division()
     if n < 1000:
         return n in small_primes
@@ -103,16 +95,42 @@ def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     if math.gcd(n, rest % n) != 1:
         return False
     # n is odd and has no factor below 2^16 here, so below 2^32 it is prime
-    if n < _TRIAL_LIMIT**2:
-        return True
+    return True if n < _TRIAL_LIMIT**2 else None
+
+
+def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
+    """Miller-Rabin after small-prime trial division (`trial_divide`), which
+    decides every input below 2**32 alone.
+
+    Miller-Rabin runs one strong-probable-prime round to base 2, then
+    `rounds` rounds to bases drawn from a generator seeded with n, so the
+    same n always gets the same verdict. A prime passes every round, so
+    base 2 changes no prime's verdict, and a composite may fail at base 2
+    before any seeded base is drawn: the error bound below only tightens.
+
+    False-positive probability is at most 4**-rounds for inputs not chosen
+    against the seeded bases: they are a function of n, so a composite could
+    be searched for that passes them. The default 40 rounds is for such
+    input: key files, params and direct calls. A prime search that draws its
+    own candidates at random passes `search_rounds(bits)` instead, the
+    average-case count for a 2**-80 error (HAC Table 4.4, after Damgard,
+    Landrock and Pomerance). Fewer rounds only accept what 40 would reject
+    if a composite passes all of the first rounds' bases; a prime gets the
+    same verdict.
+    """
+    if rounds < 1:
+        raise MathDomainError("rounds must be >= 1")
+    verdict = trial_divide(n)
+    if verdict is not None:
+        return verdict
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
     bases = random.Random(n)
-    for _ in range(rounds):
-        a = bases.randrange(2, n - 1)
+    seeded = (bases.randrange(2, n - 1) for _ in range(rounds))
+    for a in itertools.chain((2,), seeded):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -137,6 +155,12 @@ def search_rounds(bits: int) -> int:
     return next((t for k, t in _SEARCH_ROUNDS if bits >= k), DEFAULT_MR_ROUNDS)
 
 
+def prime_candidate(bits: int, rng: RandomSource) -> int:
+    """One draw of `gen_prime`'s search: an odd `bits`-bit number whose top
+    two bits are set, from one `getrandbits(bits)`."""
+    return rng.getrandbits(bits) | (3 << (bits - 2)) | 1
+
+
 def gen_prime(bits: int, rng: RandomSource) -> int:
     """Random probable prime of exactly `bits` bits.
 
@@ -145,9 +169,8 @@ def gen_prime(bits: int, rng: RandomSource) -> int:
     """
     if bits < 8:
         raise MathDomainError("bits must be >= 8")
-    top = (1 << (bits - 1)) | (1 << (bits - 2))
     while True:
-        candidate = rng.getrandbits(bits) | top | 1
+        candidate = prime_candidate(bits, rng)
         if is_probable_prime(candidate, search_rounds(bits)):
             return candidate
 

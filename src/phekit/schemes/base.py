@@ -306,7 +306,12 @@ class ModulusScheme(Scheme):
                 return f"public.{name}", "must be a unit other than 1 below the modulus"
         if keys.has_private:
             for prime, a in zip((keys.private["p"], keys.private["q"]), cls.n_exponents):
-                if a * power > 1 and pow(scheme.g, prime - 1, prime * prime) == 1:
+                if a * power == 1:
+                    continue
+                g, square = scheme.g, prime * prime
+                # for g = 1 + kp, g^(p-1) = 1 - kp (mod p^2), which is 1 exactly
+                # when g = 1 (mod p^2): no power for such a g, as g = n+1 is
+                if (g % square if g % prime == 1 else pow(g, prime - 1, square)) == 1:
                     return "public.g", "its (p-1)-th power is 1 modulo p^2 for a private prime p"
         return None
 

@@ -23,12 +23,76 @@ from ..numtheory import (
     discrete_log_bounded,
     gen_prime,
     is_probable_prime,
+    prime_candidate,
     random_coprime_below,
     search_rounds,
+    trial_divide,
 )
 from .base import KeyPair, ModulusScheme, Payload
 
 RETRY_BUDGET = 50_000
+
+
+class _Budget:
+    """One key's retries, shared by its searches: each auxiliary prime and
+    each generator candidate spends one, and a search stops when none is left.
+
+    An auxiliary that passed trial division but whose pair was rejected
+    before it was proven is pending: it spends a retry only if it is prime.
+    `has_left` proves the pending auxiliaries only when the retries left
+    could run out on them (`left <= len(pending)`). So the budget counts
+    auxiliary primes exactly, and a search stops after the same draw as one
+    that proved every auxiliary when it was drawn.
+    """
+
+    def __init__(self):
+        self.left = RETRY_BUDGET
+        self.pending: list[int] = []
+
+    def has_left(self) -> bool:
+        """Whether a retry is left, once the pending auxiliaries could matter."""
+        if self.left <= len(self.pending):
+            self.left -= sum(
+                is_probable_prime(aux, search_rounds(aux.bit_length())) for aux in self.pending
+            )
+            self.pending.clear()
+        return self.left > 0
+
+    def __iter__(self) -> Iterator[None]:
+        """Spend one retry per step while any is left."""
+        while self.has_left():
+            self.left -= 1
+            yield
+
+
+def _factor_with(
+    cofactor: int, bits: int, aux_bits: int, budget: _Budget, rng: RandomSource
+) -> tuple[int, int]:
+    """(2*aux*cofactor + 1, aux), a `bits`-bit prime with aux an `aux_bits`-bit
+    prime, each aux drawn as `gen_prime` draws its candidates.
+
+    The cheap tests run first: the pair is rejected on its bit length or on
+    trial division of either number, and Miller-Rabin runs only on pairs that
+    pass them, on the candidate first, then on aux. An aux left unproven
+    when its pair is rejected goes to the budget's pending list, which spends
+    a retry for it only once the count could matter (`_Budget`).
+    """
+    while budget.has_left():
+        aux = prime_candidate(aux_bits, rng)
+        if trial_divide(aux) is False:
+            continue
+        candidate = 2 * aux * cofactor + 1
+        if candidate.bit_length() != bits or not is_probable_prime(
+            candidate, search_rounds(bits)
+        ):
+            budget.pending.append(aux)
+        elif is_probable_prime(aux, search_rounds(aux_bits)):
+            budget.left -= 1
+            return candidate, aux
+    raise KeygenExhaustedError(
+        "naccache-stern: no prime with the required smooth part "
+        "within the retry budget"
+    )
 
 
 def message_primes(count: int) -> list[int]:
@@ -108,27 +172,10 @@ class NaccacheStern(ModulusScheme):
                 f"security_bits {security_bits} too small for {count} message primes"
             )
 
-        # one key's retries: each search loop below and `_generator` take
-        # theirs from this iterator and stop when it runs out
-        budget = iter(range(RETRY_BUDGET))
-
-        def factor_with(cofactor: int, bits: int, aux_bits: int) -> tuple[int, int]:
-            # prime of the form 2*aux*cofactor + 1 with aux prime
-            for _ in budget:
-                aux = gen_prime(aux_bits, rng)
-                candidate = 2 * aux * cofactor + 1
-                if candidate.bit_length() == bits and is_probable_prime(
-                    candidate, search_rounds(bits)
-                ):
-                    return candidate, aux
-            raise KeygenExhaustedError(
-                "naccache-stern: no prime with the required smooth part "
-                "within the retry budget"
-            )
-
+        budget = _Budget()  # shared with `_generator`
         while True:
-            p, a = factor_with(u, p_bits, a_bits)
-            q, b = factor_with(v, q_bits, b_bits)
+            p, a = _factor_with(u, p_bits, a_bits, budget, rng)
+            q, b = _factor_with(v, q_bits, b_bits, budget, rng)
             # each message prime must divide phi exactly once, so the
             # auxiliary primes must stay clear of the message primes
             if p != q and a != b and a not in primes and b not in primes:
@@ -140,7 +187,7 @@ class NaccacheStern(ModulusScheme):
 
     @classmethod
     def _generator(
-        cls, n: int, phi: int, primes: list[int], budget: Iterator[int], rng: RandomSource
+        cls, n: int, phi: int, primes: list[int], budget: _Budget, rng: RandomSource
     ) -> int:
         """A unit g mod n with g^(phi/p_i) != 1 for every message prime p_i,
         so g^m determines m modulo each p_i; each candidate spends one retry."""
@@ -202,6 +249,9 @@ class Benaloh(NaccacheStern):
     @classmethod
     def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         r = keys.public["r"]
+        # r divides p-1, so r < n; checked first, as it costs no power
+        if r >= keys.public["n"]:
+            return "public.r", "must be below public.n"
         if r < 3 or not is_probable_prime(r):
             return "public.r", f"must be an odd prime, got {r}"
         if keys.params["block_size"] != r:
@@ -221,7 +271,7 @@ class Benaloh(NaccacheStern):
             raise MathDomainError(
                 f"security_bits {security_bits} too small for block_size {r}"
             )
-        budget = iter(range(RETRY_BUDGET))  # shared with `_generator`
+        budget = _Budget()  # shared with `_generator`
 
         # p = r*t + 1 with exactly p_bits bits, t even (else p is even),
         # r not dividing t (keeps r^2 out of p-1); top two bits forced so

@@ -25,6 +25,7 @@ from phekit.numtheory import (
     mod_inv,
     random_coprime_below,
     search_rounds,
+    trial_divide,
 )
 
 
@@ -135,6 +136,40 @@ def test_is_probable_prime_decides_below_2_32_without_miller_rabin(monkeypatch):
     assert not is_probable_prime(65537**2)
     assert is_probable_prime(2**32 + 15)  # the first prime past 2^32
     assert seeded == [65537**2, 2**32 + 15]
+
+
+def test_trial_divide_decides_below_2_32_and_defers_the_rest():
+    assert trial_divide(2**32 - 5) is True
+    assert trial_divide(65521 * 65537) is False
+    assert trial_divide(1009 * (2**61 - 1)) is False
+    assert trial_divide(65537**2) is None  # no factor below 2^16
+    assert trial_divide(2**32 + 15) is None
+
+
+def test_is_probable_prime_tries_base_2_before_the_seeded_bases(monkeypatch):
+    """3825123056546413051 is a strong pseudoprime to base 2 with no factor
+    below 2^16, so only the seeded bases reject it; 65537^2 fails base 2 and
+    draws no seeded base."""
+    n = 3825123056546413051
+    assert n == 149491 * 747451 * 34233211 and n > 2**32
+    assert trial_divide(n) is None
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    assert pow(2, d, n) == 1 or n - 1 in (pow(2, d << r, n) for r in range(s))
+    drawn = []
+
+    class RecordingRandom(random.Random):
+        def randrange(self, *args):
+            drawn.append(super().randrange(*args))
+            return drawn[-1]
+
+    monkeypatch.setattr(random, "Random", RecordingRandom)
+    assert not is_probable_prime(n)
+    assert drawn
+    drawn.clear()
+    assert not is_probable_prime(65537**2)
+    assert drawn == []
 
 
 # HAC Table 4.4: (fewest bits, rounds); below 100 bits the 40-round default

@@ -4,7 +4,9 @@ The searches that draw their own candidates confirm them with
 `search_rounds(bits)` Miller-Rabin rounds; every other caller keeps 40.
 Bases come from the candidate itself, so a prime gets the same verdict at
 any count, and a seeded search finds the same primes with the same draws
-unless a composite passes all of the first rounds' bases.
+unless a composite passes all of the first rounds' bases. Naccache-Stern's
+search, which trial-divides both of its numbers before any round, is
+checked against the `gen_prime` search it replaced.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import phekit.numtheory as numtheory
 import phekit.schemes.naccache_stern as naccache_stern
 from phekit import RandomSource, parse_key, serialize_key
+from phekit.errors import KeygenExhaustedError
 from phekit.schemes import SCHEME_CLASSES, generate_keys
 
 PRIME_SEARCH_SCHEMES = sorted(set(SCHEME_CLASSES) - {"ec-elgamal"})
@@ -54,3 +57,65 @@ def test_key_files_are_checked_at_the_default_rounds(algorithm, monkeypatch):
     parse_key(text)
     naccache_stern.message_primes(40)
     assert calls and set(calls) == {()}
+
+
+def gen_prime_factor_with(cofactor, bits, aux_bits, budget, rng):
+    """Naccache-Stern's search as it was before it ran the cheap tests first:
+    `gen_prime` proves each auxiliary, one retry each, then the pair is
+    tested. The oracle for `naccache_stern._factor_with`."""
+    for _ in budget:
+        aux = numtheory.gen_prime(aux_bits, rng)
+        candidate = 2 * aux * cofactor + 1
+        if candidate.bit_length() == bits and numtheory.is_probable_prime(
+            candidate, numtheory.search_rounds(bits)
+        ):
+            return candidate, aux
+    raise KeygenExhaustedError(
+        "naccache-stern: no prime with the required smooth part within the retry budget"
+    )
+
+
+def naccache_stern_outcome(bits, seed):
+    """The serialized key or the exhaustion message, and the next draw."""
+    rng = RandomSource(seed)
+    try:
+        outcome = serialize_key(generate_keys("naccache-stern", bits, None, rng))
+    except KeygenExhaustedError as exc:
+        outcome = str(exc)
+    return outcome, rng.getrandbits(64)
+
+
+@pytest.mark.parametrize("bits, seeds", [(128, range(6)), (256, range(3))])
+def test_naccache_stern_search_matches_the_gen_prime_search(bits, seeds, monkeypatch):
+    fast = [naccache_stern_outcome(bits, seed) for seed in seeds]
+    monkeypatch.setattr(naccache_stern, "_factor_with", gen_prime_factor_with)
+    assert fast == [naccache_stern_outcome(bits, seed) for seed in seeds]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_naccache_stern_budget_counts_auxiliary_primes_exactly(seed, monkeypatch):
+    """At 128 bits the auxiliaries are past 2^32, so trial division leaves
+    them pending. For every budget up to a few past the smallest that makes
+    the key, the search makes the same key or runs out with the same
+    message, and leaves the same next draw, as the `gen_prime` search."""
+    checks = []  # (retries left, pending auxiliaries) at each check
+    fast_factor_with, has_left = naccache_stern._factor_with, naccache_stern._Budget.has_left
+
+    def recording(budget):
+        checks.append((budget.left, len(budget.pending)))
+        return has_left(budget)
+
+    def outcome(factor_with, budget):
+        monkeypatch.setattr(naccache_stern, "_factor_with", factor_with)
+        monkeypatch.setattr(naccache_stern, "RETRY_BUDGET", budget)
+        return naccache_stern_outcome(128, seed)
+
+    smallest = 0
+    while not outcome(gen_prime_factor_with, smallest)[0].startswith("{"):
+        smallest += 1
+    budgets = range(smallest + 4)
+    slow = [outcome(gen_prime_factor_with, budget) for budget in budgets]
+    monkeypatch.setattr(naccache_stern._Budget, "has_left", recording)
+    assert [outcome(fast_factor_with, budget) for budget in budgets] == slow
+    # the pending auxiliaries were proven because the budget could run out
+    assert any(0 < pending >= left for left, pending in checks)

@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phekit.ec as ec_module
@@ -678,6 +678,39 @@ def test_private_and_public_encryption_agree(algorithm, key_seed, s, enc_seed, d
     c = private.encrypt(m)
     assert c.payload == public.encrypt(m).payload
     assert private.decrypt(c) == m
+
+
+@fast_path_settings
+@given(
+    algorithm=st.sampled_from(("paillier", "damgard-jurik", "okamoto-uchiyama")),
+    key_seed=seeds,
+    s=st.integers(1, 3),
+    at_q=st.booleans(),
+    k=st.none() | st.integers(1, 2**64),
+    square=st.booleans(),
+)
+def test_the_p_squared_check_of_a_g_of_1_mod_p_matches_the_power(
+    algorithm, key_seed, s, at_q, k, square
+):
+    """`key_fault` decides g^(p-1) = 1 (mod p^2) without a power when g = 1
+    (mod p): the verdict matches pow's for g = 1 + k p (or 1 + k p^2) at
+    either prime, and for the generated g = n+1 (k None)."""
+    keys = crt_keys(algorithm, key_seed, s)
+    scheme = scheme_for(keys)
+    n, p, q = scheme.n, scheme.p, scheme.q
+    prime = q if at_q else p
+    g = scheme.g if k is None else (1 + k * prime ** (2 if square else 1)) % scheme.modulus
+    assume(g > 1 and math.gcd(g, n) == 1)
+    public = dict(keys.public, g=g, **({"h": pow(g, n, n)} if "h" in keys.public else {}))
+    expected = any(
+        a * scheme.modulus_power > 1 and pow(g, r - 1, r * r) == 1
+        for r, a in zip((p, q), scheme.n_exponents)
+    )
+    fault = type(scheme).key_fault(replace(keys, public=public))
+    assert fault in (None, ("public.g", "its (p-1)-th power is 1 modulo p^2 for a private prime p"))
+    assert (fault is not None) == expected
+    if k is None:
+        assert g == n + 1 or algorithm == "okamoto-uchiyama"
 
 
 @fast_path_settings

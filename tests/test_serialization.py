@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phekit.schemes.naccache_stern as naccache_stern
 from phekit import (
     PHE,
     ParseError,
@@ -202,6 +204,21 @@ def test_parse_key_rejects_bad_documents(all_keys):
         parse_key("{nope")
     with pytest.raises(ParseError, match="document"):
         parse_key("[]")
+
+
+def test_a_benaloh_block_past_n_is_refused_before_its_primality_test(all_keys, monkeypatch):
+    """r divides p-1, so a public.r at or past n is refused by comparison
+    alone: the Mersenne prime 2^4423 - 1 as block took 40-round Miller-Rabin
+    and then parsed."""
+    keys = all_keys["benaloh"]
+    doc = json.loads(serialize_key(keys, False))
+    monkeypatch.setattr(naccache_stern, "is_probable_prime", None)  # never called
+    for r in (2**4423 - 1, keys.public["n"]):
+        doc["public"]["r"] = doc["params"]["block_size"] = str(r)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="'public.r': must be below public.n"):
+            parse_key(json.dumps(doc))
+        assert time.perf_counter() - start < 0.5
 
 
 def test_parse_key_refuses_params_its_scheme_does_not_take(all_keys):
