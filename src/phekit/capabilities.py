@@ -1,6 +1,6 @@
 """Which homomorphic operations each cryptosystem supports.
 
-The matrix is the single authority consulted by the algebra layer, the CLI,
+The table is the single authority consulted by the algebra layer, the CLI,
 and the benchmark harness. Rows stay in canonical order everywhere output is
 ordered (capability listings, benchmark CSV, chart axes).
 """
@@ -10,33 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapabilityError
-
-# Canonical algorithm identifiers, in fixed presentation order.
-ALGORITHMS: tuple[str, ...] = (
-    "rsa",
-    "goldwasser-micali",
-    "elgamal",
-    "exp-elgamal",
-    "benaloh",
-    "ec-elgamal",
-    "naccache-stern",
-    "okamoto-uchiyama",
-    "paillier",
-    "damgard-jurik",
-)
-
-DISPLAY_NAMES: dict[str, str] = {
-    "rsa": "RSA",
-    "goldwasser-micali": "Goldwasser-Micali",
-    "elgamal": "ElGamal",
-    "exp-elgamal": "Exponential-ElGamal",
-    "benaloh": "Benaloh",
-    "ec-elgamal": "EllipticCurve-ElGamal",
-    "naccache-stern": "Naccache-Stern",
-    "okamoto-uchiyama": "Okamoto-Uchiyama",
-    "paillier": "Paillier",
-    "damgard-jurik": "Damgard-Jurik",
-}
 
 
 @dataclass(frozen=True)
@@ -50,18 +23,23 @@ class Capability:
     regeneration: bool
 
 
-_MATRIX: dict[str, Capability] = {
-    "rsa": Capability(True, False, False, False, False),
-    "goldwasser-micali": Capability(False, False, False, True, False),
-    "elgamal": Capability(True, False, False, False, False),
-    "exp-elgamal": Capability(False, True, True, False, True),
-    "benaloh": Capability(False, True, True, False, True),
-    "ec-elgamal": Capability(False, True, True, False, False),
-    "naccache-stern": Capability(False, True, True, False, True),
-    "okamoto-uchiyama": Capability(False, True, True, False, True),
-    "paillier": Capability(False, True, True, False, True),
-    "damgard-jurik": Capability(False, True, True, False, True),
+# canonical algorithm identifier -> (display name, capability row), in fixed
+# presentation order
+_ROWS: dict[str, tuple[str, Capability]] = {
+    "rsa": ("RSA", Capability(True, False, False, False, False)),
+    "goldwasser-micali": ("Goldwasser-Micali", Capability(False, False, False, True, False)),
+    "elgamal": ("ElGamal", Capability(True, False, False, False, False)),
+    "exp-elgamal": ("Exponential-ElGamal", Capability(False, True, True, False, True)),
+    "benaloh": ("Benaloh", Capability(False, True, True, False, True)),
+    "ec-elgamal": ("EllipticCurve-ElGamal", Capability(False, True, True, False, False)),
+    "naccache-stern": ("Naccache-Stern", Capability(False, True, True, False, True)),
+    "okamoto-uchiyama": ("Okamoto-Uchiyama", Capability(False, True, True, False, True)),
+    "paillier": ("Paillier", Capability(False, True, True, False, True)),
+    "damgard-jurik": ("Damgard-Jurik", Capability(False, True, True, False, True)),
 }
+
+ALGORITHMS: tuple[str, ...] = tuple(_ROWS)
+DISPLAY_NAMES: dict[str, str] = {algorithm: row[0] for algorithm, row in _ROWS.items()}
 
 # operation token -> (Capability field, frozen denial text after the display
 # name), in Capability field order
@@ -75,9 +53,9 @@ OPERATIONS: dict[str, tuple[str, str]] = {
 
 
 def capabilities(algorithm: str) -> Capability:
-    if algorithm not in _MATRIX:
+    if algorithm not in _ROWS:
         raise CapabilityError(f"unknown algorithm: {algorithm}")
-    return _MATRIX[algorithm]
+    return _ROWS[algorithm][1]
 
 
 def ensure_supported(algorithm: str, operation: str) -> None:

@@ -382,15 +382,19 @@ def binomial_log(a: int, base: int, digits: int) -> int:
     base: Paillier's L(a) at one digit.
 
     Digit by digit: with i mod base^(j-1) known, L(a mod base^(j+1)) minus the
-    exact integers C(i, k) * base^(k-1), k in [2, j], is i mod base^j. No
-    factorial is inverted, so base may have a prime factor <= digits.
+    exact integers C(i, k) * base^(k-1), k in [2, j], is i mod base^j. Each
+    C(i, k) comes from C(i, k-1), as in `binomial_pow`; no factorial is
+    inverted, so base may have a prime factor <= digits.
     """
     i = 0
     for j in range(1, digits + 1):
         base_j = base**j
         t = (a % (base_j * base) - 1) // base
+        term, power = i, 1  # C(i, 1) and base^0
         for k in range(2, j + 1):
-            t -= math.comb(i, k) * base ** (k - 1)
+            term = term * (i - k + 1) // k
+            power *= base
+            t -= term * power
         i = t % base_j
     return i
 

@@ -35,6 +35,9 @@ Payload = Union[int, tuple, list]
 # the parameters that hold positive integers, at key generation as in key
 # files; every other parameter is a string
 INT_PARAMS = frozenset({"s", "dlp_bound", "block_size", "prime_count", "plaintext_bits"})
+# the largest value of an integer parameter that has one, at both doors: the
+# first decrypt under a dlp_bound builds isqrt(dlp_bound) + 1 baby steps
+INT_PARAM_CAPS = {"dlp_bound": 1 << 32}
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,11 @@ class Scheme(ABC):
                         f"{cls.algorithm} parameter {name} must be a positive integer, "
                         f"got {value!r}"
                     )
+                if value > INT_PARAM_CAPS.get(name, value):
+                    raise MathDomainError(
+                        f"{cls.algorithm} parameter {name} must be at most "
+                        f"{INT_PARAM_CAPS[name]}, got {value}"
+                    )
             resolved.update(params)
         return resolved
 
@@ -174,13 +182,14 @@ class Scheme(ABC):
     @classmethod
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         """(field, reason) when a parsed key pair cannot be the scheme's, else None;
-        here, private primes p != q must factor n as p**a * q**b (`n_exponents`)."""
+        here, coprime private primes must factor n as p**a * q**b (`n_exponents`),
+        or the CRT that joins their halves would not exist."""
         if cls.n_exponents is None or not keys.has_private:
             return None
         (a, b), p, q = cls.n_exponents, keys.private["p"], keys.private["q"]
-        if p > 1 and q > 1 and p != q and p**a * q**b == keys.public["n"]:
+        if p > 1 and q > 1 and math.gcd(p, q) == 1 and p**a * q**b == keys.public["n"]:
             return None
-        return "private", f"p and q do not factor public.n as p^{a} * q^{b} with p != q"
+        return "private", f"p and q do not factor public.n as p^{a} * q^{b} with gcd(p, q) = 1"
 
     # -- validation helpers -------------------------------------------------
 
@@ -295,18 +304,14 @@ class ModulusScheme(Scheme):
         fault = super().key_fault(keys) or cls._params_fault(keys)
         if fault is not None:
             return fault
-        # a public key's s has no bound: build no modulus, and compare with
-        # n^min(power, value's bits), which n > 2 makes exact
         scheme = cls(keys.public_only())
-        n, power = scheme.n, scheme.modulus_power
         for name in cls.generators:
             value = getattr(scheme, name)
-            below = value < n ** min(power, value.bit_length())
-            if not (value > 1 and below and math.gcd(value, n) == 1):
+            if not (value != 1 and scheme._is_member(value)):
                 return f"public.{name}", "must be a unit other than 1 below the modulus"
         if keys.has_private:
             for prime, a in zip((keys.private["p"], keys.private["q"]), cls.n_exponents):
-                if a * power == 1:
+                if a * scheme.modulus_power == 1:
                     continue
                 g, square = scheme.g, prime * prime
                 # for g = 1 + kp, g^(p-1) = 1 - kp (mod p^2), which is 1 exactly

@@ -18,6 +18,10 @@ from ..errors import MathDomainError
 from ..numtheory import RandomSource, binomial_pow, generate_modulus, random_coprime_below
 from .base import KeyPair, ModulusScheme, Payload
 
+# the largest s, and the largest ciphertext modulus n^(s+1) in bits: that of
+# the default s = 2 at the 7680-bit modulus of security level 192
+MAX_S, MAX_MODULUS_BITS = 16, 3 * 7680
+
 
 class DamgardJurik(ModulusScheme):
     algorithm = "damgard-jurik"
@@ -35,20 +39,28 @@ class DamgardJurik(ModulusScheme):
 
     @classmethod
     def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
-        # the domain Damgard and Jurik give the scheme: 1 <= s < p, q, where
-        # both doors hold every integer parameter to at least 1
-        s = keys.params.get("s", 1)
+        # Damgard and Jurik's domain 1 <= s < p, q, then a cost bound that
+        # public-only keys obey too: encryption raises r to n^s mod n^(s+1)
+        if "s" not in keys.params:  # Paillier
+            return None
+        s = keys.params["s"]
         primes = (keys.private["p"], keys.private["q"]) if keys.has_private else ()
         if not all(s < prime for prime in primes):
-            return "params.s", f"must be below both private primes, got {s}"
+            return "params.s", f"must be below both primes, got {s}"
+        if s > MAX_S or (s + 1) * keys.public["n"].bit_length() > MAX_MODULUS_BITS:
+            return "params.s", (f"must be at most {MAX_S}, with (s+1) * bits(n) "
+                                f"at most {MAX_MODULUS_BITS}")
         return None
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         p, q, n = generate_modulus(security_bits, rng)
-        if params.get("s", 1) >= min(p, q):
-            raise MathDomainError("damgard-jurik parameter s must be below both primes")
-        return {"n": n, "g": n + 1}, {"p": p, "q": q}
+        public, private = {"n": n, "g": n + 1}, {"p": p, "q": q}
+        # the rule parse_key applies, to the key just built
+        fault = cls._params_fault(KeyPair(cls.algorithm, security_bits, public, private, params))
+        if fault is not None:
+            raise MathDomainError(f"damgard-jurik parameter s {fault[1]}")
+        return public, private
 
     def plaintext_bound(self) -> int:
         return self.n**self.s

@@ -17,7 +17,7 @@ from .capabilities import ALGORITHMS
 from .ec import CurvePoint
 from .errors import ParseError
 from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme, variant_of
-from .schemes.base import INT_PARAMS
+from .schemes.base import INT_PARAM_CAPS, INT_PARAMS
 
 FORMAT_VERSION = 1
 
@@ -84,6 +84,8 @@ def _params_from_doc(doc: Any, cls: type[Scheme]) -> dict[str, Any]:
         if key in INT_PARAMS:
             params[key] = _parse_natural(value, field)
             _require(params[key] >= 1, field, "must be at least 1")
+            cap = INT_PARAM_CAPS.get(key, params[key])
+            _require(params[key] <= cap, field, f"must be at most {cap}")
         else:
             _require(isinstance(value, str), field, "expected a string")
             params[key] = value

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import EXPECTED_MATRIX, expected_denial
+from conftest import DISPLAY, EXPECTED_MATRIX, expected_denial
 from phekit import (
     PHE,
     Ciphertext,
@@ -16,7 +16,7 @@ from phekit import (
     serialize_ciphertext,
     to_rational,
 )
-from phekit.capabilities import ALGORITHMS, capabilities, ensure_supported
+from phekit.capabilities import ALGORITHMS, DISPLAY_NAMES, capabilities, ensure_supported
 from phekit.errors import CapabilityError
 
 OPERATIONS = ("mul", "add", "scalar", "xor", "regen")
@@ -72,6 +72,14 @@ def test_to_rational_bounds_the_exponent_by_the_digit_limit(int_digit_limit):
 def test_matrix_table_is_complete():
     assert set(EXPECTED_MATRIX) == set(ALGORITHMS)
     assert len(ALGORITHMS) == 10
+
+
+def test_algorithms_and_display_names_keep_their_order():
+    assert ALGORITHMS == tuple(EXPECTED_MATRIX)
+    assert type(DISPLAY_NAMES) is dict
+    assert list(DISPLAY_NAMES.items()) == list(DISPLAY.items())
+    with pytest.raises(CapabilityError, match="^unknown algorithm: vigenere$"):
+        capabilities("vigenere")
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

@@ -221,6 +221,19 @@ def test_key_whose_factors_miss_the_modulus_exits_4(tmp_path, paillier_keys, cap
     assert not out.exists()
 
 
+def test_key_whose_factors_share_a_factor_exits_4(tmp_path, capsys):
+    """15 * 21 = 315: without gcd(p, q) = 1 the CRT inverse the key's
+    scheme builds does not exist, so the file is refused where it is read."""
+    keys, out = tmp_path / "rsa.json", tmp_path / "c.json"
+    pair = KeyPair("rsa", 9, {"n": 315, "e": 3}, {"p": 15, "q": 21, "d": 47})
+    keys.write_text(serialize_key(pair))
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "2",
+                "--out", str(out)]) == 4
+    assert "'private'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ec_key_off_its_curve_exits_4(tmp_path, capsys):
     keys = tmp_path / "ec.json"
     assert run(["keygen", "--algorithm", "ec-elgamal", "--curve", "secp160r1",

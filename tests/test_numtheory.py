@@ -394,6 +394,29 @@ def test_binomial_log_inverts_binomial_pow(base, digits, z, data):
     )
 
 
+def comb_binomial_log(a: int, base: int, digits: int) -> int:
+    """binomial_log with each C(i, k) from `math.comb`: the oracle for the
+    incremental binomials."""
+    i = 0
+    for j in range(1, digits + 1):
+        base_j = base**j
+        t = (a % (base_j * base) - 1) // base
+        for k in range(2, j + 1):
+            t -= math.comb(i, k) * base ** (k - 1)
+        i = t % base_j
+    return i
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=odd_bases | st.sampled_from([65537, 2**61 - 1]), digits=st.integers(1, 11),
+       data=st.data())
+def test_binomial_log_matches_its_math_comb_form(base, digits, data):
+    """C(i, k) built from C(i, k-1) is the same integer as math.comb, so any
+    residue, a power of 1+base or not, reads to the same digits."""
+    a = data.draw(st.integers(0, base ** (digits + 1) - 1))
+    assert binomial_log(a, base, digits) == comb_binomial_log(a, base, digits)
+
+
 @pytest.mark.parametrize(
     "base, digits", [(3, 1), (3, 4), (5, 3), (9, 2), (15, 2), (15, 3), (21, 2), (35, 2)]
 )

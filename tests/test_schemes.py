@@ -490,6 +490,20 @@ def test_damgard_jurik_keygen_refuses_s_past_its_primes():
         generate_keys("damgard-jurik", 16, params={"s": 300}, rng=RandomSource(1))
 
 
+def test_keygen_holds_s_and_dlp_bound_to_their_cost_bounds():
+    """The rules parse_key applies: s <= 16 with (s+1) * bits(n) <= 23040,
+    and dlp_bound <= 2^32."""
+    for bits, s in ((64, 17), (1024, 17), (2048, 11)):
+        with pytest.raises(MathDomainError, match="parameter s must be at most 16"):
+            generate_keys("damgard-jurik", bits, params={"s": s}, rng=RandomSource(1))
+    for algorithm, params in (("exp-elgamal", {}), ("ec-elgamal", {"curve": "toy17"})):
+        with pytest.raises(MathDomainError, match="parameter dlp_bound must be at most"):
+            generate_keys(algorithm, 64, params=dict(params, dlp_bound=2**32 + 1),
+                          rng=RandomSource(1))
+    keys = generate_keys("exp-elgamal", 64, params={"dlp_bound": 2**32}, rng=RandomSource(1))
+    assert parse_key(serialize_key(keys)) == keys
+
+
 def test_unknown_param_rejected(rng):
     with pytest.raises(MathDomainError):
         generate_keys("paillier", 64, params={"wat": 1}, rng=rng)

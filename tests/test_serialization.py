@@ -292,6 +292,51 @@ def test_parse_key_rejects_private_factors_that_miss_the_modulus(all_keys, algor
     assert parse_key(json.dumps(doc)) == keys
 
 
+def _refused_in_milliseconds(doc: dict, field: str) -> None:
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"'{field}': must be at most"):
+        parse_key(json.dumps(doc))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_damgard_jurik_s_past_its_cost_bound_is_refused(all_keys):
+    """s <= 16 and (s+1) * bits(n) <= 23040, public-only keys included: a
+    64-bit file with s = 100000 would raise r to n^100000 on its first
+    encrypt."""
+    for include_private in (True, False):
+        doc = json.loads(serialize_key(all_keys["damgard-jurik"], include_private))
+        for s in (17, 100000):
+            doc["params"]["s"] = str(s)
+            _refused_in_milliseconds(doc, "params.s")
+    # the last s each modulus size admits; n = 2^(bits-1) + 1 and g = n+1 pass
+    # every other public check
+    for bits, s in ((7680, 2), (3072, 6), (2048, 10), (1024, 16), (64, 16)):
+        n = 2 ** (bits - 1) + 1
+        pair = KeyPair("damgard-jurik", bits, {"n": n, "g": n + 1}, None, {"s": s})
+        assert parse_key(serialize_key(pair)) == pair
+        _refused_in_milliseconds(json.loads(serialize_key(replace(pair, params={"s": s + 1}))),
+                                 "params.s")
+    # Paillier carries no s, and its modulus size is the caller's choice
+    n = 2**12000 + 1
+    pair = KeyPair("paillier", 12001, {"n": n, "g": n + 1})
+    assert parse_key(serialize_key(pair)) == pair
+
+
+def test_a_dlp_bound_past_2_to_the_32_is_refused(all_keys):
+    """The first decrypt builds isqrt(dlp_bound) + 1 baby steps; EC-ElGamal
+    caps the bound at the group order only, some 2^75 steps on secp160r1."""
+    ec_keys = generate_keys("ec-elgamal", 0, params={"curve": "secp160r1"},
+                            rng=RandomSource(7))
+    for keys in (ec_keys, all_keys["exp-elgamal"]):
+        for include_private in (True, False):
+            doc = json.loads(serialize_key(keys, include_private))
+            for bound in (2**32 + 1, 2**150):
+                doc["params"]["dlp_bound"] = str(bound)
+                _refused_in_milliseconds(doc, "params.dlp_bound")
+            doc["params"]["dlp_bound"] = str(2**32)
+            assert parse_key(json.dumps(doc)).params["dlp_bound"] == 2**32
+
+
 def test_parse_key_rejects_an_ec_point_off_its_curve():
     keys = generate_keys("ec-elgamal", 0, params={"curve": "secp160r1"},
                          rng=RandomSource(7))
