@@ -223,10 +223,12 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        # (2/n) = -1 exactly when n = 3 or 5 (mod 8): strip every factor of
+        # two in one shift and flip once if their count is odd
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n % 8 in (3, 5):
+            result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
             result = -result

@@ -16,9 +16,12 @@ private key's per-prime and decryption constants are built with the
 instance (for a modulus scheme, one table of its private primes), and
 tables are built on first use: the first encryption of an ElGamal-family
 scheme builds fixed-base tables for g and h (one entry per 6-bit digit of a
-1024-bit nonce, about 28 KB per base), and the first decrypt builds the
-baby-step tables of the discrete-log schemes. So hold on to the instance
-(or a PHE facade, which holds one) rather than rebuilding it.
+1024-bit nonce, about 28 KB per base), the first private encryption of
+Okamoto-Uchiyama one for h per prime-power factor of n (about 17 KB modulo
+p^2 and 5 KB modulo q at 1024 bits; a public-only key raises h with a plain
+power), and the first decrypt builds the baby-step tables of the
+discrete-log schemes. So hold on to the instance (or a PHE facade, which
+holds one) rather than rebuilding it.
 """
 
 from __future__ import annotations

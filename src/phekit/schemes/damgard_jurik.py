@@ -23,6 +23,18 @@ from .base import KeyPair, ModulusScheme, Payload
 MAX_S, MAX_MODULUS_BITS = 16, 3 * 7680
 
 
+def _s_fault(s: int, prime_bound: Optional[int], n_bits: int) -> Optional[str]:
+    """Why s is outside Damgard and Jurik's domain 1 <= s < p, q, judged as
+    s < `prime_bound` (None: no primes known), or past the cost bound, which
+    public-only keys obey too, as encryption raises r to n^s mod n^(s+1);
+    None when it is inside both."""
+    if prime_bound is not None and s >= prime_bound:
+        return f"must be below both primes, got {s}"
+    if s > MAX_S or (s + 1) * n_bits > MAX_MODULUS_BITS:
+        return f"must be at most {MAX_S}, with (s+1) * bits(n) at most {MAX_MODULUS_BITS}"
+    return None
+
+
 class DamgardJurik(ModulusScheme):
     algorithm = "damgard-jurik"
     default_params = {"s": 2}
@@ -39,24 +51,24 @@ class DamgardJurik(ModulusScheme):
 
     @classmethod
     def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
-        # Damgard and Jurik's domain 1 <= s < p, q, then a cost bound that
-        # public-only keys obey too: encryption raises r to n^s mod n^(s+1)
         if "s" not in keys.params:  # Paillier
             return None
-        s = keys.params["s"]
-        primes = (keys.private["p"], keys.private["q"]) if keys.has_private else ()
-        if not all(s < prime for prime in primes):
-            return "params.s", f"must be below both primes, got {s}"
-        if s > MAX_S or (s + 1) * keys.public["n"].bit_length() > MAX_MODULUS_BITS:
-            return "params.s", (f"must be at most {MAX_S}, with (s+1) * bits(n) "
-                                f"at most {MAX_MODULUS_BITS}")
-        return None
+        prime_bound = min(keys.private["p"], keys.private["q"]) if keys.has_private else None
+        reason = _s_fault(keys.params["s"], prime_bound, keys.public["n"].bit_length())
+        return None if reason is None else ("params.s", reason)
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
+        # the rule parse_key applies, first to what the request fixes, so a
+        # refused s costs no draw: n has exactly security_bits bits, and no
+        # prime of security_bits // 2 bits reaches 2^(security_bits // 2)
+        if "s" in params:
+            reason = _s_fault(params["s"], 1 << security_bits // 2, security_bits)
+            if reason is not None:
+                raise MathDomainError(f"damgard-jurik parameter s {reason}")
         p, q, n = generate_modulus(security_bits, rng)
         public, private = {"n": n, "g": n + 1}, {"p": p, "q": q}
-        # the rule parse_key applies, to the key just built
+        # then to the key just built, whose primes may lie below that bound
         fault = cls._params_fault(KeyPair(cls.algorithm, security_bits, public, private, params))
         if fault is not None:
             raise MathDomainError(f"damgard-jurik parameter s {fault[1]}")

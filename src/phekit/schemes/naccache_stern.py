@@ -117,6 +117,8 @@ class NaccacheStern(ModulusScheme):
         if keys.has_private:
             self.units = UnitGroup(self.n)
             phi = (self.p - 1) * (self.q - 1)
+            # decryption's one private power: every phi/p_i is phi/sigma * sigma/p_i
+            self._phi_over_sigma = phi // self.sigma
             # per message prime: the exponent that isolates m mod p_i and the
             # order-p_i base the small discrete log runs against
             self._parts = []
@@ -211,11 +213,15 @@ class NaccacheStern(ModulusScheme):
         return [baby_steps(self.units, base, prime - 1) for prime, _, base in self._parts]
 
     def decrypt(self, c: Payload) -> int:
+        """m mod each message prime p_i is the log of c^(phi/p_i) to the base
+        g^(phi/p_i), and CRT joins the residues. c^(phi/sigma) is the one
+        full power; each target raises it to the small sigma/p_i."""
         self.require_private()
+        lifted = self._private_pow(c, self._phi_over_sigma)
         residues = []
         moduli = []
-        for (prime, exponent, base), table in zip(self._parts, self._baby_steps):
-            target = self._private_pow(c, exponent)
+        for (prime, _, base), table in zip(self._parts, self._baby_steps):
+            target = pow(lifted, self.sigma // prime, self.n)
             residue = discrete_log_bounded(self.units, base, target, prime - 1, table)
             if residue is None:
                 raise DecryptionBoundError(

@@ -6,10 +6,11 @@ p; the cap is published in the key parameters without revealing p itself.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Callable, Optional
 
 from ..errors import MathDomainError
-from ..numtheory import RandomSource, gen_prime, random_coprime_below
+from ..numtheory import RandomSource, UnitGroup, gen_prime, random_coprime_below
 from .base import KeyPair, ModulusScheme, Payload
 
 
@@ -71,10 +72,25 @@ class OkamotoUchiyama(ModulusScheme):
     def plaintext_bound(self) -> int:
         return 1 << self.keys.params["plaintext_bits"]
 
+    @cached_property
+    def _h_pow(self) -> Callable[[int], int]:
+        """k -> h**k mod n by fixed-base tables, built on the first private
+        encryption: one table modulo p^2 and one modulo q, each for exponents
+        below that factor's group order, joined by CRT. `key_fault` proves h
+        a unit, so reducing k by each order keeps the same integer."""
+        (_, p_k, order_p, _), (_, q_k, order_q, _), _ = self._primes
+        h_p = UnitGroup(p_k).fixed_base(self.h % p_k, order_p.bit_length())
+        h_q = UnitGroup(q_k).fixed_base(self.h % q_k, order_q.bit_length())
+        return lambda k: self._crt_join(h_p(k % order_p), h_q(k % order_q))
+
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)
         r = random_coprime_below(self.n, rng)
-        return pow(self.g, m, self.n) * self._private_pow(self.h, r) % self.n
+        # without the private key h^r stays one plain power modulo n: a table
+        # as wide as n costs about that power again to build, which a one-off
+        # encryption (`phekit encrypt` with a public key file) would pay
+        h_r = self._h_pow(r) if self.keys.has_private else pow(self.h, r, self.n)
+        return pow(self.g, m, self.n) * h_r % self.n
 
     def decrypt(self, c: Payload) -> int:
         return self._log_decrypt(c)

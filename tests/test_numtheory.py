@@ -273,6 +273,35 @@ def test_jacobi_matches_euler_criterion_for_small_primes():
             assert (jacobi(a, p) == 1) == is_qr_mod_prime(a, p), (a, p)
 
 
+def jacobi_by_halving(a: int, n: int) -> int:
+    """(a/n) as `jacobi` computed it before it stripped the factors of two in
+    one shift: halve a, flipping the sign for each halving at n = 3, 5 mod 8."""
+    a %= n
+    result = 1
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+@settings(max_examples=300)
+@given(
+    n=(st.integers(1, 2**10) | st.integers(1, 2**1023 - 1)).map(lambda k: 2 * k + 1),
+    a=st.integers() | st.integers(-(2**1100), 2**1100),
+    twos=st.integers(0, 80),
+)
+def test_jacobi_matches_the_halving_loop(n, a, twos):
+    """Odd n from 3 to 2^1024 - 1, composite or prime; any a, with extra
+    factors of two so that runs of both parities are stripped."""
+    assert jacobi(a << twos, n) == jacobi_by_halving(a << twos, n)
+
+
 def test_is_qr_mod_prime_fixtures():
     assert is_qr_mod_prime(2, 7)  # 3*3 = 9 = 2 mod 7
     assert not is_qr_mod_prime(3, 7)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phekit.ec as ec_module
+import phekit.numtheory as numtheory_module
 import phekit.schemes.elgamal as elgamal_module
 import phekit.schemes.naccache_stern as naccache_stern_module
 from conftest import EXPECTED_MATRIX
@@ -504,6 +505,17 @@ def test_keygen_holds_s_and_dlp_bound_to_their_cost_bounds():
     assert parse_key(serialize_key(keys)) == keys
 
 
+def test_a_refused_damgard_jurik_s_costs_no_draw():
+    """What the requested size alone refuses is refused before the modulus is
+    drawn: the cost bound, with n exactly that wide, and an s that no prime
+    of half that width exceeds. The source is left where a fresh one starts."""
+    for bits, s, reason in ((2048, 11, "at most 16"), (16, 300, "below both primes")):
+        rng = RandomSource(1)
+        with pytest.raises(MathDomainError, match=f"parameter s must be {reason}"):
+            generate_keys("damgard-jurik", bits, params={"s": s}, rng=rng)
+        assert rng.getrandbits(64) == RandomSource(1).getrandbits(64)
+
+
 def test_unknown_param_rejected(rng):
     with pytest.raises(MathDomainError):
         generate_keys("paillier", 64, params={"wat": 1}, rng=rng)
@@ -853,6 +865,72 @@ def test_importing_phekit_builds_no_table():
         "assert not built, built\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@fast_path_settings
+@given(key_seed=st.none() | seeds, k=st.integers(0, 2**128), j=st.integers(1, 2**16))
+def test_okamoto_uchiyama_h_table_matches_builtin_pow(key_seed, k, j):
+    """h^k from the private key's fixed-base tables, one per factor with the
+    exponent reduced by that factor's group order, against builtin pow modulo
+    n, the plain power a public-only key still takes. `key_seed` None is the
+    hand-checked key with p = 7."""
+    keys = OU_TOY if key_seed is None else crt_keys("okamoto-uchiyama", key_seed, 1)
+    scheme = scheme_for(keys)
+    n, h = scheme.n, scheme.h
+    p, q = keys.private["p"], keys.private["q"]
+    orders = (p * (p - 1), q - 1)
+    exponents = [0, 1, n - 1, n, 2 * n, k, k % n, *orders]
+    exponents += [order * j + d for order in orders for d in (-1, 0, 1)]
+    for e in exponents:
+        assert scheme._h_pow(e) == pow(h, e, n), e
+
+
+@pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
+def test_scheme_for_and_parse_key_build_no_table_before_the_first_encryption(
+    algorithm, rng, monkeypatch
+):
+    """Reading a key file and building its scheme build no fixed-base table;
+    the first encryption builds one per base (Okamoto-Uchiyama's h: one per
+    prime-power factor with the private key, none without), and the second
+    reuses them."""
+    built, table = [], numtheory_module.fixed_base_table
+
+    def counted(group, base, bits):
+        built.append(bits)
+        return table(group, base, bits)
+
+    monkeypatch.setattr(numtheory_module, "fixed_base_table", counted)
+    monkeypatch.setattr(ec_module, "fixed_base_table", counted)
+    keys = toy_keys(algorithm, rng)
+    for copy in (keys, keys.public_only()):
+        scheme = scheme_for(parse_key(serialize_key(copy)))
+        assert built == []
+        scheme.encrypt(1, rng)
+        scheme.encrypt(0, rng)
+        if algorithm == "okamoto-uchiyama":
+            assert len(built) == (2 if copy.has_private else 0)
+        else:
+            assert len(built) == (2 if "elgamal" in algorithm else 0)
+        built.clear()
+
+
+@fast_path_settings
+@given(algorithm=st.sampled_from(["benaloh", "naccache-stern"]), key_seed=seeds, c_seed=seeds)
+def test_message_prime_decryption_matches_one_power_per_prime(algorithm, key_seed, c_seed):
+    """Decryption's one private power c^(phi/sigma), raised to each small
+    sigma/p_i, against the slow path: c^(phi/p_i) by builtin pow for each
+    message prime, its log to the base g^(phi/p_i) found by trying every
+    residue, the residues joined by CRT. Every unit below n decrypts."""
+    scheme = scheme_for(crt_keys(algorithm, key_seed, 1))
+    n, g = scheme.n, scheme.g
+    phi = (scheme.p - 1) * (scheme.q - 1)
+    c = random_coprime_below(n, RandomSource(c_seed))
+    primes = scheme._message_primes()
+    residues = []
+    for prime in primes:
+        target, base = pow(c, phi // prime, n), pow(g, phi // prime, n)
+        residues.append(next(m for m in range(prime) if pow(base, m, n) == target))
+    assert scheme.decrypt(c) == crt(residues, primes)
 
 
 @fast_path_settings
