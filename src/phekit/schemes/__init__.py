@@ -11,17 +11,10 @@ Paillier is Damgard-Jurik at s = 1, Benaloh is Naccache-Stern with the one
 message prime r, exponential ElGamal is ElGamal on g^m, and EC-ElGamal is
 exponential ElGamal on a curve. Each family has one `encrypt` and one
 `decrypt`; Okamoto-Uchiyama, Paillier and Damgard-Jurik decrypt through one
-routine, `ModulusScheme._log_decrypt`. One build rule holds throughout: a
-private key's per-prime and decryption constants are built with the
-instance (for a modulus scheme, one table of its private primes), and
-tables are built on first use: the first encryption of an ElGamal-family
-scheme builds fixed-base tables for g and h (one entry per 6-bit digit of a
-1024-bit nonce, about 28 KB per base), the first private encryption of
-Okamoto-Uchiyama one for h per prime-power factor of n (about 17 KB modulo
-p^2 and 5 KB modulo q at 1024 bits; a public-only key raises h with a plain
-power), and the first decrypt builds the baby-step tables of the
-discrete-log schemes. So hold on to the instance (or a PHE facade, which
-holds one) rather than rebuilding it.
+routine, `ModulusScheme._log_decrypt`. Every scheme keeps the one build
+rule stated in `Scheme`'s docstring (`base.py`): private-key constants with
+the instance, tables on first use. So hold on to the instance (or a PHE
+facade, which holds one) rather than rebuilding it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, ClassVar, Optional, Union
+from typing import Any, Callable, ClassVar, Optional, Union
 
 from ..capabilities import ensure_supported
 from ..ec import CurvePoint
@@ -36,8 +36,9 @@ Payload = Union[int, tuple, list]
 # files; every other parameter is a string
 INT_PARAMS = frozenset({"s", "dlp_bound", "block_size", "prime_count", "plaintext_bits"})
 # the largest value of an integer parameter that has one, at both doors: the
-# first decrypt under a dlp_bound builds isqrt(dlp_bound) + 1 baby steps
-INT_PARAM_CAPS = {"dlp_bound": 1 << 32}
+# first decrypt under a dlp_bound, or a Benaloh block r, builds
+# isqrt(dlp_bound) + 1, or isqrt(r - 1) + 1, baby steps
+INT_PARAM_CAPS = {"dlp_bound": 1 << 32, "block_size": 1 << 32}
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,15 @@ class Scheme(ABC):
     one attribute per declared field (a private field is None on a
     public-only key); subclass constructors add only derived constants.
     One build rule holds for every scheme: a private key's per-prime and
-    decryption constants are built with the instance, and tables are built
-    on first use, so reuse one instance across many calls. The tables are
-    the baby steps of the discrete-log schemes and the fixed-base powers of
-    the ElGamal family's g and h (about 28 KB per base at 1024 bits) and of
-    Okamoto-Uchiyama's h with the private key: one table modulo p^2 and one
-    modulo q (about 17 KB and 5 KB at 1024 bits).
+    decryption constants are built with the instance (for a modulus scheme,
+    `ModulusScheme._primes`), and tables are built on first use, so reuse
+    one instance across many calls. The tables are the baby steps of the
+    discrete-log schemes (first decrypt), the fixed-base powers of the
+    ElGamal family's g and h (first encryption; about 28 KB per base at
+    1024 bits) and those of Okamoto-Uchiyama's h with the private key
+    (first private encryption): one table modulo p^2 and one modulo q
+    (about 17 KB and 5 KB at 1024 bits). A public-only Okamoto-Uchiyama key
+    raises h with a plain power.
     """
 
     algorithm: ClassVar[str]
@@ -267,10 +271,10 @@ class ModulusScheme(Scheme):
 
     Combining multiplies two ciphertexts and a scalar raises one to a power,
     both modulo `modulus` = `n ** modulus_power`, with the public
-    n = p**a * q**b (`n_exponents`). As for every scheme, a private key's
-    per-prime constants are built with the instance (`_primes`, the one
-    table the private-key powers and `_log_decrypt` read), and tables are
-    built on first use.
+    n = p**a * q**b (`n_exponents`). A private key's per-prime constants,
+    `_primes`, are built with the instance by `Scheme`'s build rule; every
+    private-key power runs per prime-power factor of `modulus` and is joined
+    by `_per_prime`, the one join of per-prime results.
     """
 
     payload_variant = "single"
@@ -329,26 +333,26 @@ class ModulusScheme(Scheme):
         public half, is out of its domain; checked once the factors are."""
         return None
 
+    def _per_prime(self, part: Callable[[int, int, int, int], int]) -> int:
+        """The residue modulo `modulus` that is part(i, prime, p^k, order of
+        the units mod p^k) modulo each prime-power factor p^k of it, at row
+        i of `_primes`, joined by CRT with the inverse `_primes` stores: the
+        one join of per-prime results."""
+        (p, p_k, order_p, _), (q, q_k, order_q, _), p_k_inv = self._primes
+        x_p = part(0, p, p_k, order_p)
+        return x_p + p_k * ((part(1, q, q_k, order_q) - x_p) * p_k_inv % q_k)
+
     def _private_pow(self, x: int, e: int) -> int:
         """x**e mod `modulus`, the same integer as builtin `pow`.
 
         With the private key, the power runs modulo each prime-power factor
-        of `modulus` and is recombined by CRT. The exponent is reduced by a
-        factor's group order only where x is a unit modulo that factor.
+        of `modulus` (`_per_prime`). The exponent is reduced by a factor's
+        group order only where x is a unit modulo that factor.
         """
         if not self.keys.has_private:
             return pow(x, e, self.modulus)
-        (p, p_k, order_p, _), (q, q_k, order_q, _), _ = self._primes
-        return self._crt_join(
-            pow(x, e % order_p if x % p else e, p_k),
-            pow(x, e % order_q if x % q else e, q_k),
-        )
-
-    def _crt_join(self, x_p: int, x_q: int) -> int:
-        """The residue modulo `modulus` that is x_p modulo the p-power and x_q
-        modulo the q-power."""
-        (_, p_k, _, _), (_, q_k, _, _), p_k_inv = self._primes
-        return x_p + p_k * ((x_q - x_p) * p_k_inv % q_k)
+        return self._per_prime(
+            lambda _, prime, prime_k, order: pow(x, e % order if x % prime else e, prime_k))
 
     def _log_decrypt(self, c: int) -> int:
         """m from c = g^m * x with x^(p-1) = 1 mod p^k: for each prime with

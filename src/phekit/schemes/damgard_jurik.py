@@ -96,17 +96,18 @@ class DamgardJurik(ModulusScheme):
         depends only on x mod p, here t = r^(n^s mod (p-1)) mod p. With
         A = (p^s - 1)/(p - 1), t^(p^s) = t * (t^(p-1))^A, and t^(p-1) = 1 + pz,
         so (1 + pz)^A is the sum of C(A, k)(pz)^k for k = 0..s: every later
-        term is divisible by p^(s+1). The same for q, joined by CRT.
+        term is divisible by p^(s+1). The same for q (`_per_prime`).
         """
         if not self.keys.has_private:
             return pow(r, self.n**self.s, self.modulus)
-        lifted = []
-        for prime, prime_k, _, _ in self._primes[:2]:
+
+        def lift(_row: int, prime: int, prime_k: int, _order: int) -> int:
             t = pow(r, pow(self.n, self.s, prime - 1), prime)
             a = (prime_k // prime - 1) // (prime - 1)
             pz = pow(t, prime - 1, prime_k) - 1
-            lifted.append(t * binomial_pow(pz, a, self.s + 1, prime_k) % prime_k)
-        return self._crt_join(*lifted)
+            return t * binomial_pow(pz, a, self.s + 1, prime_k) % prime_k
+
+        return self._per_prime(lift)
 
 
 class Paillier(DamgardJurik):

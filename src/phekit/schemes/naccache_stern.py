@@ -28,7 +28,7 @@ from ..numtheory import (
     search_rounds,
     trial_divide,
 )
-from .base import KeyPair, ModulusScheme, Payload
+from .base import INT_PARAM_CAPS, KeyPair, ModulusScheme, Payload
 
 RETRY_BUDGET = 50_000
 
@@ -116,16 +116,13 @@ class NaccacheStern(ModulusScheme):
         super().__init__(keys)
         if keys.has_private:
             self.units = UnitGroup(self.n)
-            phi = (self.p - 1) * (self.q - 1)
             # decryption's one private power: every phi/p_i is phi/sigma * sigma/p_i
-            self._phi_over_sigma = phi // self.sigma
-            # per message prime: the exponent that isolates m mod p_i and the
-            # order-p_i base the small discrete log runs against
-            self._parts = []
-            for prime in self._message_primes():
-                exponent = phi // prime
-                base = self._private_pow(self.g, exponent)
-                self._parts.append((prime, exponent, base))
+            self._phi_over_sigma = (self.p - 1) * (self.q - 1) // self.sigma
+            # per message prime p_i, the order-p_i base g^(phi/p_i) the small
+            # discrete log runs against, split as decryption splits c's power
+            lifted = self._private_pow(self.g, self._phi_over_sigma)
+            self._parts = [(prime, pow(lifted, self.sigma // prime, self.n))
+                           for prime in self._message_primes()]
 
     def _message_primes(self) -> list[int]:
         """The small primes whose product is sigma."""
@@ -134,14 +131,16 @@ class NaccacheStern(ModulusScheme):
     @classmethod
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         """Decryption needs sigma to be the message primes' product and, with the
-        private key, each message prime p_i to divide phi once, g^(phi/p_i) != 1."""
+        private key, each message prime p_i to divide phi once, then
+        g^(phi/p_i) != 1: the bases are g^(phi/p_i) only once sigma divides phi."""
         fault = super().key_fault(keys)
         if fault is None and keys.has_private:
             scheme = cls(keys)
             phi = (scheme.p - 1) * (scheme.q - 1)
-            for prime, exponent, base in scheme._parts:
-                if phi % prime or exponent % prime == 0:
+            for prime, _ in scheme._parts:
+                if phi % prime or phi // prime % prime == 0:
                     return "private", f"message prime {prime} does not divide phi once"
+            for prime, base in scheme._parts:
                 if base == 1:  # the generator: g, or y for Benaloh
                     return f"public.{cls.generators[0]}", f"its phi/{prime}-th power is 1"
         return fault
@@ -210,7 +209,7 @@ class NaccacheStern(ModulusScheme):
     @cached_property
     def _baby_steps(self) -> list:
         """Per message prime, the baby steps of its base (first decrypt)."""
-        return [baby_steps(self.units, base, prime - 1) for prime, _, base in self._parts]
+        return [baby_steps(self.units, base, prime - 1) for prime, base in self._parts]
 
     def decrypt(self, c: Payload) -> int:
         """m mod each message prime p_i is the log of c^(phi/p_i) to the base
@@ -220,7 +219,7 @@ class NaccacheStern(ModulusScheme):
         lifted = self._private_pow(c, self._phi_over_sigma)
         residues = []
         moduli = []
-        for (prime, _, base), table in zip(self._parts, self._baby_steps):
+        for (prime, base), table in zip(self._parts, self._baby_steps):
             target = pow(lifted, self.sigma // prime, self.n)
             residue = discrete_log_bounded(self.units, base, target, prime - 1, table)
             if residue is None:
@@ -254,10 +253,13 @@ class Benaloh(NaccacheStern):
 
     @classmethod
     def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
-        r = keys.public["r"]
-        # r divides p-1, so r < n; checked first, as it costs no power
+        r, cap = keys.public["r"], INT_PARAM_CAPS["block_size"]
+        # r divides p-1, so r < n, and r is the block, so at most its cap:
+        # both checked first, as they cost no power
         if r >= keys.public["n"]:
             return "public.r", "must be below public.n"
+        if r > cap:
+            return "public.r", f"must be at most {cap}"
         if r < 3 or not is_probable_prime(r):
             return "public.r", f"must be an odd prime, got {r}"
         if keys.params["block_size"] != r:

@@ -76,12 +76,11 @@ class OkamotoUchiyama(ModulusScheme):
     def _h_pow(self) -> Callable[[int], int]:
         """k -> h**k mod n by fixed-base tables, built on the first private
         encryption: one table modulo p^2 and one modulo q, each for exponents
-        below that factor's group order, joined by CRT. `key_fault` proves h
+        below that factor's group order (`_per_prime`). `key_fault` proves h
         a unit, so reducing k by each order keeps the same integer."""
-        (_, p_k, order_p, _), (_, q_k, order_q, _), _ = self._primes
-        h_p = UnitGroup(p_k).fixed_base(self.h % p_k, order_p.bit_length())
-        h_q = UnitGroup(q_k).fixed_base(self.h % q_k, order_q.bit_length())
-        return lambda k: self._crt_join(h_p(k % order_p), h_q(k % order_q))
+        tables = [UnitGroup(prime_k).fixed_base(self.h % prime_k, order.bit_length())
+                  for _, prime_k, order, _ in self._primes[:2]]
+        return lambda k: self._per_prime(lambda row, _, __, order: tables[row](k % order))
 
     def encrypt(self, m: int, rng: RandomSource) -> Payload:
         self.check_plaintext(m)

@@ -505,14 +505,29 @@ def test_keygen_holds_s_and_dlp_bound_to_their_cost_bounds():
     assert parse_key(serialize_key(keys)) == keys
 
 
+def test_the_largest_benaloh_block_encrypts_and_decrypts():
+    """r = 2^32 - 5, the largest prime below 2^32, at 256 bits: 2^16 baby steps."""
+    keys = generate_keys("benaloh", 256, params={"block_size": 4294967291},
+                         rng=RandomSource(1))
+    scheme = scheme_for(parse_key(serialize_key(keys)))
+    rng = RandomSource(2)
+    for m in (0, 1, 4294967290):
+        assert scheme.decrypt(scheme.encrypt(m, rng)) == m
+
+
 def test_a_refused_damgard_jurik_s_costs_no_draw():
     """What the requested size alone refuses is refused before the modulus is
     drawn: the cost bound, with n exactly that wide, and an s that no prime
-    of half that width exceeds. The source is left where a fresh one starts."""
-    for bits, s, reason in ((2048, 11, "at most 16"), (16, 300, "below both primes")):
+    of half that width exceeds; so is a Benaloh block past 2^32, by the rule
+    parse_key applies. The source is left where a fresh one starts."""
+    for algorithm, bits, params, reason in (
+            ("damgard-jurik", 2048, {"s": 11}, "s must be at most 16"),
+            ("damgard-jurik", 16, {"s": 300}, "s must be below both primes"),
+            ("benaloh", 256, {"block_size": 2**32 + 15}, "block_size must be at most"),
+            ("benaloh", 256, {"block_size": 2**61 - 1}, "block_size must be at most")):
         rng = RandomSource(1)
-        with pytest.raises(MathDomainError, match=f"parameter s must be {reason}"):
-            generate_keys("damgard-jurik", bits, params={"s": s}, rng=rng)
+        with pytest.raises(MathDomainError, match=f"parameter {reason}"):
+            generate_keys(algorithm, bits, params=params, rng=rng)
         assert rng.getrandbits(64) == RandomSource(1).getrandbits(64)
 
 
@@ -930,6 +945,7 @@ def test_message_prime_decryption_matches_one_power_per_prime(algorithm, key_see
     for prime in primes:
         target, base = pow(c, phi // prime, n), pow(g, phi // prime, n)
         residues.append(next(m for m in range(prime) if pow(base, m, n) == target))
+    assert scheme._parts == [(prime, pow(g, phi // prime, n)) for prime in primes]
     assert scheme.decrypt(c) == crt(residues, primes)
 
 

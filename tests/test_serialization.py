@@ -157,6 +157,10 @@ def test_parse_key_rejects_bad_documents(all_keys):
     for r in (13, 5):
         corrupt(f"'private': message prime {r}", "benaloh", params={"block_size": str(r)},
                 public=public("benaloh", r=r))
+    # broken twice, a base of 1 at the message prime 3 and the prime 13 not
+    # dividing phi: every prime is checked against phi before any base
+    corrupt("'private': message prime 13", "naccache-stern", params={"prime_count": "5"},
+            public=public("naccache-stern", sigma=1155 * 13, g=pow(ns["g"], 3, ns["n"])))
     corrupt("public.g", "naccache-stern",
             public=public("naccache-stern", g=pow(ns["g"], 1155, ns["n"])))
     corrupt("public.y", "benaloh",
@@ -207,16 +211,17 @@ def test_parse_key_rejects_bad_documents(all_keys):
 
 
 def test_a_benaloh_block_past_n_is_refused_before_its_primality_test(all_keys, monkeypatch):
-    """r divides p-1, so a public.r at or past n is refused by comparison
-    alone: the Mersenne prime 2^4423 - 1 as block took 40-round Miller-Rabin
-    and then parsed."""
+    """r divides p-1, so a public.r at or past n is refused without a
+    primality test, here on its copy params.block_size, which is past 2^32:
+    the Mersenne prime 2^4423 - 1 as block took 40-round Miller-Rabin and
+    then parsed."""
     keys = all_keys["benaloh"]
     doc = json.loads(serialize_key(keys, False))
     monkeypatch.setattr(naccache_stern, "is_probable_prime", None)  # never called
     for r in (2**4423 - 1, keys.public["n"]):
         doc["public"]["r"] = doc["params"]["block_size"] = str(r)
         start = time.perf_counter()
-        with pytest.raises(ParseError, match="'public.r': must be below public.n"):
+        with pytest.raises(ParseError, match="'params.block_size': must be at most"):
             parse_key(json.dumps(doc))
         assert time.perf_counter() - start < 0.5
 
@@ -324,17 +329,47 @@ def test_a_damgard_jurik_s_past_its_cost_bound_is_refused(all_keys):
 
 def test_a_dlp_bound_past_2_to_the_32_is_refused(all_keys):
     """The first decrypt builds isqrt(dlp_bound) + 1 baby steps; EC-ElGamal
-    caps the bound at the group order only, some 2^75 steps on secp160r1."""
+    caps the bound at the group order only, some 2^75 steps on secp160r1.
+    A Benaloh block r takes isqrt(r - 1) + 1: 2^61 - 1, a prime, would take
+    some 1.5 billion."""
     ec_keys = generate_keys("ec-elgamal", 0, params={"curve": "secp160r1"},
                             rng=RandomSource(7))
-    for keys in (ec_keys, all_keys["exp-elgamal"]):
+    for keys, name in ((ec_keys, "dlp_bound"), (all_keys["exp-elgamal"], "dlp_bound"),
+                       (all_keys["benaloh"], "block_size")):
         for include_private in (True, False):
             doc = json.loads(serialize_key(keys, include_private))
-            for bound in (2**32 + 1, 2**150):
-                doc["params"]["dlp_bound"] = str(bound)
-                _refused_in_milliseconds(doc, "params.dlp_bound")
-            doc["params"]["dlp_bound"] = str(2**32)
-            assert parse_key(json.dumps(doc)).params["dlp_bound"] == 2**32
+            for bound in (2**32 + 1, 2**61 - 1, 2**150):
+                doc["params"][name] = str(bound)
+                _refused_in_milliseconds(doc, f"params.{name}")
+            if name == "dlp_bound":
+                doc["params"][name] = str(2**32)
+                assert parse_key(json.dumps(doc)).params[name] == 2**32
+
+
+def test_a_benaloh_r_past_2_to_the_32_is_refused_before_its_primality_test(all_keys,
+                                                                          monkeypatch):
+    """r is the block, so it has the block's cap, checked before any
+    primality test: with params.block_size left valid and n widened past it,
+    the Mersenne prime 2^4423 - 1 as public.r took 40-round Miller-Rabin
+    before its mismatch with the block refused it."""
+    doc = json.loads(serialize_key(all_keys["benaloh"], False))
+    doc["public"]["n"] = str(2**4500 + 1)
+    monkeypatch.setattr(naccache_stern, "is_probable_prime", None)  # never called
+    for r in (2**32 + 15, 2**4423 - 1):
+        doc["public"]["r"] = str(r)
+        _refused_in_milliseconds(doc, "public.r")
+
+
+def test_a_benaloh_block_at_or_past_a_small_n_is_refused_by_comparison(monkeypatch):
+    """Below the 2^32 cap only a key of at most 32 bits has r >= n in reach:
+    its r is compared with n before any primality test."""
+    keys = generate_keys("benaloh", 32, params={"block_size": 17}, rng=RandomSource(1))
+    doc = json.loads(serialize_key(keys, False))
+    monkeypatch.setattr(naccache_stern, "is_probable_prime", None)  # never called
+    for r in (keys.public["n"], 2**32 - 5):
+        doc["public"]["r"] = doc["params"]["block_size"] = str(r)
+        with pytest.raises(ParseError, match="'public.r': must be below public.n"):
+            parse_key(json.dumps(doc))
 
 
 def test_parse_key_rejects_an_ec_point_off_its_curve():
