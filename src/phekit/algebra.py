@@ -17,17 +17,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .capabilities import ALGORITHMS, Capability, capabilities, ensure_supported
+from .capabilities import Capability, capabilities, ensure_supported
 from .errors import InexactResultError, MathDomainError, OperandMismatchError
 from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
 from .serialization import (
-    FORMAT_VERSION,
     _decimal,
+    _dump_document,
     _load_document,
     _parse_natural,
     _require,
-    canonical_json,
     key_fingerprint,
     payload_from_doc,
     payload_to_doc,
@@ -195,14 +194,11 @@ def cipher_scalar(k: ScalarLike, c: Ciphertext, phe: "PHE") -> Ciphertext:
 
 
 def serialize_ciphertext(c: Ciphertext) -> str:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "algorithm": c.algorithm,
+    return _dump_document(c.algorithm, {
         "key_fingerprint": c.key_fingerprint,
         "payload": payload_to_doc(c.payload),
         "scale_denominator": _decimal(c.scale_denominator, "scale_denominator"),
-    }
-    return canonical_json(doc)
+    })
 
 
 def parse_ciphertext(text: str) -> Ciphertext:
@@ -212,9 +208,7 @@ def parse_ciphertext(text: str) -> Ciphertext:
     payload is checked against one by `PHE.bind`, or at first use by any PHE,
     after that PHE's algorithm and fingerprint checks.
     """
-    doc = _load_document(text, "ciphertext")
-    algorithm = doc.get("algorithm")
-    _require(algorithm in ALGORITHMS, "algorithm", f"unknown algorithm {algorithm!r}")
+    doc, algorithm = _load_document(text, "ciphertext")
     fingerprint = doc.get("key_fingerprint")
     _require(isinstance(fingerprint, str) and fingerprint != "", "key_fingerprint",
              "expected a non-empty string")

@@ -236,13 +236,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def is_qr_mod_prime(a: int, p: int) -> bool:
-    """Euler criterion: is a a quadratic residue modulo the odd prime p?"""
-    if a % p == 0:
-        raise MathDomainError("a must not be divisible by p")
-    return pow(a, (p - 1) // 2, p) == 1
-
-
 @dataclass(frozen=True)
 class UnitGroup:
     """Z*_m, the units mod m as reduced residues: a group for the discrete-log

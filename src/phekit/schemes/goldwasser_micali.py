@@ -13,7 +13,6 @@ from ..errors import BitLengthError, MathDomainError, PlaintextRangeError
 from ..numtheory import (
     RandomSource,
     generate_modulus,
-    is_qr_mod_prime,
     jacobi,
     random_coprime_below,
 )
@@ -32,9 +31,10 @@ class GoldwasserMicali(Scheme):
         p, q, n = generate_modulus(security_bits, rng)
         while True:
             x = random_coprime_below(n, rng)
-            # non-residue modulo both primes: jacobi(x, n) = (-1)(-1) = +1,
-            # so ciphertext residues are indistinguishable without p
-            if not is_qr_mod_prime(x, p) and not is_qr_mod_prime(x, q):
+            # non-residue modulo both primes (Legendre symbol -1, as x is a
+            # unit): jacobi(x, n) = (-1)(-1) = +1, so ciphertext residues are
+            # indistinguishable without p
+            if jacobi(x, p) == -1 and jacobi(x, q) == -1:
                 break
         return {"n": n, "x": x}, {"p": p, "q": q}
 
@@ -49,8 +49,9 @@ class GoldwasserMicali(Scheme):
         if not (0 < x < n and jacobi(x, n) == 1):
             return "public.x", "must lie below n with Jacobi symbol +1 modulo n"
         fault = super().key_fault(keys)
-        primes = (keys.private["p"], keys.private["q"]) if keys.has_private else ()
-        if fault is None and any(is_qr_mod_prime(x, prime) for prime in primes):
+        # with p*q = n, jacobi(x, n) = +1 makes x's symbols modulo p and q
+        # equal; decryption reads each bit from a value's symbol modulo p
+        if fault is None and keys.has_private and jacobi(x, keys.private["p"]) == 1:
             fault = "public.x", "is a quadratic residue modulo a private prime"
         return fault
 

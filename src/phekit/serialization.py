@@ -2,21 +2,26 @@
 
 Documents are JSON with sorted keys, no insignificant whitespace, and a
 trailing newline; every arbitrary-precision integer is a decimal string so no
-JSON reader mangles it. Parsing a canonical document and re-serializing it is
-byte-identical. The key fingerprint is the SHA-256 of the canonical
-public-only key document.
+JSON reader mangles it, written by `_decimal` and read by `_parse_natural`.
+Key and ciphertext documents share one header, `format_version` and
+`algorithm`, which `_dump_document` writes and `_load_document` alone checks.
+A key file's `public`, `private` and `params` objects hold exactly the
+scheme's declared names (`public_fields`, `private_fields`, the keys of
+`default_params`), all three read by `_fields`. Parsing a canonical document
+and re-serializing it is byte-identical. The key fingerprint is the SHA-256
+of the canonical public-only key document.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any, Collection
 
 from .capabilities import ALGORITHMS
 from .ec import CurvePoint
 from .errors import ParseError
-from .schemes import SCHEME_CLASSES, KeyPair, Payload, Scheme, variant_of
+from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
 from .schemes.base import INT_PARAM_CAPS, INT_PARAMS
 
 FORMAT_VERSION = 1
@@ -54,8 +59,17 @@ def _decimal(value: int, field: str) -> str:
                          "write in decimal (see PYTHONINTMAXSTRDIGITS)") from None
 
 
-def _load_document(text: str, kind: str) -> dict[str, Any]:
-    """The JSON object of a key or ciphertext document of this format version."""
+def _dump_document(algorithm: str, body: dict[str, Any]) -> str:
+    """A key or ciphertext document: its body, a fresh dict that takes the
+    shared header in place."""
+    body["format_version"] = FORMAT_VERSION
+    body["algorithm"] = algorithm
+    return canonical_json(body)
+
+
+def _load_document(text: str, kind: str) -> tuple[dict[str, Any], str]:
+    """The JSON object of a key or ciphertext document of this format
+    version, and its algorithm."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
@@ -64,80 +78,74 @@ def _load_document(text: str, kind: str) -> dict[str, Any]:
     version = doc.get("format_version")
     _require(type(version) is int and version == FORMAT_VERSION, "format_version",
              f"unknown version {version!r} (expected {FORMAT_VERSION})")
-    return doc
+    algorithm = doc.get("algorithm")
+    _require(algorithm in ALGORITHMS, "algorithm", f"unknown algorithm {algorithm!r}")
+    return doc, algorithm
 
 
-def _params_doc(params: dict[str, Any]) -> dict[str, Any]:
+# -- key documents ------------------------------------------------------------
+
+
+def _fields_doc(fields: dict[str, Any], part: str) -> dict[str, Any]:
+    """One of `public`, `private` and `params`: integers as decimal strings."""
     doc = {}
-    for key, value in params.items():
-        doc[key] = str(value) if isinstance(value, int) else value
+    for name, value in fields.items():
+        doc[name] = _decimal(value, f"{part}.{name}") if isinstance(value, int) else value
     return doc
 
 
-def _params_from_doc(doc: Any, cls: type[Scheme]) -> dict[str, Any]:
-    # exactly the scheme's params: a parent scheme it specializes would read a stray one
-    _require(isinstance(doc, dict), "params", "expected an object")
-    params: dict[str, Any] = {}
-    for key, value in doc.items():
-        field = f"params.{key}"
-        _require(key in cls.default_params, field, f"{cls.algorithm} takes no such parameter")
-        if key in INT_PARAMS:
-            params[key] = _parse_natural(value, field)
-            _require(params[key] >= 1, field, "must be at least 1")
-            cap = INT_PARAM_CAPS.get(key, params[key])
-            _require(params[key] <= cap, field, f"must be at most {cap}")
+def _fields(doc: Any, part: str, names: Collection[str], algorithm: str) -> dict[str, Any]:
+    """One of `public`, `private` and `params`, holding exactly the names the
+    scheme declares for it: each value is read as it comes, an undeclared
+    name refused, then a missing one. A stray name would otherwise ride
+    along, into the fingerprint or into a public-only copy, and a parent
+    scheme that this one specializes would read a stray param."""
+    _require(isinstance(doc, dict), part, "expected an object")
+    fields: dict[str, Any] = {}
+    for name, value in doc.items():
+        field = f"{part}.{name}"
+        _require(name in names, field, f"{algorithm} takes no such field")
+        if part != "params":
+            fields[name] = _parse_natural(value, field)
+        elif name in INT_PARAMS:
+            fields[name] = _parse_natural(value, field)
+            _require(fields[name] >= 1, field, "must be at least 1")
+            cap = INT_PARAM_CAPS.get(name, fields[name])
+            _require(fields[name] <= cap, field, f"must be at most {cap}")
         else:
             _require(isinstance(value, str), field, "expected a string")
-            params[key] = value
-    for name in cls.default_params:
-        _require(name in params, f"params.{name}", "missing")
-    return params
-
-
-def key_document(keys: KeyPair, include_private: bool = True) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "algorithm": keys.algorithm,
-        "security_bits": keys.security_bits,
-        "params": _params_doc(keys.params),
-        "public": {k: _decimal(v, f"public.{k}") for k, v in keys.public.items()},
-    }
-    if include_private and keys.has_private:
-        doc["private"] = {k: _decimal(v, f"private.{k}") for k, v in keys.private.items()}
-    return doc
+            fields[name] = value
+    for name in names:
+        _require(name in fields, f"{part}.{name}", "missing")
+    return fields
 
 
 def serialize_key(keys: KeyPair, include_private: bool = True) -> str:
-    return canonical_json(key_document(keys, include_private))
+    body = {
+        "security_bits": keys.security_bits,
+        "params": _fields_doc(keys.params, "params"),
+        "public": _fields_doc(keys.public, "public"),
+    }
+    if include_private and keys.has_private:
+        body["private"] = _fields_doc(keys.private, "private")
+    return _dump_document(keys.algorithm, body)
 
 
 def parse_key(text: str) -> KeyPair:
-    doc = _load_document(text, "key")
-    algorithm = doc.get("algorithm")
-    _require(algorithm in ALGORITHMS, "algorithm", f"unknown algorithm {algorithm!r}")
+    doc, algorithm = _load_document(text, "key")
     bits = doc.get("security_bits")
     _require(isinstance(bits, int) and not isinstance(bits, bool),
              "security_bits", "expected an integer")
     _require(bits >= 0, "security_bits", f"must be non-negative, got {bits}")
-    public_doc = doc.get("public")
-    _require(isinstance(public_doc, dict), "public", "expected an object")
-    public = {k: _parse_natural(v, f"public.{k}") for k, v in public_doc.items()}
-    private: Optional[dict[str, int]] = None
-    if "private" in doc:
-        private_doc = doc["private"]
-        _require(isinstance(private_doc, dict), "private", "expected an object")
-        private = {k: _parse_natural(v, f"private.{k}") for k, v in private_doc.items()}
     cls = SCHEME_CLASSES[algorithm]
-    params = _params_from_doc(doc.get("params", {}), cls)
-    for name in cls.public_fields:
-        _require(name in public, f"public.{name}", "missing")
+    public = _fields(doc.get("public"), "public", cls.public_fields, algorithm)
+    private = (_fields(doc["private"], "private", cls.private_fields, algorithm)
+               if "private" in doc else None)
+    params = _fields(doc.get("params", {}), "params", cls.default_params, algorithm)
     # the modulus every operation reduces by; a degenerate one breaks them all
+    # (the refusal names no value, so no valid modulus is formatted for it)
     for name in {"n", "p"}.intersection(cls.public_fields):
-        _require(public[name] >= 5, f"public.{name}",
-                 f"must be at least 5, got {public[name]}")
-    if private is not None:
-        for name in cls.private_fields:
-            _require(name in private, f"private.{name}", "missing")
+        _require(public[name] >= 5, f"public.{name}", "must be at least 5")
     keys = KeyPair(algorithm, bits, public, private, params)
     field, detail = cls.key_fault(keys) or (None, "")
     _require(field is None, field, detail)
@@ -152,12 +160,6 @@ def key_fingerprint(keys: KeyPair) -> str:
 # -- ciphertext payloads ------------------------------------------------------
 
 
-def _point_doc(point: CurvePoint) -> Optional[list[str]]:
-    if point.is_identity:
-        return None
-    return [str(point.x), str(point.y)]
-
-
 def _point_from_doc(doc: Any, field: str) -> CurvePoint:
     if doc is None:
         return CurvePoint(None, None)
@@ -169,13 +171,17 @@ def _point_from_doc(doc: Any, field: str) -> CurvePoint:
 
 
 def payload_to_doc(payload: Payload) -> dict[str, Any]:
+    def write(value: Any, field: str) -> Any:
+        if isinstance(value, int):
+            return _decimal(value, field)
+        if isinstance(value, CurvePoint):  # null for the identity, else (x, y)
+            if value.is_identity:
+                return None
+            value = (value.x, value.y)
+        return [write(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
     kind = variant_of(payload)
-    if kind == "single":
-        return {"kind": kind, "data": _decimal(payload, "payload.data")}
-    if kind == "point_pair":
-        return {"kind": kind, "data": [_point_doc(point) for point in payload]}
-    return {"kind": kind,
-            "data": [_decimal(v, f"payload.data[{i}]") for i, v in enumerate(payload)]}
+    return {"kind": kind, "data": write(payload, "payload.data")}
 
 
 def payload_from_doc(doc: Any, algorithm: str) -> Payload:
@@ -189,23 +195,10 @@ def payload_from_doc(doc: Any, algorithm: str) -> Payload:
     data = doc.get("data")
     if kind == "single":
         return _parse_natural(data, "payload.data")
-    if kind == "pair":
-        _require(isinstance(data, list) and len(data) == 2, "payload.data",
-                 "expected a two-element list")
-        return (
-            _parse_natural(data[0], "payload.data[0]"),
-            _parse_natural(data[1], "payload.data[1]"),
-        )
-    if kind == "bits":
-        _require(isinstance(data, list) and len(data) >= 1, "payload.data",
-                 "expected a non-empty list")
-        return [
-            _parse_natural(v, f"payload.data[{i}]") for i, v in enumerate(data)
-        ]
-    # point_pair
-    _require(isinstance(data, list) and len(data) == 2, "payload.data",
-             "expected a two-element list")
-    return (
-        _point_from_doc(data[0], "payload.data[0]"),
-        _point_from_doc(data[1], "payload.data[1]"),
-    )
+    # pair and point_pair: two elements; bits: one per bit, at least one
+    pair = kind != "bits"
+    _require(isinstance(data, list) and (len(data) == 2 if pair else data != []), "payload.data",
+             f"expected a {'two-element' if pair else 'non-empty'} list")
+    read = _point_from_doc if kind == "point_pair" else _parse_natural
+    values = [read(v, f"payload.data[{i}]") for i, v in enumerate(data)]
+    return tuple(values) if pair else values

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -316,3 +317,10 @@ def test_ciphertext_is_immutable(paillier):
     with pytest.raises(Exception):
         c.payload = 0
     assert isinstance(c, Ciphertext)
+
+
+def test_the_readme_library_example_runs():
+    """README's "Library use" block as written, at its 1024-bit key size."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

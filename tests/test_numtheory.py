@@ -20,7 +20,6 @@ from phekit.numtheory import (
     gen_group_prime,
     gen_prime,
     is_probable_prime,
-    is_qr_mod_prime,
     jacobi,
     mod_inv,
     random_coprime_below,
@@ -270,7 +269,8 @@ def test_jacobi_matches_euler_criterion_for_small_primes():
     primes = [n for n in range(3, 1000) if all(n % d for d in range(2, n))]
     for p in primes:
         for a in range(1, p):
-            assert (jacobi(a, p) == 1) == is_qr_mod_prime(a, p), (a, p)
+            # Euler's criterion: a^((p-1)/2) = 1 mod p exactly for a residue
+            assert (jacobi(a, p) == 1) == (pow(a, (p - 1) // 2, p) == 1), (a, p)
 
 
 def jacobi_by_halving(a: int, n: int) -> int:
@@ -300,14 +300,6 @@ def test_jacobi_matches_the_halving_loop(n, a, twos):
     """Odd n from 3 to 2^1024 - 1, composite or prime; any a, with extra
     factors of two so that runs of both parities are stripped."""
     assert jacobi(a << twos, n) == jacobi_by_halving(a << twos, n)
-
-
-def test_is_qr_mod_prime_fixtures():
-    assert is_qr_mod_prime(2, 7)  # 3*3 = 9 = 2 mod 7
-    assert not is_qr_mod_prime(3, 7)
-    assert is_qr_mod_prime(1, 97)
-    with pytest.raises(MathDomainError):
-        is_qr_mod_prime(14, 7)
 
 
 def test_discrete_log_bounded_fixtures():

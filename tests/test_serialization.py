@@ -229,13 +229,23 @@ def test_a_benaloh_block_past_n_is_refused_before_its_primality_test(all_keys, m
 def test_parse_key_refuses_params_its_scheme_does_not_take(all_keys):
     """A key file carries exactly its scheme's params. Paillier runs
     Damgard-Jurik's code, so a stray `s` in a Paillier file would otherwise
-    be carried along, or read as its s."""
+    be carried along, or read as its s. `public` and `private` hold exactly
+    the scheme's fields the same way: a stray public name would change the
+    fingerprint, and RSA's d under `public` would be written into every
+    public-only copy."""
     for algorithm, keys in all_keys.items():
+        cls = SCHEME_CLASSES[algorithm]
+        stray = {"public": set(cls.private_fields) | {"zzz"},
+                 "private": set(cls.public_fields) | {"zzz"}}
         for include_private in (True, False):
             doc = json.loads(serialize_key(keys, include_private))
             for name in {"s", "dlp_bound", "wat"} - set(keys.params):
                 with pytest.raises(ParseError, match=f"'params.{name}': {algorithm} takes"):
                     parse_key(json.dumps(dict(doc, params=dict(doc["params"], **{name: "7"}))))
+            for part in ("public", "private") if include_private else ("public",):
+                for name in stray[part] - set(doc[part]):
+                    with pytest.raises(ParseError, match=f"'{part}.{name}': {algorithm} takes"):
+                        parse_key(json.dumps(dict(doc, **{part: dict(doc[part], **{name: "7"})})))
 
 
 def test_parse_key_refuses_an_integer_param_of_zero(all_keys):
@@ -370,6 +380,17 @@ def test_a_benaloh_block_at_or_past_a_small_n_is_refused_by_comparison(monkeypat
         doc["public"]["r"] = doc["params"]["block_size"] = str(r)
         with pytest.raises(ParseError, match="'public.r': must be below public.n"):
             parse_key(json.dumps(doc))
+
+
+def test_a_goldwasser_micali_x_square_modulo_composite_factors_is_refused():
+    """p and q are not tested for primality, and decryption reads each bit
+    from x's Jacobi symbol modulo p. x = 4 is a square, symbol +1 modulo any
+    p, yet Euler's criterion modulo the composite 15 calls it a non-residue
+    (4^7 = 4 mod 15): such a file parsed and decrypted every plaintext to 0."""
+    for p, q in ((15, 77), (21, 55)):
+        keys = KeyPair("goldwasser-micali", 8, {"n": p * q, "x": 4}, {"p": p, "q": q})
+        with pytest.raises(ParseError, match="'public.x': is a quadratic residue"):
+            parse_key(serialize_key(keys))
 
 
 def test_parse_key_rejects_an_ec_point_off_its_curve():
@@ -656,6 +677,11 @@ def test_payload_data_validation():
         )
     with pytest.raises(ParseError):
         payload_from_doc("7", "rsa")
+    for kind, algorithm in (("pair", "elgamal"), ("bits", "goldwasser-micali"),
+                            ("point_pair", "ec-elgamal")):
+        for data in (5, None, {}, "12"):
+            with pytest.raises(ParseError, match="'payload.data'"):
+                payload_from_doc({"kind": kind, "data": data}, algorithm)
 
 
 def test_every_payload_variant_is_covered():
