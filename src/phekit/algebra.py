@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from .capabilities import Capability, capabilities, ensure_supported
 from .errors import InexactResultError, MathDomainError, OperandMismatchError
+from .frozen import Frozen
 from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
 from .serialization import (
@@ -32,7 +31,11 @@ from .serialization import (
     payload_to_doc,
 )
 
-ScalarLike = Union[int, str, float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# `fractions` (with `decimal`) is imported only where a rational is built
+ScalarLike = Union[int, str, float, "Fraction"]
 
 # `Fraction` reads a decimal's digit strings with `int`, which refuses one past
 # the int/str digit limit; an exponent escapes that, and "1e2000000" is a short
@@ -66,6 +69,8 @@ def to_rational(k: ScalarLike) -> Fraction:
     infinity, or an exponent that takes the numerator or denominator past the
     interpreter's int/str digit limit is a MathDomainError.
     """
+    from fractions import Fraction
+
     if isinstance(k, bool):
         raise MathDomainError("scalar must be a number, not a boolean")
     if isinstance(k, int):
@@ -89,20 +94,22 @@ def to_rational(k: ScalarLike) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Frozen):
     """An algorithm-tagged encrypted value.
 
-    Equality covers algorithm, payload, fingerprint, and scale; the attached
-    context (keys for operator arithmetic) is deliberately excluded so a
-    parsed copy compares equal to the original.
+    Equality, hashing and repr cover algorithm, payload, fingerprint, and
+    scale; the attached context (keys for operator arithmetic) is
+    deliberately excluded, so a parsed copy compares equal to the original
+    and a repr never prints key material. `replace` copies with some fields
+    changed.
     """
 
-    algorithm: str
-    payload: Payload
-    key_fingerprint: str
-    scale_denominator: int = 1
-    keys: Optional[KeyPair] = field(default=None, compare=False, repr=False)
+    _compared = ("algorithm", "payload", "key_fingerprint", "scale_denominator")
+    __slots__ = _compared + ("keys",)
+
+    def __init__(self, algorithm: str, payload: Payload, key_fingerprint: str,
+                 scale_denominator: int = 1, keys: Optional[KeyPair] = None):
+        self._set(algorithm, payload, key_fingerprint, scale_denominator, keys)
 
     def _context(self) -> "PHE":
         if self.keys is None:
@@ -165,7 +172,7 @@ def _binary(a: Ciphertext, b: Ciphertext, phe: "PHE", operation: str) -> Ciphert
             "apply the same scalar to both before combining"
         )
     combine = getattr(phe.scheme, operation)
-    return replace(a, payload=combine(a.payload, b.payload))
+    return a.replace(payload=combine(a.payload, b.payload))
 
 
 def cipher_add(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
@@ -183,8 +190,7 @@ def cipher_xor(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
 def cipher_scalar(k: ScalarLike, c: Ciphertext, phe: "PHE") -> Ciphertext:
     _check_operand(phe, c, "scalar")
     value = to_rational(k)
-    return replace(
-        c,
+    return c.replace(
         payload=phe.scheme.scalar(c.payload, value.numerator),
         scale_denominator=c.scale_denominator * value.denominator,
     )
@@ -286,14 +292,15 @@ class PHE:
         mode returns the exact fraction whatever the scale.
         """
         _check_operand(self, c)
-        value = Fraction(self.scheme.decrypt(c.payload), c.scale_denominator)
+        m, scale = self.scheme.decrypt(c.payload), c.scale_denominator
+        if not rational and m % scale == 0:
+            return m // scale
+        from fractions import Fraction
+
         if rational:
-            return value
-        if value.denominator != 1:
-            raise InexactResultError(
-                f"scaled value {value} is not an integer; decrypt with rational=True"
-            )
-        return value.numerator
+            return Fraction(m, scale)
+        raise InexactResultError(f"scaled value {Fraction(m, scale)} is not an integer; "
+                                 "decrypt with rational=True")
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return cipher_add(a, b, self)
@@ -309,11 +316,11 @@ class PHE:
 
     def regenerate(self, c: Ciphertext) -> Ciphertext:
         _check_operand(self, c, "regen")
-        return replace(c, payload=self.scheme.regenerate(c.payload, self.rng))
+        return c.replace(payload=self.scheme.regenerate(c.payload, self.rng))
 
     def bind(self, c: Ciphertext) -> Ciphertext:
         """Attach this instance's keys to a parsed ciphertext, so operators
         work on it, after checking its payload against them. The algorithm
         and fingerprint are still checked at each use."""
         self.scheme.check_payload(c.payload)
-        return replace(c, keys=self.keys)
+        return c.replace(keys=self.keys)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .capabilities import ALGORITHMS, OPERATIONS, capabilities
 from .errors import DegenerateChartError, MathDomainError, ParseError
+from .frozen import Frozen
 from .numtheory import RandomSource
 from .schemes import generate_keys, scheme_for
 
@@ -38,35 +38,36 @@ OPERATION_ORDER = ("keygen", "encrypt", "decrypt", "homop", "skip")
 CSV_HEADER = "algorithm,level,key_size,operation,repetitions,mean_seconds"
 
 
-@dataclass(frozen=True)
-class BenchPlan:
-    levels: tuple[int, ...] = (80,)
-    algorithms: tuple[str, ...] = ALGORITHMS
-    repetitions: int = 5
-    toy: bool = False
+class BenchPlan(Frozen):
+    """What `run_bench` times, checked when it is built."""
 
-    def __post_init__(self):
-        bad_levels = set(self.levels) - set(LEVEL_TO_MODULUS_BITS)
-        if bad_levels or not self.levels:
+    __slots__ = _compared = ("levels", "algorithms", "repetitions", "toy")
+
+    def __init__(self, levels: tuple[int, ...] = (80,), algorithms: tuple[str, ...] = ALGORITHMS,
+                 repetitions: int = 5, toy: bool = False):
+        if not levels or not set(levels) <= LEVEL_TO_MODULUS_BITS.keys():
             known = ", ".join(str(lv) for lv in sorted(LEVEL_TO_MODULUS_BITS))
             raise MathDomainError(f"levels must be a non-empty subset of {{{known}}}")
-        bad_algs = set(self.algorithms) - set(ALGORITHMS)
-        if bad_algs or not self.algorithms:
-            raise MathDomainError(
-                f"unknown algorithm(s): {', '.join(sorted(map(str, bad_algs)))}"
-            )
-        if self.repetitions < 1:
+        if not algorithms:
+            known = ", ".join(ALGORITHMS)
+            raise MathDomainError(f"algorithms must be a non-empty subset of {{{known}}}")
+        bad_algs = ", ".join(sorted(map(str, set(algorithms) - set(ALGORITHMS))))
+        if bad_algs:
+            raise MathDomainError(f"unknown algorithm(s): {bad_algs}")
+        if repetitions < 1:
             raise MathDomainError("repetitions must be >= 1")
+        self._set(levels, algorithms, repetitions, toy)
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    algorithm: str
-    level: int
-    key_size: int
-    operation: str
-    repetitions: int
-    mean_seconds: float
+class BenchRecord(Frozen):
+    """One CSV row: the mean seconds of one operation's cell."""
+
+    __slots__ = _compared = (
+        "algorithm", "level", "key_size", "operation", "repetitions", "mean_seconds")
+
+    def __init__(self, algorithm: str, level: int, key_size: int, operation: str,
+                 repetitions: int, mean_seconds: float):
+        self._set(algorithm, level, key_size, operation, repetitions, mean_seconds)
 
 
 def _native_operation(algorithm: str) -> str:

@@ -7,20 +7,18 @@ ordered (capability listings, benchmark CSV, chart axes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapabilityError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Capability:
+class Capability(Frozen):
     """Operation support flags for one cryptosystem, in presentation order."""
 
-    hom_mul: bool
-    hom_add: bool
-    scalar_mul: bool
-    hom_xor: bool
-    regeneration: bool
+    __slots__ = _compared = ("hom_mul", "hom_add", "scalar_mul", "hom_xor", "regeneration")
+
+    def __init__(self, hom_mul: bool, hom_add: bool, scalar_mul: bool, hom_xor: bool,
+                 regeneration: bool):
+        self._set(hom_mul, hom_add, scalar_mul, hom_xor, regeneration)
 
 
 # canonical algorithm identifier -> (display name, capability row), in fixed

@@ -11,19 +11,28 @@ run on either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import MathDomainError, UnknownCurveError
+from .frozen import Frozen
 from .numtheory import fixed_base_pow, fixed_base_table, mod_inv
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point, or the group identity when both coordinates are None."""
+class CurvePoint(Frozen):
+    """Affine point, or the group identity when both coordinates are None.
+    Not a tuple: a payload pair of two ints is a `pair`, of two points a
+    `point_pair`."""
 
-    x: Optional[int]
-    y: Optional[int]
+    __slots__ = _compared = ("x", "y")
+
+    # written out, not the generic `_set` and `__hash__`: every group
+    # operation builds a point, and each baby or giant step hashes one
+    def __init__(self, x: Optional[int], y: Optional[int]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     @property
     def is_identity(self) -> bool:
@@ -38,18 +47,15 @@ class CurvePoint:
 IDENTITY = CurvePoint(None, None)
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(Frozen):
     """Weierstrass domain parameters. `order` is the order of base point g.
     As a group, written like Z*_m: `op` adds points and `exp(P, k)` is k*P."""
 
-    name: str
-    p: int
-    a: int
-    b: int
-    g: CurvePoint
-    order: int
+    __slots__ = _compared = ("name", "p", "a", "b", "g", "order")
     identity = IDENTITY
+
+    def __init__(self, name: str, p: int, a: int, b: int, g: CurvePoint, order: int):
+        self._set(name, p, a, b, g, order)
 
     def op(self, p1: CurvePoint, p2: CurvePoint) -> CurvePoint:
         return point_add(p1, p2, self)
@@ -70,16 +76,18 @@ class CurveParams:
 Jacobian = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class JacobianCurve:
+class JacobianCurve(Frozen):
     """The points of `curve` as Jacobian triples (X, Y, Z), standing for the
     affine point (X/Z^2, Y/Z^3), with Z = 0 for the identity. Adding and
     doubling take no inversion (Cohen-Miyaji-Ono), so chains of them run
     here and convert to affine once; a group with `identity`, `op` and
     `exp`, like `CurveParams`."""
 
-    curve: CurveParams
+    __slots__ = _compared = ("curve",)
     identity = (1, 1, 0)
+
+    def __init__(self, curve: CurveParams):
+        self._set(curve)
 
     def lift(self, point: CurvePoint) -> Jacobian:
         return self.identity if point.is_identity else (point.x, point.y, 1)

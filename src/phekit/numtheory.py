@@ -9,11 +9,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from .errors import MathDomainError, NotInvertibleError
+from .frozen import Frozen
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -236,13 +236,15 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
-class UnitGroup:
+class UnitGroup(Frozen):
     """Z*_m, the units mod m as reduced residues: a group for the discrete-log
     search, like a curve (`ec.CurveParams`)."""
 
-    modulus: int
+    __slots__ = _compared = ("modulus",)
     identity = 1
+
+    def __init__(self, modulus: int):
+        self._set(modulus)
 
     def op(self, a: int, b: int) -> int:
         return a * b % self.modulus

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, ClassVar, Optional, Union
 
@@ -27,6 +26,7 @@ from ..errors import (
     PayloadTypeError,
     PlaintextRangeError,
 )
+from ..frozen import Frozen
 from ..numtheory import RandomSource, binomial_log, mod_inv
 
 # single: int | pair: (int, int) | bits: list[int] | point_pair: (CurvePoint, CurvePoint)
@@ -41,28 +41,28 @@ INT_PARAMS = frozenset({"s", "dlp_bound", "block_size", "prime_count", "plaintex
 INT_PARAM_CAPS = {"dlp_bound": 1 << 32, "block_size": 1 << 32}
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Frozen):
     """One algorithm's key material.
 
     `public` never contains private material; `private` is None for
     public-only copies. `params` holds the resolved tunables the keys were
-    generated with (curve name, DLP bound, block size, and so on). Treat
-    instances and their maps as immutable after creation.
+    generated with (curve name, DLP bound, block size, and so on), a new
+    empty dict when not given. Treat instances and their maps as immutable
+    after creation; `replace` copies with some fields changed.
     """
 
-    algorithm: str
-    security_bits: int
-    public: dict[str, int]
-    private: Optional[dict[str, int]] = None
-    params: dict[str, Any] = field(default_factory=dict)
+    __slots__ = _compared = ("algorithm", "security_bits", "public", "private", "params")
+
+    def __init__(self, algorithm: str, security_bits: int, public: dict[str, int],
+                 private: Optional[dict[str, int]] = None, params: Optional[dict] = None):
+        self._set(algorithm, security_bits, public, private, {} if params is None else params)
 
     @property
     def has_private(self) -> bool:
         return self.private is not None
 
     def public_only(self) -> "KeyPair":
-        return replace(self, private=None)
+        return self.replace(private=None)
 
 
 def variant_of(payload: Payload) -> str:

@@ -35,15 +35,18 @@ def test_nist_level_maps():
 
 def test_plan_validation():
     BenchPlan()  # defaults are valid
-    with pytest.raises(MathDomainError):
+    levels = r"levels must be a non-empty subset of \{80, 112, 128, 192\}$"
+    with pytest.raises(MathDomainError, match=levels):
         BenchPlan(levels=(81,))
-    with pytest.raises(MathDomainError):
+    with pytest.raises(MathDomainError, match=levels):
         BenchPlan(levels=())
-    with pytest.raises(MathDomainError):
+    with pytest.raises(MathDomainError, match=r"unknown algorithm\(s\): rot13$"):
         BenchPlan(algorithms=("rot13",))
-    with pytest.raises(MathDomainError):
+    names = ", ".join(ALGORITHMS)
+    with pytest.raises(MathDomainError,
+                       match=re.escape(f"algorithms must be a non-empty subset of {{{names}}}")):
         BenchPlan(algorithms=())
-    with pytest.raises(MathDomainError):
+    with pytest.raises(MathDomainError, match="repetitions must be >= 1"):
         BenchPlan(repetitions=0)
 
 

@@ -404,6 +404,47 @@ def test_importing_the_cli_leaves_the_bench_harness_out():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+# what `import phekit.cli` must not load: `dataclasses` brings in `inspect`,
+# `ast`, `dis` and `tokenize`; `fractions` brings in `decimal`
+LEFT_OUT_OF_THE_CLI = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "phekit.bench",
+)
+
+
+def _run_isolated(code: str) -> None:
+    """Run `code` under `python -S`, so no site hook loads a module first,
+    with this phekit on the path."""
+    src = str(Path(phekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-S", "-c", code], check=True, env=env)
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_rationals():
+    _run_isolated(
+        "import sys, phekit.cli\n"
+        f"loaded = [m for m in {LEFT_OUT_OF_THE_CLI!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_only_a_rational_result_imports_fractions():
+    _run_isolated(
+        "import sys\n"
+        "from phekit import PHE, RandomSource\n"
+        "phe = PHE('paillier', 64, rng=RandomSource(1))\n"
+        "c = phe.encrypt(5)\n"
+        "assert phe.decrypt(c) == 5 and 'fractions' not in sys.modules\n"
+        "assert phe.decrypt(c, rational=True) == 5\n"
+        "assert 'fractions' in sys.modules\n"
+    )
+
+
+def test_an_empty_algorithm_list_is_refused_by_name(tmp_path, capsys):
+    assert run(["bench", "--algorithms", ",", "--out", str(tmp_path / "b.csv")]) == 4
+    assert "algorithms must be a non-empty subset of {rsa, " in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_ciphertext_that_no_key_pair_produces_exits_4(tmp_path, paillier_keys, capsys):
     keys, public = paillier_keys
     c = tmp_path / "c.json"

@@ -2,7 +2,6 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -162,7 +161,7 @@ def test_damgard_jurik_decrypts_under_any_generator(a, s):
     modulus = n ** (s + 1)
     b = random_coprime_below(n, rng)
     g = pow(n + 1, a, modulus) * pow(b, n**s, modulus) % modulus
-    scheme = scheme_for(replace(keys, public={"n": n, "g": g}))
+    scheme = scheme_for(keys.replace(public={"n": n, "g": g}))
     for m in (0, 1, 1234, n**s - 1, rng.randrange(0, n**s)):
         assert scheme.decrypt(scheme.encrypt(m, rng)) == m
 
@@ -746,7 +745,7 @@ def test_the_p_squared_check_of_a_g_of_1_mod_p_matches_the_power(
         a * scheme.modulus_power > 1 and pow(g, r - 1, r * r) == 1
         for r, a in zip((p, q), scheme.n_exponents)
     )
-    fault = type(scheme).key_fault(replace(keys, public=public))
+    fault = type(scheme).key_fault(keys.replace(public=public))
     assert fault in (None, ("public.g", "its (p-1)-th power is 1 modulo p^2 for a private prime p"))
     assert (fault is not None) == expected
     if k is None:
@@ -816,7 +815,7 @@ def test_nonce_power_and_decryption_with_a_prime_at_most_s(s):
     per-prime nonce power matches builtin pow on every unit r, and every
     message decrypts."""
     n = 15
-    scheme = scheme_for(replace(DJ_TOY, params={"s": s}))
+    scheme = scheme_for(DJ_TOY.replace(params={"s": s}))
     for r in range(1, n):
         if math.gcd(r, n) == 1:
             assert scheme._nonce_pow(r) == pow(r, n**s, n ** (s + 1))
@@ -1096,7 +1095,7 @@ def test_homomorphic_laws_over_random_keys(algorithm, key_seed, s, enc_seed, dat
 def unbound(phe: PHE, payload) -> Ciphertext:
     """A ciphertext of `phe`'s algorithm and key pair that no PHE has bound,
     as `parse_ciphertext` returns one, carrying `payload`."""
-    return replace(phe.encrypt(1), payload=payload, keys=None)
+    return phe.encrypt(1).replace(payload=payload, keys=None)
 
 
 def assert_rejected(phe: PHE, payload) -> None:

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -329,7 +328,7 @@ def test_a_damgard_jurik_s_past_its_cost_bound_is_refused(all_keys):
         n = 2 ** (bits - 1) + 1
         pair = KeyPair("damgard-jurik", bits, {"n": n, "g": n + 1}, None, {"s": s})
         assert parse_key(serialize_key(pair)) == pair
-        _refused_in_milliseconds(json.loads(serialize_key(replace(pair, params={"s": s + 1}))),
+        _refused_in_milliseconds(json.loads(serialize_key(pair.replace(params={"s": s + 1}))),
                                  "params.s")
     # Paillier carries no s, and its modulus size is the caller's choice
     n = 2**12000 + 1
@@ -475,7 +474,7 @@ def test_parse_key_refuses_public_keys_that_encrypt_in_the_clear(all_keys):
     symbol of its ciphertext value."""
     def refused(source, field, **values):
         public_only = all_keys[source].public_only()
-        text = serialize_key(replace(public_only, public=dict(public_only.public, **values)))
+        text = serialize_key(public_only.replace(public=dict(public_only.public, **values)))
         with pytest.raises(ParseError, match=f"'public.{field}'"):
             parse_key(text)
 
