@@ -42,6 +42,10 @@ ScalarLike = Union[int, str, float, "Fraction"]
 # string with a two-million-digit numerator
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 
+# `key_fingerprint`'s hexdigest: a ciphertext file's fingerprint of any other
+# shape can match no key pair, so it is refused where the file is read
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+
 
 def _check_exponent(text: str) -> None:
     limit = sys.get_int_max_str_digits()
@@ -216,8 +220,8 @@ def parse_ciphertext(text: str) -> Ciphertext:
     """
     doc, algorithm = _load_document(text, "ciphertext")
     fingerprint = doc.get("key_fingerprint")
-    _require(isinstance(fingerprint, str) and fingerprint != "", "key_fingerprint",
-             "expected a non-empty string")
+    _require(isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint) is not None,
+             "key_fingerprint", "expected 64 lowercase hex digits (a SHA-256 digest)")
     scale = _parse_natural(doc.get("scale_denominator", "1"), "scale_denominator")
     _require(scale > 0, "scale_denominator", "must be positive")
     payload = payload_from_doc(doc.get("payload"), algorithm)

@@ -9,12 +9,14 @@ A key file's `public`, `private` and `params` objects hold exactly the
 scheme's declared names (`public_fields`, `private_fields`, the keys of
 `default_params`), all three read by `_fields`. Parsing a canonical document
 and re-serializing it is byte-identical. The key fingerprint is the SHA-256
-of the canonical public-only key document.
+of the canonical public-only key document, hashed by the interpreter's own
+SHA-256 module (`_sha2`, `_sha256` before Python 3.12): the same digest as
+`hashlib.sha256`, without `hashlib` loading OpenSSL into every process that
+reads a key. `hashlib` is left only for an interpreter built without it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Collection
 
@@ -23,6 +25,14 @@ from .ec import CurvePoint
 from .errors import ParseError
 from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
 from .schemes.base import INT_PARAM_CAPS, INT_PARAMS
+
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without its own hashes
+        from hashlib import sha256
 
 FORMAT_VERSION = 1
 
@@ -154,7 +164,7 @@ def parse_key(text: str) -> KeyPair:
 
 def key_fingerprint(keys: KeyPair) -> str:
     public_text = serialize_key(keys, include_private=False)
-    return hashlib.sha256(public_text.encode()).hexdigest()
+    return sha256(public_text.encode()).hexdigest()
 
 
 # -- ciphertext payloads ------------------------------------------------------

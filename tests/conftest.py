@@ -5,11 +5,15 @@ terminal-summary hook prints a single line for each so the final report is
 visible in any pytest run regardless of output capturing.
 """
 
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import phekit
 from phekit import RandomSource
 
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
@@ -80,6 +84,16 @@ def int_digit_limit():
     saved = sys.get_int_max_str_digits()
     yield sys.set_int_max_str_digits
     sys.set_int_max_str_digits(saved)
+
+
+def run_isolated(code: str, stdin: str = "") -> str:
+    """Run `code` under `python -S`, so no site hook loads a module first,
+    with this phekit on the path; `stdin` is its input, and its output is
+    returned."""
+    src = str(Path(phekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-S", "-c", code], input=stdin,
+                          stdout=subprocess.PIPE, text=True, check=True, env=env).stdout
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

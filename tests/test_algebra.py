@@ -278,6 +278,16 @@ def test_tampered_fingerprint_rejected_at_first_use(paillier):
         paillier.decrypt(tampered)
 
 
+@pytest.mark.parametrize("fingerprint", [
+    "", "a" * 63, "a" * 65, "A" * 64, "0" * 63 + "g", "a" * 2**20, 7, None,
+], ids=["empty", "63-digits", "65-digits", "upper-case", "non-hex", "1-MB", "number", "null"])
+def test_a_fingerprint_not_a_sha256_hexdigest_is_refused_where_it_is_read(paillier, fingerprint):
+    doc = json.loads(serialize_ciphertext(paillier.encrypt(5)))
+    doc["key_fingerprint"] = fingerprint
+    with pytest.raises(ParseError, match=r"^field 'key_fingerprint': expected 64 lowercase hex"):
+        parse_ciphertext(json.dumps(doc))
+
+
 def test_parse_rejects_wrong_payload_kind(paillier):
     doc = json.loads(serialize_ciphertext(paillier.encrypt(5)))
     doc["payload"] = {"kind": "pair", "data": ["1", "2"]}

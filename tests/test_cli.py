@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import phekit
-from conftest import expected_denial
+from conftest import expected_denial, run_isolated
 from phekit import parse_key, serialize_key
 from phekit.cli import TEST_SEED_ENV, run
 from phekit.schemes import KeyPair
@@ -410,25 +411,36 @@ LEFT_OUT_OF_THE_CLI = (
     "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "phekit.bench",
 )
 
-
-def _run_isolated(code: str) -> None:
-    """Run `code` under `python -S`, so no site hook loads a module first,
-    with this phekit on the path."""
-    src = str(Path(phekit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-S", "-c", code], check=True, env=env)
+# what no phekit import may load where the interpreter has its own SHA-256:
+# `hashlib` loads OpenSSL's libcrypto through `_hashlib`
+LEFT_OUT_OF_EVERY_IMPORT = ("hashlib", "_hashlib")
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_rationals():
-    _run_isolated(
+    run_isolated(
         "import sys, phekit.cli\n"
         f"loaded = [m for m in {LEFT_OUT_OF_THE_CLI!r} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
 
 
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no SHA-256 of its own (_sha2 or _sha256), "
+           "so phekit fingerprints keys through hashlib",
+)
+@pytest.mark.parametrize("module", ["phekit", "phekit.cli", "phekit.bench"])
+def test_importing_phekit_loads_no_openssl_hashes(module):
+    # `phekit.bench` is all that the sweep benchmark's set-up child imports
+    run_isolated(
+        f"import sys, {module}\n"
+        f"loaded = [m for m in {LEFT_OUT_OF_EVERY_IMPORT!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
 def test_only_a_rational_result_imports_fractions():
-    _run_isolated(
+    run_isolated(
         "import sys\n"
         "from phekit import PHE, RandomSource\n"
         "phe = PHE('paillier', 64, rng=RandomSource(1))\n"
@@ -443,6 +455,18 @@ def test_an_empty_algorithm_list_is_refused_by_name(tmp_path, capsys):
     assert run(["bench", "--algorithms", ",", "--out", str(tmp_path / "b.csv")]) == 4
     assert "algorithms must be a non-empty subset of {rsa, " in capsys.readouterr().err
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_ciphertext_with_a_malformed_fingerprint_exits_4(tmp_path, paillier_keys, capsys):
+    keys, _ = paillier_keys
+    c = tmp_path / "c.json"
+    run(["encrypt", "--keys", str(keys), "--plaintext", "5", "--out", str(c)])
+    doc = json.loads(c.read_text())
+    doc["key_fingerprint"] = doc["key_fingerprint"].upper()
+    c.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["decrypt", "--keys", str(keys), "--in", str(c)]) == 4
+    assert "field 'key_fingerprint': expected 64 lowercase hex digits" in capsys.readouterr().err
 
 
 def test_ciphertext_that_no_key_pair_produces_exits_4(tmp_path, paillier_keys, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phekit.schemes.naccache_stern as naccache_stern
+from conftest import run_isolated
 from phekit import (
     PHE,
     ParseError,
@@ -95,6 +96,26 @@ def test_fingerprint_ignores_the_private_half(all_keys):
     assert key_fingerprint(keys) == key_fingerprint(keys.public_only())
     assert len(key_fingerprint(keys)) == 64
     int(key_fingerprint(keys), 16)  # hex digest
+
+
+def test_fingerprint_is_the_same_digest_without_the_builtin_hash(all_keys):
+    """An interpreter built without `_sha2` and `_sha256` fingerprints keys
+    through `hashlib`, to the same digests."""
+    texts = [serialize_key(keys) for keys in all_keys.values()]
+    fallback = json.loads(run_isolated(
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from phekit import key_fingerprint, parse_key, serialization\n"
+        "assert serialization.sha256 is hashlib.sha256\n"
+        "print(json.dumps([key_fingerprint(parse_key(t)) for t in json.load(sys.stdin)]))\n",
+        stdin=json.dumps(texts),
+    ))
+    expected = [
+        hashlib.sha256(serialize_key(keys, include_private=False).encode()).hexdigest()
+        for keys in all_keys.values()
+    ]
+    assert [key_fingerprint(keys) for keys in all_keys.values()] == expected
+    assert fallback == expected
 
 
 def test_fingerprint_distinguishes_keys(all_keys):
