@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .errors import MathDomainError, UnknownCurveError
 from .frozen import Frozen
-from .numtheory import fixed_base_pow, fixed_base_table, mod_inv
+from .numtheory import KEY_MASK, fixed_base_pow, fixed_base_table, mod_inv
 
 
 class CurvePoint(Frozen):
@@ -25,14 +25,11 @@ class CurvePoint(Frozen):
 
     __slots__ = _compared = ("x", "y")
 
-    # written out, not the generic `_set` and `__hash__`: every group
-    # operation builds a point, and each baby or giant step hashes one
+    # written out, not the generic `_set`: every group operation builds a
+    # point
     def __init__(self, x: Optional[int], y: Optional[int]):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
 
     @property
     def is_identity(self) -> bool:
@@ -65,6 +62,11 @@ class CurveParams(Frozen):
 
     def inv(self, point: CurvePoint) -> CurvePoint:
         return point_neg(point, self)
+
+    def key(self, point: CurvePoint) -> int:
+        """x's low 60 bits, shared by P and -P, or -1 for the identity: the
+        point's key in a baby-step table."""
+        return -1 if point.x is None else point.x & KEY_MASK
 
     def fixed_base(self, point: CurvePoint, bits: int) -> Callable[[int], CurvePoint]:
         """k -> k*point by a fixed-base table for scalars below 2**bits."""

@@ -30,6 +30,11 @@ _SEARCH_ROUNDS = (
 # decides every input below 2^32
 _TRIAL_LIMIT = 1 << 16
 
+# A baby-step table keys each element by 60 bits of it (`UnitGroup.key`,
+# `ec.CurveParams.key`): an int of two 30-bit digits, 32 bytes, where a
+# 1024-bit residue takes 164
+KEY_MASK = (1 << 60) - 1
+
 
 class RandomSource:
     """Random values for key generation and encryption.
@@ -255,6 +260,10 @@ class UnitGroup(Frozen):
     def inv(self, a: int) -> int:
         return mod_inv(a, self.modulus)
 
+    def key(self, a: int) -> int:
+        """a's low 60 bits: its key in a baby-step table."""
+        return a & KEY_MASK
+
     def fixed_base(self, base: int, bits: int) -> Callable[[int], int]:
         """k -> base**k by a fixed-base table for exponents below 2**bits."""
         return partial(fixed_base_pow, self, fixed_base_table(self, base, bits))
@@ -301,26 +310,37 @@ def fixed_base_pow(group: Any, table: tuple[int, list], k: int) -> Any:
     return result
 
 
-BabySteps = Tuple[dict, int, Any]
+BabySteps = Tuple[dict, int, Any, Callable[[Any], Any]]
+
+
+def _whole(element: Any) -> Any:
+    """The key of a table whose steps share a `group.key`: the element."""
+    return element
 
 
 def baby_steps(group: Any, base: Any, bound: int) -> BabySteps:
     """The baby-step half of `discrete_log_bounded` for one base.
 
-    Returns ({base**j: smallest j} for j < step, step, base**-step), with
-    step = isqrt(bound) + 1, powers taken in `group` (a `UnitGroup` or a
-    curve). A base that is not invertible in the group raises
-    `NotInvertibleError`.
+    Returns ({key(base**j): smallest j} for j < step, step, base**-step,
+    key), with step = isqrt(bound) + 1, powers taken in `group` (a
+    `UnitGroup` or a curve) and key its `group.key`, about 100 bytes per
+    step whatever the element size. If two steps share a key (a base of
+    order below step, or two elements alike in their key), the table keys
+    by the elements themselves, with key the identity. A base that is not
+    invertible in the group raises `NotInvertibleError`.
     """
     if bound < 1:
         raise MathDomainError("bound must be >= 1")
     step = math.isqrt(bound) + 1
-    baby: dict = {}
-    value, op = group.identity, group.op
-    for j in range(step):
-        baby.setdefault(value, j)
-        value = op(value, base)
-    return baby, step, group.inv(group.exp(base, step))
+    giant_factor = group.inv(group.exp(base, step))
+    for key in (group.key, _whole):
+        baby: dict = {}
+        value, op = group.identity, group.op
+        for j in range(step):
+            baby.setdefault(key(value), j)
+            value = op(value, base)
+        if len(baby) == step or key is _whole:
+            return baby, step, giant_factor, key
 
 
 def discrete_log_bounded(
@@ -332,13 +352,16 @@ def discrete_log_bounded(
     `target` is an element of the group (for Z*_m, a reduced residue).
     `table` is `baby_steps(group, base, bound)`, kept by a caller that
     solves many logs to one base; without it the table is built for this
-    call.
+    call. A giant element whose key is in the table is a hit only if it is
+    base**j for that entry's j (one power, of at most 17 bits at the 2**32
+    cap); another element with that key is stepped past. As the table's
+    keys are distinct, no hit is missed and the first is smallest.
     """
-    baby, step, giant_factor = table or baby_steps(group, base, bound)
+    baby, step, giant_factor, key = table or baby_steps(group, base, bound)
     gamma, op = target, group.op
     for i in range(step + 1):
-        j = baby.get(gamma)
-        if j is not None:
+        j = baby.get(key(gamma))
+        if j is not None and group.exp(base, j) == gamma:
             m = i * step + j
             if m <= bound:
                 return m

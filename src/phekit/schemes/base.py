@@ -97,12 +97,13 @@ class Scheme(ABC):
     decryption constants are built with the instance (for a modulus scheme,
     `ModulusScheme._primes`), and tables are built on first use, so reuse
     one instance across many calls. The tables are the baby steps of the
-    discrete-log schemes (first decrypt), the fixed-base powers of the
-    ElGamal family's g and h (first encryption; about 28 KB per base at
-    1024 bits) and those of Okamoto-Uchiyama's h with the private key
-    (first private encryption): one table modulo p^2 and one modulo q
-    (about 17 KB and 5 KB at 1024 bits). A public-only Okamoto-Uchiyama key
-    raises h with a plain power.
+    discrete-log schemes (first decrypt; each step keyed by 60 bits of its
+    element, about 92 KB at dlp_bound 2^20 whatever the element's size),
+    the fixed-base powers of the ElGamal family's g and h (first
+    encryption; about 28 KB per base at 1024 bits) and those of
+    Okamoto-Uchiyama's h with the private key (first private encryption):
+    one table modulo p^2 and one modulo q (about 17 KB and 5 KB at 1024
+    bits). A public-only Okamoto-Uchiyama key raises h with a plain power.
     """
 
     algorithm: ClassVar[str]

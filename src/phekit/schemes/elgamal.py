@@ -139,6 +139,10 @@ class ExpElGamal(ElGamal):
         """Baby steps of g, built on the first decrypt."""
         return baby_steps(self.group, self.g, self.dlp_bound)
 
+    def _is_member(self, c: Payload) -> bool:
+        # c2 = g^m * h^r is a unit too: no key encrypts to c2 = 0
+        return super()._is_member(c) and c[1] != 0
+
     def _encode(self, m: int) -> Any:
         return self._fixed_bases[0](m)
 

@@ -487,6 +487,25 @@ def test_ciphertext_that_no_key_pair_produces_exits_4(tmp_path, paillier_keys, c
         assert not out.exists()
 
 
+def test_exp_elgamal_ciphertext_with_c2_zero_exits_4(tmp_path, capsys):
+    """c2 = g^m * h^r is a unit: a file with c2 = 0 is refused where it is
+    read, not decrypted into a discrete-log bound error."""
+    keys, c = tmp_path / "keys.json", tmp_path / "c.json"
+    run(["keygen", "--algorithm", "exp-elgamal", "--key-size", "64", "--out", str(keys)])
+    run(["encrypt", "--keys", str(keys), "--plaintext", "5", "--out", str(c)])
+    doc = json.loads(c.read_text())
+    doc["payload"]["data"][1] = "0"
+    c.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["decrypt", "--keys", str(keys), "--in", str(c)]) == 4
+    assert "not a ciphertext" in capsys.readouterr().err
+    out = tmp_path / "sum.json"
+    assert run(["add", "--keys", str(keys), "--left", str(c), "--right", str(c),
+                "--out", str(out)]) == 4
+    assert "not a ciphertext" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_elgamal_key_with_p_1_exits_4(tmp_path, capsys):
     keys = tmp_path / "elgamal.json"
     run(["keygen", "--algorithm", "elgamal", "--key-size", "64", "--out", str(keys)])

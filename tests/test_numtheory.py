@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phekit import RandomSource
-from phekit.ec import get_curve, scalar_mul
+from phekit.ec import CurveParams, get_curve, point_neg, scalar_mul
 from phekit.errors import MathDomainError, NotInvertibleError
 from phekit.numtheory import (
     UnitGroup,
@@ -376,6 +376,131 @@ def test_curve_discrete_log_with_a_kept_table_matches_iterated_op(
     table = baby_steps(group, base, bound)
     assert discrete_log_bounded(group, base, target, bound, table) == expected
     assert discrete_log_bounded(group, base, target, bound) == expected
+
+
+def smallest_log(group, base, target, bound):
+    """The smallest m <= bound with base^m = target, by walking base^0,
+    base^1, ... with `op`, or None."""
+    power = group.identity
+    for m in range(bound + 1):
+        if power == target:
+            return m
+        power = group.op(power, base)
+    return None
+
+
+def keys_are_distinct(group, base, table):
+    """Whether the table's steps base^j, j < step, have distinct keys: the
+    table is keyed by `group.key` exactly then, else by whole elements."""
+    step = table[1]
+    return len({group.key(group.exp(base, j)) for j in range(step)}) == step
+
+
+# 2^127 - 1 is prime and its p - 1 has the small factors 2, 3^3, 7^2, 19, 43,
+# 73 and 127, so it has bases of small order whose elements are far wider
+# than their 60-bit keys. The elements of order 127 are powers of 2, single
+# bits, so most of their keys are 0: a true collision
+MERSENNE_127 = (1 << 127) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(modulus=st.sampled_from([7, 11, 13, 101, 257]), data=st.data())
+def test_keyed_discrete_log_is_the_smallest_exponent_for_every_base(modulus, data):
+    """Every base of a small Z*_p, so every order: a base whose order is
+    below the step repeats an element among the baby steps, and its table
+    falls back to whole elements."""
+    group = UnitGroup(modulus)
+    base = data.draw(st.integers(1, modulus - 1))
+    bound = data.draw(st.integers(1, 3 * modulus))
+    table = baby_steps(group, base, bound)
+    assert (table[3] == group.key) == keys_are_distinct(group, base, table)
+    # below 2^60 a key is the whole element: steps repeat one exactly when
+    # the base's order is below the step
+    order = next(k for k in range(1, modulus) if pow(base, k, modulus) == 1)
+    assert keys_are_distinct(group, base, table) == (order >= table[1])
+    for target in range(modulus):
+        expected = smallest_log(group, base, target, bound)
+        assert discrete_log_bounded(group, base, target, bound, table) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([1, 2, 3, 7, 9, 19, 27, 43, 49, 73, 127, MERSENNE_127 - 1]),
+    exponents=st.lists(st.integers(0, 400), min_size=1, max_size=4),
+    bound=st.integers(1, 300),
+)
+def test_keyed_discrete_log_steps_past_elements_that_only_share_a_key(
+    order, exponents, bound
+):
+    """In Z*_(2^127 - 1) a key is the low 60 of 127 bits. Each target is a
+    power of the base or that power with bit 80 flipped, which shares its
+    key and, for a base of small order, is not a power at all."""
+    group = UnitGroup(MERSENNE_127)
+    base = pow(3, (MERSENNE_127 - 1) // order, MERSENNE_127)
+    table = baby_steps(group, base, bound)
+    assert (table[3] == group.key) == keys_are_distinct(group, base, table)
+    for k in exponents:
+        power = pow(base, k, MERSENNE_127)
+        twin = power ^ (1 << 80)
+        assert group.key(twin) == group.key(power)
+        for target in (power, twin):
+            expected = smallest_log(group, base, target, bound)
+            assert discrete_log_bounded(group, base, target, bound, table) == expected
+            assert discrete_log_bounded(group, base, target, bound) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_k=st.integers(0, 18), target_k=st.integers(0, 18), bound=st.integers(1, 200))
+def test_keyed_curve_discrete_log_is_the_smallest_exponent(base_k, target_k, bound):
+    """On toy17, P and -P share a key. With fewer than 10 steps no two baby
+    steps are negatives, so a giant element -base^j must be stepped past;
+    from 10 steps the table falls back to whole points."""
+    group = get_curve("toy17")
+    base = scalar_mul(base_k, group.g, group)
+    table = baby_steps(group, base, bound)
+    assert (table[3] == group.key) == keys_are_distinct(group, base, table)
+    negative = point_neg(scalar_mul(target_k, base, group), group)
+    for target in (scalar_mul(target_k, group.g, group), negative):
+        expected = smallest_log(group, base, target, bound)
+        assert discrete_log_bounded(group, base, target, bound, table) == expected
+
+
+def test_a_point_and_its_negative_share_a_key_but_not_a_log():
+    curve = get_curve("secp160r1")
+    table = baby_steps(curve, curve.g, 4096)
+    for j in (1, 5, 64):
+        point = scalar_mul(j, curve.g, curve)
+        assert curve.key(point) == curve.key(point_neg(point, curve))
+        assert discrete_log_bounded(curve, curve.g, point, 4096, table) == j
+        # -jG is (order - j)G, far past the bound
+        negative = point_neg(point, curve)
+        assert discrete_log_bounded(curve, curve.g, negative, 4096, table) is None
+    # no x & KEY_MASK is negative
+    assert curve.key(curve.identity) < 0 <= curve.key(curve.g)
+
+
+def test_a_forced_key_collision_keys_the_table_by_whole_elements(monkeypatch):
+    """Every element keyed alike: each table falls back to whole elements
+    and every log stays the smallest."""
+    monkeypatch.setattr(UnitGroup, "key", lambda self, a: 0)
+    monkeypatch.setattr(CurveParams, "key", lambda self, point: 0)
+    toy17 = get_curve("toy17")
+    cases = [
+        (UnitGroup(101), 2, 100, range(101)),
+        (UnitGroup(65537), 3, 5000,
+         [pow(3, m, 65537) for m in (0, 1, 70, 71, 4999, 5000, 5001)]),
+        (UnitGroup(MERSENNE_127), 3, 900,
+         [pow(3, m, MERSENNE_127) for m in (0, 29, 30, 899, 901)]),
+        (toy17, toy17.g, 60, [scalar_mul(k, toy17.g, toy17) for k in range(19)]),
+    ]
+    for group, base, bound, targets in cases:
+        table = baby_steps(group, base, bound)
+        assert set(table[0]) == {group.exp(base, j) for j in range(table[1])}
+        assert table[3] != group.key
+        for target in targets:
+            expected = smallest_log(group, base, target, bound)
+            assert discrete_log_bounded(group, base, target, bound, table) == expected
+            assert discrete_log_bounded(group, base, target, bound) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +26,7 @@ from phekit.errors import (
     PlaintextRangeError,
 )
 from phekit.numtheory import (
+    baby_steps,
     crt,
     discrete_log_bounded,
     is_probable_prime,
@@ -1044,6 +1046,29 @@ def test_cached_baby_steps_agree_with_a_fresh_search(algorithm, module, monkeypa
             scheme.decrypt(over)
 
 
+@pytest.mark.parametrize(
+    "algorithm, bits, params",
+    [("exp-elgamal", 1024, None), ("ec-elgamal", 0, {"curve": "secp160r1"})],
+)
+def test_a_baby_step_table_at_the_default_bound_holds_keys_not_elements(
+    algorithm, bits, params
+):
+    """A fresh table of g at dlp_bound 2^20 (1025 steps) keys each step by 60
+    bits: about 92 KB in either group, where whole elements took 225 KB at
+    1024 bits and 204 KB on secp160r1."""
+    scheme = scheme_for(generate_keys(algorithm, bits, params=params, rng=RandomSource(1)))
+    group, base = scheme.group, scheme.g
+    assert scheme.dlp_bound == elgamal_module.DEFAULT_DLP_BOUND
+    tracemalloc.start()
+    try:
+        table = baby_steps(group, base, scheme.dlp_bound)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table[1] == 1025 and table[3] == group.key
+    assert size < 120 * 1024
+
+
 # ------------------------------------------ homomorphic laws over random keys
 
 # additive schemes whose decryption does not reduce modulo the plaintext bound
@@ -1138,6 +1163,9 @@ def test_elgamal_rejects_c1_zero_and_values_beyond_p(rng):
         p = phe.scheme.p
         for payload in ((0, c2), (p, c2), (c1, p), (c1 + p, c2)):
             assert_rejected(phe, payload)
+        if algorithm == "exp-elgamal":
+            # c2 = g^m * h^r is a unit, so no exp-ElGamal key encrypts to 0
+            assert_rejected(phe, (c1, 0))
     # classic ElGamal encrypts 0 to c2 = 0
     phe = PHE(keys=toy_keys("elgamal", rng), rng=rng)
     zero = unbound(phe, phe.encrypt(0).payload)
