@@ -6,7 +6,9 @@ and key fingerprint. The payload is checked against the key pair once, where
 it enters a PHE: at `bind`, or at first use when it arrives unbound or from
 another PHE. Rational scalars ride along as a cleartext denominator on the
 ciphertext (division cannot happen under encryption), and decryption divides
-it back out exactly.
+it back out exactly. A ciphertext document is written and read by
+`serialization` (`dump_ciphertext`, `load_ciphertext`); `serialize_ciphertext`
+and `parse_ciphertext` here only take and build the `Ciphertext`.
 """
 
 from __future__ import annotations
@@ -20,16 +22,7 @@ from .errors import InexactResultError, MathDomainError, OperandMismatchError
 from .frozen import Frozen
 from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
-from .serialization import (
-    _decimal,
-    _dump_document,
-    _load_document,
-    _parse_natural,
-    _require,
-    key_fingerprint,
-    payload_from_doc,
-    payload_to_doc,
-)
+from .serialization import dump_ciphertext, key_fingerprint, load_ciphertext
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -42,15 +35,13 @@ ScalarLike = Union[int, str, float, "Fraction"]
 # string with a two-million-digit numerator
 _EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 
-# `key_fingerprint`'s hexdigest: a ciphertext file's fingerprint of any other
-# shape can match no key pair, so it is refused where the file is read
-_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
-
 
 def _check_exponent(text: str) -> None:
-    limit = sys.get_int_max_str_digits()
+    # with the limit off (0), the default still bounds a scalar: "1e10000000"
+    # would otherwise build a 33-million-bit numerator
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     match = _EXPONENT.search(text)
-    if not limit or match is None:
+    if match is None:
         return
     # the unreduced numerator or denominator has at most this many digits
     digits = sum(ch.isdigit() for ch in text[: match.start()]) + abs(int(match[1]))
@@ -71,7 +62,8 @@ def to_rational(k: ScalarLike) -> Fraction:
     Strings and floats go through their decimal spelling, so "1.05" and 1.05
     both mean 21/20 exactly, never the nearest binary float. A NaN, an
     infinity, or an exponent that takes the numerator or denominator past the
-    interpreter's int/str digit limit is a MathDomainError.
+    interpreter's int/str digit limit (its default, 4300 digits, when the limit
+    is off) is a MathDomainError.
     """
     from fractions import Fraction
 
@@ -204,11 +196,7 @@ def cipher_scalar(k: ScalarLike, c: Ciphertext, phe: "PHE") -> Ciphertext:
 
 
 def serialize_ciphertext(c: Ciphertext) -> str:
-    return _dump_document(c.algorithm, {
-        "key_fingerprint": c.key_fingerprint,
-        "payload": payload_to_doc(c.payload),
-        "scale_denominator": _decimal(c.scale_denominator, "scale_denominator"),
-    })
+    return dump_ciphertext(c.algorithm, c.payload, c.key_fingerprint, c.scale_denominator)
 
 
 def parse_ciphertext(text: str) -> Ciphertext:
@@ -218,19 +206,7 @@ def parse_ciphertext(text: str) -> Ciphertext:
     payload is checked against one by `PHE.bind`, or at first use by any PHE,
     after that PHE's algorithm and fingerprint checks.
     """
-    doc, algorithm = _load_document(text, "ciphertext")
-    fingerprint = doc.get("key_fingerprint")
-    _require(isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint) is not None,
-             "key_fingerprint", "expected 64 lowercase hex digits (a SHA-256 digest)")
-    scale = _parse_natural(doc.get("scale_denominator", "1"), "scale_denominator")
-    _require(scale > 0, "scale_denominator", "must be positive")
-    payload = payload_from_doc(doc.get("payload"), algorithm)
-    return Ciphertext(
-        algorithm=algorithm,
-        payload=payload,
-        key_fingerprint=fingerprint,
-        scale_denominator=scale,
-    )
+    return Ciphertext(*load_ciphertext(text))
 
 
 # -- the user-facing bundle ---------------------------------------------------

@@ -76,8 +76,13 @@ def _trial_division() -> tuple[frozenset, int, int]:
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, _TRIAL_LIMIT, i)))
     small = frozenset(itertools.compress(range(1000), sieve))
-    rest = itertools.compress(range(1000, _TRIAL_LIMIT), memoryview(sieve)[1000:])
-    return small, math.prod(small), math.prod(rest)
+    rest = list(itertools.compress(range(1000, _TRIAL_LIMIT), memoryview(sieve)[1000:]))
+    # a product tree, neighbours multiplied pairwise level by level: the large
+    # products meet operands of like size (Karatsuba's case), where a running
+    # product would multiply a growing integer by one small prime at a time
+    while len(rest) > 1:
+        rest = [math.prod(rest[i : i + 2]) for i in range(0, len(rest), 2)]
+    return small, math.prod(small), rest[0]
 
 
 def trial_divide(n: int) -> Optional[bool]:

@@ -1,5 +1,8 @@
-"""Canonical text formats for keys and ciphertext payloads.
+"""Canonical text formats: key documents and ciphertext documents.
 
+This module is the one owner of both formats; `algebra.serialize_ciphertext`
+and `parse_ciphertext` only wrap `dump_ciphertext` and `load_ciphertext` to
+build a `Ciphertext`, and no other module calls the private helpers below.
 Documents are JSON with sorted keys, no insignificant whitespace, and a
 trailing newline; every arbitrary-precision integer is a decimal string so no
 JSON reader mangles it, written by `_decimal` and read by `_parse_natural`.
@@ -7,17 +10,20 @@ Key and ciphertext documents share one header, `format_version` and
 `algorithm`, which `_dump_document` writes and `_load_document` alone checks.
 A key file's `public`, `private` and `params` objects hold exactly the
 scheme's declared names (`public_fields`, `private_fields`, the keys of
-`default_params`), all three read by `_fields`. Parsing a canonical document
-and re-serializing it is byte-identical. The key fingerprint is the SHA-256
-of the canonical public-only key document, hashed by the interpreter's own
-SHA-256 module (`_sha2`, `_sha256` before Python 3.12): the same digest as
-`hashlib.sha256`, without `hashlib` loading OpenSSL into every process that
-reads a key. `hashlib` is left only for an interpreter built without it.
+`default_params`), all three read by `_fields`. A ciphertext document's body
+is its `key_fingerprint` (64 lowercase hex digits), `payload` and
+`scale_denominator`. Parsing a canonical document and re-serializing it is
+byte-identical. The key fingerprint is the SHA-256 of the canonical
+public-only key document, hashed by the interpreter's own SHA-256 module
+(`_sha2`, `_sha256` before Python 3.12): the same digest as `hashlib.sha256`,
+without `hashlib` loading OpenSSL into every process that reads a key.
+`hashlib` is left only for an interpreter built without it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any, Collection
 
 from .capabilities import ALGORITHMS
@@ -35,6 +41,10 @@ except ImportError:
         from hashlib import sha256
 
 FORMAT_VERSION = 1
+
+# `key_fingerprint`'s hexdigest: a ciphertext file's fingerprint of any other
+# shape can match no key pair, so it is refused where the file is read
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
 
 
 def canonical_json(doc: Any) -> str:
@@ -212,3 +222,28 @@ def payload_from_doc(doc: Any, algorithm: str) -> Payload:
     read = _point_from_doc if kind == "point_pair" else _parse_natural
     values = [read(v, f"payload.data[{i}]") for i, v in enumerate(data)]
     return tuple(values) if pair else values
+
+
+# -- ciphertext documents -----------------------------------------------------
+
+
+def dump_ciphertext(algorithm: str, payload: Payload, fingerprint: str, scale: int) -> str:
+    """A ciphertext document, from `Ciphertext`'s four compared fields."""
+    return _dump_document(algorithm, {
+        "key_fingerprint": fingerprint,
+        "payload": payload_to_doc(payload),
+        "scale_denominator": _decimal(scale, "scale_denominator"),
+    })
+
+
+def load_ciphertext(text: str) -> tuple[str, Payload, str, int]:
+    """A ciphertext document's algorithm, payload, key fingerprint and scale
+    denominator, in `Ciphertext`'s order. Only their shape is checked: the
+    payload against a key pair is the caller's check."""
+    doc, algorithm = _load_document(text, "ciphertext")
+    fingerprint = doc.get("key_fingerprint")
+    _require(isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint) is not None,
+             "key_fingerprint", "expected 64 lowercase hex digits (a SHA-256 digest)")
+    scale = _parse_natural(doc.get("scale_denominator", "1"), "scale_denominator")
+    _require(scale > 0, "scale_denominator", "must be positive")
+    return algorithm, payload_from_doc(doc.get("payload"), algorithm), fingerprint, scale

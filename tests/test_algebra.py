@@ -67,6 +67,17 @@ def test_to_rational_bounds_the_exponent_by_the_digit_limit(int_digit_limit):
     assert to_rational("1e-639") == Fraction(1, 10**639)
 
 
+def test_to_rational_keeps_the_default_digit_bound_when_the_limit_is_off(int_digit_limit):
+    """With the limit at 0, which lets a document hold any integer, a short
+    scalar still cannot build a numerator past the default 4300 digits."""
+    int_digit_limit(0)
+    for bad in ("1e5000", "1e-5000", "1e10000000"):
+        with pytest.raises(MathDomainError, match="passes the 4300-digit"):
+            to_rational(bad)
+    assert to_rational("1e4000") == 10**4000
+    assert to_rational("1e-4000") == Fraction(1, 10**4000)
+
+
 # ------------------------------------------------------- capability matrix
 
 

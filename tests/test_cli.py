@@ -250,6 +250,21 @@ def test_ec_key_off_its_curve_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ec_scalar_zero_writes_a_null_c1_that_decrypts_to_0(tmp_path, capsys):
+    """0 * (c1, c2) is the identity pair, written as nulls: a ciphertext with
+    nonce 0 that phekit itself writes, so reading it back is no refusal."""
+    keys, c, zero = tmp_path / "ec.json", tmp_path / "c.json", tmp_path / "z.json"
+    assert run(["keygen", "--algorithm", "ec-elgamal", "--curve", "secp160r1",
+                "--out", str(keys)]) == 0
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "7", "--out", str(c)]) == 0
+    assert run(["smul", "--keys", str(keys), "--in", str(c), "--scalar", "0",
+                "--out", str(zero)]) == 0
+    assert json.loads(zero.read_text())["payload"]["data"] == [None, None]
+    capsys.readouterr()
+    assert run(["decrypt", "--keys", str(keys), "--in", str(zero)]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_public_key_encrypts_but_cannot_decrypt(tmp_path, paillier_keys, capsys):
     keys, public = paillier_keys
     assert not parse_key(public.read_text()).has_private

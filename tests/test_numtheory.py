@@ -11,6 +11,7 @@ from phekit.ec import CurveParams, get_curve, point_neg, scalar_mul
 from phekit.errors import MathDomainError, NotInvertibleError
 from phekit.numtheory import (
     UnitGroup,
+    _trial_division,
     baby_steps,
     binomial_log,
     binomial_pow,
@@ -143,6 +144,21 @@ def test_trial_divide_decides_below_2_32_and_defers_the_rest():
     assert trial_divide(1009 * (2**61 - 1)) is False
     assert trial_divide(65537**2) is None  # no factor below 2^16
     assert trial_divide(2**32 + 15) is None
+
+
+def test_trial_division_products_equal_math_prod_of_the_same_primes():
+    """The product tree of the primes in [1000, 2^16) is math.prod's integer,
+    the primes taken from a sieve of this test's own; so is the product of
+    the primes below 1000."""
+    sieve = [True] * 2**16
+    for i in range(2, 2**8):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, 2**16, i))
+    primes = [p for p in range(2, 2**16) if sieve[p]]
+    small_primes, small, rest = _trial_division()
+    assert small_primes == frozenset(p for p in primes if p < 1000)
+    assert small == math.prod(small_primes)
+    assert rest == math.prod(p for p in primes if p >= 1000)
 
 
 def test_is_probable_prime_tries_base_2_before_the_seeded_bases(monkeypatch):

@@ -1205,3 +1205,18 @@ def test_ec_c1_off_the_curve_never_meets_the_private_scalar(monkeypatch):
     # the identity is a ciphertext point: c2 of m = 0 under scalar 0
     assert phe.decrypt(unbound(phe, (c1, scalar_mul(x, c1, phe.scheme.group)))) == 0
     assert phe.decrypt(unbound(phe, (IDENTITY, IDENTITY))) == 0
+
+
+def test_ec_elgamal_accepts_a_c1_identity_that_its_key_pair_produces():
+    """c1 = identity means nonce 0, the curve form of exp-ElGamal's c1 = 1
+    and not of its refused c1 = 0: a sum whose nonces add up to the group
+    order makes (identity, m*G), about one toy17 sum in 19, and scalar 0
+    makes (identity, identity). Both come back from a file and decrypt."""
+    phe = PHE("ec-elgamal", 0, params={"curve": "toy17"}, rng=RandomSource(3))
+    sums = (phe.encrypt(1) + phe.encrypt(2) for _ in range(400))
+    total = next(c for c in sums if c.payload[0] == IDENTITY)
+    assert total.payload[1] != IDENTITY
+    zero = phe.scalar(0, phe.encrypt(5))
+    assert zero.payload == (IDENTITY, IDENTITY)
+    for c, m in ((total, 3), (zero, 0)):
+        assert phe.decrypt(phe.bind(unbound(phe, c.payload))) == m

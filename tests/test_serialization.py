@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phekit
 import phekit.schemes.naccache_stern as naccache_stern
 from conftest import run_isolated
 from phekit import (
@@ -29,6 +32,23 @@ from phekit.serialization import (
     payload_from_doc,
     payload_to_doc,
 )
+
+def test_no_phekit_module_imports_another_modules_private_name():
+    """A leading-underscore name stays inside its module: the document
+    codec's helpers (`_decimal`, `_parse_natural`, `_require`, ...) are
+    called only in `serialization`, so a change to the codec touches that
+    module alone."""
+    package = Path(phekit.__file__).parent
+    imported = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "phekit"):
+                imported += [f"{path.relative_to(package)}: {'.' * node.level}"
+                             f"{node.module or ''} import {alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
+
 
 KEYGEN_FOR_TESTS = {
     "rsa": (64, None),
