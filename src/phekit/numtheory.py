@@ -15,15 +15,7 @@ from typing import Any, Callable, Optional, Sequence, Tuple
 from .errors import MathDomainError, NotInvertibleError
 from .frozen import Frozen
 
-DEFAULT_MR_ROUNDS = 40
-
-# HAC Table 4.4 as (fewest bits, rounds), read by `search_rounds`
-_SEARCH_ROUNDS = (
-    (1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
-    (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
-)
-
-# Trial division ahead of Miller-Rabin (`trial_divide`) covers the primes
+# Trial division ahead of Baillie-PSW (`trial_divide`) covers the primes
 # below this limit: one gcd with the product of those below 1000, which
 # decides every input below 997^2, and for larger inputs one with the
 # product of the rest (`_trial_division`, built on the first call), which
@@ -92,7 +84,7 @@ def trial_divide(n: int) -> Optional[bool]:
     Two gcds, one with the primes below 1000 and, for n past 2**16, one with
     the rest. A composite below 2**32 has a factor below 2**16, so every n
     below 2**32 is decided; above that, None means n has no factor below
-    2**16 and needs Miller-Rabin (`is_probable_prime`).
+    2**16 and needs the base-2 and Lucas tests (`is_probable_prime`).
     """
     small_primes, small, rest = _trial_division()
     if n < 1000:
@@ -108,61 +100,67 @@ def trial_divide(n: int) -> Optional[bool]:
     return True if n < _TRIAL_LIMIT**2 else None
 
 
-def is_probable_prime(n: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
-    """Miller-Rabin after small-prime trial division (`trial_divide`), which
+def is_probable_prime(n: int) -> bool:
+    """Baillie-PSW after small-prime trial division (`trial_divide`), which
     decides every input below 2**32 alone.
 
-    Miller-Rabin runs one strong-probable-prime round to base 2, then
-    `rounds` rounds to bases drawn from a generator seeded with n, so the
-    same n always gets the same verdict. A prime passes every round, so
-    base 2 changes no prime's verdict, and a composite may fail at base 2
-    before any seeded base is drawn: the error bound below only tightens.
-
-    False-positive probability is at most 4**-rounds for inputs not chosen
-    against the seeded bases: they are a function of n, so a composite could
-    be searched for that passes them. The default 40 rounds is for such
-    input: key files, params and direct calls. A prime search that draws its
-    own candidates at random passes `search_rounds(bits)` instead, the
-    average-case count for a 2**-80 error (HAC Table 4.4, after Damgard,
-    Landrock and Pomerance). Fewer rounds only accept what 40 would reject
-    if a composite passes all of the first rounds' bases; a prime gets the
-    same verdict.
+    Past trial division n must be a strong probable prime to base 2
+    (`_strong_base_2`) and then a strong Lucas probable prime with
+    Selfridge's parameters (`_strong_lucas`; Baillie and Wagstaff, "Lucas
+    Pseudoprimes", Math. Comp. 35, 1980). The verdict is deterministic and
+    exact below 2**64, where Feitsma and Galway listed every base-2
+    pseudoprime and none passes both tests; no composite is known to pass
+    above. Key searches and key files get the same test.
     """
-    if rounds < 1:
-        raise MathDomainError("rounds must be >= 1")
     verdict = trial_divide(n)
-    if verdict is not None:
-        return verdict
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    bases = random.Random(n)
-    seeded = (bases.randrange(2, n - 1) for _ in range(rounds))
-    for a in itertools.chain((2,), seeded):
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return (_strong_base_2(n) and _strong_lucas(n)) if verdict is None else verdict
 
 
-def search_rounds(bits: int) -> int:
-    """Miller-Rabin rounds for a candidate of `bits` bits that a prime search
-    drew at random: HAC Table 4.4, after Damgard, Landrock and Pomerance
-    ("Average case error estimates for the strong probable prime test",
-    Math. Comp. 61, 1993), which bounds the chance that such a candidate is
-    composite yet passes by 2**-80. From 27 rounds at 100 bits down to 2 at
-    1300; below 100 bits the default 40. The bound assumes the candidate was
-    not chosen against the test, so input read from a key file keeps 40.
+def _strong_base_2(n: int) -> bool:
+    """Whether odd n > 2 is a strong probable prime to base 2: with
+    n - 1 = d * 2**s, d odd, 2**d = 1 or 2**(d * 2**r) = -1 (mod n), r < s."""
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    """Whether odd n > 2 is a strong Lucas probable prime: with D the first
+    of 5, -7, 9, -11, ... whose Jacobi symbol (D/n) is -1 (Selfridge's
+    method A), P = 1, Q = (1 - D)/4 and n + 1 = d * 2**s, d odd,
+    U_d = 0 or V_(d * 2**r) = 0 (mod n) for some r < s.
+
+    A square has no such D, so it is refused before the search, which
+    would not end. U and V are doubled and stepped along the bits of d,
+    halving mod n by adding n when odd.
     """
-    return next((t for k, t in _SEARCH_ROUNDS if bits >= k), DEFAULT_MR_ROUNDS)
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while jacobi(D, n) != -1:
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = U + V, D * U + V, Qk * Q % n
+            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def prime_candidate(bits: int, rng: RandomSource) -> int:
@@ -172,16 +170,19 @@ def prime_candidate(bits: int, rng: RandomSource) -> int:
 
 
 def gen_prime(bits: int, rng: RandomSource) -> int:
-    """Random probable prime of exactly `bits` bits.
+    """Random prime of exactly `bits` bits, confirmed by `is_probable_prime`.
 
     The top two bits are forced so products of two such primes reach the full
-    requested modulus size; the bottom bit is forced odd.
+    requested modulus size; the bottom bit is forced odd. A drawn candidate
+    gets the verdict any input gets: trial division refuses most composites,
+    the base-2 test nearly all the rest, and the Lucas test runs on almost
+    nothing but primes.
     """
     if bits < 8:
         raise MathDomainError("bits must be >= 8")
     while True:
         candidate = prime_candidate(bits, rng)
-        if is_probable_prime(candidate, search_rounds(bits)):
+        if is_probable_prime(candidate):
             return candidate
 
 
@@ -222,7 +223,7 @@ def gen_group_prime(
         # 2qc < 2^bits always holds; only the lower edge needs a check
         if p.bit_length() != bits:
             continue
-        if is_probable_prime(p, search_rounds(bits)):
+        if is_probable_prime(p):
             return p, q
 
 

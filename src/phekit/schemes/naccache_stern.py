@@ -25,7 +25,6 @@ from ..numtheory import (
     is_probable_prime,
     prime_candidate,
     random_coprime_below,
-    search_rounds,
     trial_divide,
 )
 from .base import INT_PARAM_CAPS, KeyPair, ModulusScheme, Payload
@@ -38,11 +37,11 @@ class _Budget:
     each generator candidate spends one, and a search stops when none is left.
 
     An auxiliary that passed trial division but whose pair was rejected
-    before it was proven is pending: it spends a retry only if it is prime.
-    `has_left` proves the pending auxiliaries only when the retries left
-    could run out on them (`left <= len(pending)`). So the budget counts
-    auxiliary primes exactly, and a search stops after the same draw as one
-    that proved every auxiliary when it was drawn.
+    before `is_probable_prime` tested it is pending: it spends a retry only
+    if it is prime. `has_left` tests the pending auxiliaries only when the
+    retries left could run out on them (`left <= len(pending)`). So the
+    budget counts auxiliary primes exactly, and a search stops after the
+    same draw as one that tested every auxiliary when it was drawn.
     """
 
     def __init__(self):
@@ -52,9 +51,7 @@ class _Budget:
     def has_left(self) -> bool:
         """Whether a retry is left, once the pending auxiliaries could matter."""
         if self.left <= len(self.pending):
-            self.left -= sum(
-                is_probable_prime(aux, search_rounds(aux.bit_length())) for aux in self.pending
-            )
+            self.left -= sum(map(is_probable_prime, self.pending))
             self.pending.clear()
         return self.left > 0
 
@@ -72,21 +69,20 @@ def _factor_with(
     prime, each aux drawn as `gen_prime` draws its candidates.
 
     The cheap tests run first: the pair is rejected on its bit length or on
-    trial division of either number, and Miller-Rabin runs only on pairs that
-    pass them, on the candidate first, then on aux. An aux left unproven
-    when its pair is rejected goes to the budget's pending list, which spends
-    a retry for it only once the count could matter (`_Budget`).
+    trial division of either number, and `is_probable_prime` runs only on
+    pairs that pass them, on the candidate first, then on aux. An aux left
+    untested when its pair is rejected goes to the budget's pending list,
+    which spends a retry for it only once the count could matter
+    (`_Budget`).
     """
     while budget.has_left():
         aux = prime_candidate(aux_bits, rng)
         if trial_divide(aux) is False:
             continue
         candidate = 2 * aux * cofactor + 1
-        if candidate.bit_length() != bits or not is_probable_prime(
-            candidate, search_rounds(bits)
-        ):
+        if candidate.bit_length() != bits or not is_probable_prime(candidate):
             budget.pending.append(aux)
-        elif is_probable_prime(aux, search_rounds(aux_bits)):
+        elif is_probable_prime(aux):
             budget.left -= 1
             return candidate, aux
     raise KeygenExhaustedError(
@@ -291,7 +287,7 @@ class Benaloh(NaccacheStern):
             if t < t_lo or t % r == 0:
                 continue
             p = r * t + 1
-            if p.bit_length() == p_bits and is_probable_prime(p, search_rounds(p_bits)):
+            if p.bit_length() == p_bits and is_probable_prime(p):
                 break
         else:
             raise KeygenExhaustedError(

@@ -6,6 +6,7 @@ visible in any pytest run regardless of output capturing.
 """
 
 import os
+import random
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -61,6 +62,35 @@ def expected_denial(algorithm: str, operation: str) -> str:
     if operation == "scalar":
         return f"{name} does not support scalar multiplication"
     return f"{name} does not support ciphertext regeneration"
+
+
+PRIMES_BELOW_1000 = [d for d in range(2, 1000) if all(d % e for e in range(2, d))]
+
+
+def forty_round_miller_rabin(n: int) -> bool:
+    """The primality oracle: division by the primes below 1000, then 40
+    Miller-Rabin rounds to bases drawn from a generator seeded with n. It
+    shares no code with `is_probable_prime`."""
+    if n < 2:
+        return False
+    for p in PRIMES_BELOW_1000:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    bases = random.Random(n)
+    for _ in range(40):
+        x = pow(bases.randrange(2, n - 1), d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @contextmanager

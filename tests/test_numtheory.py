@@ -6,11 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import forty_round_miller_rabin
 from phekit import RandomSource
 from phekit.ec import CurveParams, get_curve, point_neg, scalar_mul
 from phekit.errors import MathDomainError, NotInvertibleError
+import phekit.numtheory as numtheory
 from phekit.numtheory import (
     UnitGroup,
+    _strong_base_2,
+    _strong_lucas,
     _trial_division,
     baby_steps,
     binomial_log,
@@ -24,7 +28,6 @@ from phekit.numtheory import (
     jacobi,
     mod_inv,
     random_coprime_below,
-    search_rounds,
     trial_divide,
 )
 
@@ -52,8 +55,8 @@ def test_is_probable_prime_fixtures():
     assert not is_probable_prime(1)
     assert is_probable_prime(2)
     assert not is_probable_prime(3233)  # 61 * 53
-    with pytest.raises(MathDomainError):
-        is_probable_prime(7, rounds=0)
+    # one verdict for every caller: no round count to pass
+    assert list(inspect.signature(is_probable_prime).parameters) == ["n"]
 
 
 def test_is_probable_prime_takes_no_system_randomness(monkeypatch):
@@ -61,51 +64,80 @@ def test_is_probable_prime_takes_no_system_randomness(monkeypatch):
     composite = gen_prime(256, RandomSource(8)) * gen_prime(256, RandomSource(9))
 
     def refuse():
-        raise AssertionError("Miller-Rabin drew a base from SystemRandom")
+        raise AssertionError("the primality test drew from SystemRandom")
 
     monkeypatch.setattr(random, "SystemRandom", refuse)
     assert is_probable_prime(prime)
     assert not is_probable_prime(composite)
 
 
-def test_is_probable_prime_agrees_with_sieve_below_one_million():
-    """Exact agreement with trial division for all n < 10**6."""
-    limit = 1_000_000
-    sieve = bytearray([1]) * limit
+SIEVE_LIMIT = 1_000_000
+
+
+@pytest.fixture(scope="module")
+def sieve():
+    """sieve[n] is 1 exactly when n < 10**6 is prime."""
+    sieve = bytearray([1]) * SIEVE_LIMIT
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(limit ** 0.5) + 1):
+    for i in range(2, int(SIEVE_LIMIT ** 0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    for n in range(limit):
-        assert is_probable_prime(n, rounds=8) == bool(sieve[n]), n
+    return sieve
 
 
-PRIMES_BELOW_1000 = [d for d in range(2, 1000) if all(d % e for e in range(2, d))]
+def test_is_probable_prime_agrees_with_sieve_below_one_million(sieve):
+    """Exact agreement with trial division for all n < 10**6."""
+    for n in range(SIEVE_LIMIT):
+        assert is_probable_prime(n) == bool(sieve[n]), n
 
 
-def reference_is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Division by the primes below 1000, then Miller-Rabin with the same
-    n-seeded bases: the primality test before its gcd trial division."""
-    if n < 2:
-        return False
-    for p in PRIMES_BELOW_1000:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    bases = random.Random(n)
-    for _ in range(rounds):
-        x = pow(bases.randrange(2, n - 1), d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def test_base_2_and_lucas_halves_agree_with_sieve_below_one_million(sieve):
+    """Trial division decides every input below 2^32 before either half
+    runs, so the halves are called directly: together they are exact on
+    every odd n in [5, 10**6)."""
+    for n in range(5, SIEVE_LIMIT, 2):
+        assert (_strong_base_2(n) and _strong_lucas(n)) == bool(sieve[n]), n
+
+
+# OEIS A217255: the strong Lucas pseudoprimes (Selfridge's method A)
+STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5 = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+]
+
+
+def test_lucas_half_alone_passes_exactly_the_strong_lucas_pseudoprimes(sieve):
+    passed = [n for n in range(5, 10**5, 2) if not sieve[n] and _strong_lucas(n)]
+    assert passed == STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5
+    for n in passed:
+        assert not _strong_base_2(n), n
+        assert not is_probable_prime(n), n
+
+
+def test_lucas_half_refuses_squares_before_the_d_search(monkeypatch):
+    """No D has (D/n) = -1 for a square n, so the search for one would not
+    end: a square is refused before it."""
+
+    def refuse(a, n):
+        raise AssertionError(f"a D was tried for the square {n}")
+
+    monkeypatch.setattr(numtheory, "jacobi", refuse)
+    for n in (9, 1093**2, 65537**2, (2**61 - 1) ** 2):
+        assert not _strong_lucas(n), n
+
+
+# the least strong pseudoprimes to every prime base up to 11, 13, 17 and 23,
+# so to base 2 among them; the first two have a factor below 2^16, so
+# trial division alone refuses them inside `is_probable_prime`
+STRONG_BASE_2_PSEUDOPRIMES_ABOVE_2_32 = [
+    2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+]
+
+
+@pytest.mark.parametrize("n", STRONG_BASE_2_PSEUDOPRIMES_ABOVE_2_32)
+def test_strong_base_2_pseudoprimes_past_2_32_are_refused(n):
+    assert n > 2**32 and _strong_base_2(n)
+    assert not _strong_lucas(n)
+    assert not is_probable_prime(n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,28 +146,27 @@ def test_is_probable_prime_agrees_with_division_below_1000(n, factor):
     """The gcd with the primes below 2^16 changes no verdict, including on
     multiples of primes between 1000 and 2^16."""
     n = n | 1
-    assert is_probable_prime(n) == reference_is_probable_prime(n)
-    assert is_probable_prime(n * factor) == reference_is_probable_prime(n * factor)
+    assert is_probable_prime(n) == forty_round_miller_rabin(n)
+    assert is_probable_prime(n * factor) == forty_round_miller_rabin(n * factor)
 
 
-def test_is_probable_prime_decides_below_2_32_without_miller_rabin(monkeypatch):
+def test_is_probable_prime_decides_below_2_32_without_the_base_2_test(monkeypatch):
     """Trial division to 2^16 finds a factor of every composite below 2^32,
-    so no base is drawn there; 65537^2 has no factor below 2^16 and is
-    rejected by Miller-Rabin."""
-    seeded = []
+    so the base-2 test runs on no input there; 65537^2 has no factor below
+    2^16 and is refused by it."""
+    tested = []
 
-    class RecordingRandom(random.Random):
-        def __init__(self, seed):
-            seeded.append(seed)
-            super().__init__(seed)
+    def recording(n):
+        tested.append(n)
+        return _strong_base_2(n)
 
-    monkeypatch.setattr(random, "Random", RecordingRandom)
+    monkeypatch.setattr(numtheory, "_strong_base_2", recording)
     assert is_probable_prime(2**32 - 5)
     assert not is_probable_prime(65521 * 65537)
-    assert seeded == []
+    assert tested == []
     assert not is_probable_prime(65537**2)
     assert is_probable_prime(2**32 + 15)  # the first prime past 2^32
-    assert seeded == [65537**2, 2**32 + 15]
+    assert tested == [65537**2, 2**32 + 15]
 
 
 def test_trial_divide_decides_below_2_32_and_defers_the_rest():
@@ -161,69 +192,43 @@ def test_trial_division_products_equal_math_prod_of_the_same_primes():
     assert rest == math.prod(p for p in primes if p >= 1000)
 
 
-def test_is_probable_prime_tries_base_2_before_the_seeded_bases(monkeypatch):
+def test_is_probable_prime_runs_the_lucas_test_only_past_base_2(monkeypatch):
     """3825123056546413051 is a strong pseudoprime to base 2 with no factor
-    below 2^16, so only the seeded bases reject it; 65537^2 fails base 2 and
-    draws no seeded base."""
+    below 2^16, so only the Lucas test refuses it; 65537^2 fails base 2 and
+    never reaches the Lucas test."""
     n = 3825123056546413051
-    assert n == 149491 * 747451 * 34233211 and n > 2**32
-    assert trial_divide(n) is None
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    assert pow(2, d, n) == 1 or n - 1 in (pow(2, d << r, n) for r in range(s))
-    drawn = []
+    assert n == 149491 * 747451 * 34233211
+    tested = []
 
-    class RecordingRandom(random.Random):
-        def randrange(self, *args):
-            drawn.append(super().randrange(*args))
-            return drawn[-1]
+    def recording(n):
+        tested.append(n)
+        return _strong_lucas(n)
 
-    monkeypatch.setattr(random, "Random", RecordingRandom)
+    monkeypatch.setattr(numtheory, "_strong_lucas", recording)
     assert not is_probable_prime(n)
-    assert drawn
-    drawn.clear()
+    assert tested == [n]
     assert not is_probable_prime(65537**2)
-    assert drawn == []
-
-
-# HAC Table 4.4: (fewest bits, rounds); below 100 bits the 40-round default
-HAC_TABLE_4_4 = [
-    (1300, 2), (850, 3), (650, 4), (550, 5), (450, 6), (400, 7),
-    (350, 8), (300, 9), (250, 12), (200, 15), (150, 18), (100, 27),
-]
-
-
-def test_search_rounds_pins_hac_table_4_4():
-    assert inspect.signature(is_probable_prime).parameters["rounds"].default == 40
-    assert search_rounds(99) == 40 and search_rounds(8) == 40
-    assert search_rounds(4096) == 2
-    above = 40
-    for bits, rounds in reversed(HAC_TABLE_4_4):
-        assert search_rounds(bits - 1) == above, bits - 1
-        assert search_rounds(bits) == rounds, bits
-        above = rounds
+    assert tested == [n]
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    bits=st.integers(100, 1400),
+    bits=st.integers(64, 512),
     kind=st.sampled_from(["odd", "prime", "two primes"]),
     seed=st.integers(0, 2**32),
 )
-def test_search_rounds_verdict_matches_40_rounds(bits, kind, seed):
-    """On random odd numbers, `gen_prime` outputs and products of two primes,
-    the size-derived round count gives the 40-round verdict."""
+def test_is_probable_prime_matches_40_round_miller_rabin(bits, kind, seed):
+    """On random odd numbers, random primes and products of two random
+    primes of `bits` bits each, the verdict is the 40-round oracle's."""
     rng = RandomSource(seed)
     if kind == "odd":
         n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
     elif kind == "prime":
         n = gen_prime(bits, rng)
     else:
-        n = gen_prime(bits // 2, rng) * gen_prime(bits - bits // 2, rng)
-    assert n.bit_length() == bits
-    verdict = is_probable_prime(n, search_rounds(bits))
-    assert verdict == reference_is_probable_prime(n)
+        n = gen_prime(bits, rng) * gen_prime(bits, rng)
+    verdict = is_probable_prime(n)
+    assert verdict == forty_round_miller_rabin(n)
     if kind != "odd":
         assert verdict == (kind == "prime")
 

@@ -1,16 +1,15 @@
-"""Key generation's prime searches against the 40-round slow path.
+"""Key generation's prime searches against a 40-round Miller-Rabin oracle.
 
-The searches that draw their own candidates confirm them with
-`search_rounds(bits)` Miller-Rabin rounds; every other caller keeps 40.
-Bases come from the candidate itself, so a prime gets the same verdict at
-any count, and a seeded search finds the same primes with the same draws
-unless a composite passes all of the first rounds' bases. Naccache-Stern's
-search, which trial-divides both of its numbers before any round, is
-checked against the `gen_prime` search it replaced.
+Every search confirms its candidates with `is_probable_prime`, Baillie-PSW,
+so a seeded search with the oracle in its place must find the same primes
+with the same draws. Naccache-Stern's search, which trial-divides both of
+its numbers before either is tested, is checked against the `gen_prime`
+search it replaced.
 """
 
 import pytest
 
+from conftest import forty_round_miller_rabin
 import phekit.numtheory as numtheory
 import phekit.schemes.naccache_stern as naccache_stern
 from phekit import RandomSource, parse_key, serialize_key
@@ -22,41 +21,51 @@ PRIME_SEARCH_SCHEMES = sorted(set(SCHEME_CLASSES) - {"ec-elgamal"})
 
 
 @pytest.mark.parametrize("algorithm", PRIME_SEARCH_SCHEMES)
-def test_seeded_keygen_matches_the_40_round_search(algorithm, monkeypatch):
+def test_seeded_keygen_matches_the_40_round_oracle(algorithm, monkeypatch):
+    """The seeded key, and the draw after it, are the ones made with the
+    40-round oracle patched in for `is_probable_prime`."""
+    bits = 256 if algorithm in ("benaloh", "naccache-stern") else 384
     fast_rng = RandomSource(11)
-    fast = serialize_key(generate_keys(algorithm, 384, None, fast_rng))
-    widths = []
+    fast = serialize_key(generate_keys(algorithm, bits, None, fast_rng))
+    confirmed = []
 
-    def forty_rounds(bits):
-        widths.append(bits)
-        return 40
+    def oracle(n):
+        verdict = forty_round_miller_rabin(n)
+        if verdict:
+            confirmed.append(n)
+        return verdict
 
-    monkeypatch.setattr(numtheory, "search_rounds", forty_rounds)
-    monkeypatch.setattr(naccache_stern, "search_rounds", forty_rounds)
+    monkeypatch.setattr(numtheory, "is_probable_prime", oracle)
+    monkeypatch.setattr(naccache_stern, "is_probable_prime", oracle)
     slow_rng = RandomSource(11)
-    slow = serialize_key(generate_keys(algorithm, 384, None, slow_rng))
-    # the fast run used fewer rounds: its searches reached the table
-    assert max(widths) >= 100
+    slow = serialize_key(generate_keys(algorithm, bits, None, slow_rng))
+    # the oracle confirmed primes past 2^64, where trial division and the
+    # base-2 test alone do not decide
+    assert max(confirmed) > 2**64
     assert fast == slow
     assert fast_rng.getrandbits(64) == slow_rng.getrandbits(64)
 
 
 @pytest.mark.parametrize("algorithm", ["benaloh", "naccache-stern"])
-def test_key_files_are_checked_at_the_default_rounds(algorithm, monkeypatch):
-    """`parse_key` and `message_primes` leave `is_probable_prime` at its
-    default round count."""
+def test_key_files_and_message_primes_never_reach_the_base_2_test(algorithm, monkeypatch):
+    """`parse_key` and `message_primes` test only numbers below 2^32, which
+    trial division decides alone."""
     text = serialize_key(generate_keys(algorithm, 256, None, RandomSource(5)))
-    calls = []
+    tested = []
     original = numtheory.is_probable_prime
 
-    def recording(n, *rounds):
-        calls.append(rounds)
-        return original(n, *rounds)
+    def recording(n):
+        tested.append(n)
+        return original(n)
+
+    def refuse(n):
+        raise AssertionError(f"{n} reached the base-2 test")
 
     monkeypatch.setattr(naccache_stern, "is_probable_prime", recording)
+    monkeypatch.setattr(numtheory, "_strong_base_2", refuse)
     parse_key(text)
     naccache_stern.message_primes(40)
-    assert calls and set(calls) == {()}
+    assert tested and max(tested) < 2**32
 
 
 def gen_prime_factor_with(cofactor, bits, aux_bits, budget, rng):
@@ -66,9 +75,7 @@ def gen_prime_factor_with(cofactor, bits, aux_bits, budget, rng):
     for _ in budget:
         aux = numtheory.gen_prime(aux_bits, rng)
         candidate = 2 * aux * cofactor + 1
-        if candidate.bit_length() == bits and numtheory.is_probable_prime(
-            candidate, numtheory.search_rounds(bits)
-        ):
+        if candidate.bit_length() == bits and numtheory.is_probable_prime(candidate):
             return candidate, aux
     raise KeygenExhaustedError(
         "naccache-stern: no prime with the required smooth part within the retry budget"
