@@ -175,14 +175,6 @@ def cipher_add(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
     return _binary(a, b, phe, "add")
 
 
-def cipher_mul(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
-    return _binary(a, b, phe, "mul")
-
-
-def cipher_xor(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
-    return _binary(a, b, phe, "xor")
-
-
 def cipher_scalar(k: ScalarLike, c: Ciphertext, phe: "PHE") -> Ciphertext:
     _check_operand(phe, c, "scalar")
     value = to_rational(k)
@@ -286,10 +278,10 @@ class PHE:
         return cipher_add(a, b, self)
 
     def mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return cipher_mul(a, b, self)
+        return _binary(a, b, self, "mul")
 
     def xor(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        return cipher_xor(a, b, self)
+        return _binary(a, b, self, "xor")
 
     def scalar(self, k: ScalarLike, c: Ciphertext) -> Ciphertext:
         return cipher_scalar(k, c, self)

@@ -129,8 +129,12 @@ def _load_cipher(path: str):
     return parse_ciphertext(Path(path).read_text())
 
 
-def _write(path: str, text: str) -> None:
-    Path(path).write_text(text)
+def _write(path: str, text: str, private: bool = False) -> None:
+    target = Path(path)
+    if private:  # owner-only before a byte is written, whether or not it existed
+        target.touch(0o600)
+        target.chmod(0o600)
+    target.write_text(text)
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
@@ -147,7 +151,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
             raise UsageError("--key-size is required (unless --curve picks the size)")
         key_size = 0
     keys = generate_keys(args.algorithm, key_size, params or None, _rng_from_env())
-    _write(args.out, serialize_key(keys))
+    _write(args.out, serialize_key(keys), private=True)
     if args.public_out:
         _write(args.public_out, serialize_key(keys, include_private=False))
     print(f"wrote {args.algorithm} key pair to {args.out}", file=sys.stderr)

@@ -10,7 +10,7 @@ import itertools
 import math
 import random
 from functools import cache, partial
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from .errors import MathDomainError, NotInvertibleError
 from .frozen import Frozen
@@ -110,7 +110,8 @@ def is_probable_prime(n: int) -> bool:
     Pseudoprimes", Math. Comp. 35, 1980). The verdict is deterministic and
     exact below 2**64, where Feitsma and Galway listed every base-2
     pseudoprime and none passes both tests; no composite is known to pass
-    above. Key searches and key files get the same test.
+    above. Key searches and key files get the same test: a key file's
+    Benaloh r, and each private factor p and q (`Scheme.key_fault`).
     """
     verdict = trial_divide(n)
     return (_strong_base_2(n) and _strong_lucas(n)) if verdict is None else verdict
@@ -373,22 +374,6 @@ def discrete_log_bounded(
                 return m
         gamma = op(gamma, giant_factor)
     return None
-
-
-def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Unique x mod prod(moduli) with x = r_i (mod m_i); moduli pairwise coprime."""
-    if len(residues) != len(moduli) or not residues:
-        raise MathDomainError("need equal-length, non-empty residue/modulus lists")
-    x = residues[0] % moduli[0]
-    m = moduli[0]
-    for r_i, m_i in zip(residues[1:], moduli[1:]):
-        if math.gcd(m, m_i) != 1:
-            raise MathDomainError("moduli must be pairwise coprime")
-        # x + m*t = r_i (mod m_i)
-        t = ((r_i - x) * mod_inv(m, m_i)) % m_i
-        x += m * t
-        m *= m_i
-    return x % m
 
 
 def binomial_pow(x: int, e: int, terms: int, modulus: int) -> int:

@@ -27,7 +27,7 @@ from ..errors import (
     PlaintextRangeError,
 )
 from ..frozen import Frozen
-from ..numtheory import RandomSource, binomial_log, mod_inv
+from ..numtheory import RandomSource, binomial_log, is_probable_prime, mod_inv
 
 # single: int | pair: (int, int) | bits: list[int] | point_pair: (CurvePoint, CurvePoint)
 Payload = Union[int, tuple, list]
@@ -191,13 +191,17 @@ class Scheme(ABC):
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         """(field, reason) when a parsed key pair cannot be the scheme's, else None;
         here, coprime private primes must factor n as p**a * q**b (`n_exponents`),
-        or the CRT that joins their halves would not exist."""
+        or the CRT that joins their halves would not exist. Then each must be
+        prime, the one test here that costs a power: every decryption formula
+        assumes it, and coprime composite factors decrypt wrong."""
         if cls.n_exponents is None or not keys.has_private:
             return None
         (a, b), p, q = cls.n_exponents, keys.private["p"], keys.private["q"]
-        if p > 1 and q > 1 and math.gcd(p, q) == 1 and p**a * q**b == keys.public["n"]:
-            return None
-        return "private", f"p and q do not factor public.n as p^{a} * q^{b} with gcd(p, q) = 1"
+        if not (p > 1 and q > 1 and math.gcd(p, q) == 1 and p**a * q**b == keys.public["n"]):
+            return "private", f"p and q do not factor public.n as p^{a} * q^{b} with gcd(p, q) = 1"
+        if not (is_probable_prime(p) and is_probable_prime(q)):
+            return "private", "p and q must be primes"
+        return None
 
     # -- validation helpers -------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 sigma is a product of distinct small odd primes woven into p-1 and q-1.
 Decryption recovers the message residue at each small prime independently and
-reassembles with the Chinese remainder theorem. Benaloh is the special case of
-one message prime, so both schemes share this module's encryption and
+joins the residues by the Chinese remainder theorem. Benaloh is the special
+case of one message prime, so both schemes share this module's encryption and
 decryption. The parameter searches of both can fail outright, so they run
 under an explicit retry budget instead of looping forever.
 """
@@ -19,7 +19,6 @@ from ..numtheory import (
     RandomSource,
     UnitGroup,
     baby_steps,
-    crt,
     discrete_log_bounded,
     gen_prime,
     is_probable_prime,
@@ -208,23 +207,23 @@ class NaccacheStern(ModulusScheme):
         return [baby_steps(self.units, base, prime - 1) for prime, base in self._parts]
 
     def decrypt(self, c: Payload) -> int:
-        """m mod each message prime p_i is the log of c^(phi/p_i) to the base
-        g^(phi/p_i), and CRT joins the residues. c^(phi/sigma) is the one
-        full power; each target raises it to the small sigma/p_i."""
+        """m mod each message prime p_i is the log r_i of c^(phi/p_i) to the
+        base g^(phi/p_i). c^(phi/sigma) is the one full power; each target
+        raises it to the small w_i = sigma/p_i. The residues join by CRT as
+        they come: m is the sum of r_i * w_i * (w_i^-1 mod p_i), mod sigma."""
         self.require_private()
         lifted = self._private_pow(c, self._phi_over_sigma)
-        residues = []
-        moduli = []
+        m = 0
         for (prime, base), table in zip(self._parts, self._baby_steps):
-            target = pow(lifted, self.sigma // prime, self.n)
-            residue = discrete_log_bounded(self.units, base, target, prime - 1, table)
+            w = self.sigma // prime
+            residue = discrete_log_bounded(self.units, base, pow(lifted, w, self.n),
+                                           prime - 1, table)
             if residue is None:
                 raise DecryptionBoundError(
                     f"{self.algorithm}: no residue found modulo {prime}"
                 )
-            residues.append(residue)
-            moduli.append(prime)
-        return crt(residues, moduli)
+            m += residue * w * pow(w, -1, prime)
+        return m % self.sigma
 
 
 class Benaloh(NaccacheStern):

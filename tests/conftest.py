@@ -64,6 +64,21 @@ def expected_denial(algorithm: str, operation: str) -> str:
     return f"{name} does not support ciphertext regeneration"
 
 
+# (algorithm, toy keygen size, extra params) for generated-key tests
+TOY_KEYGEN = {
+    "rsa": (64, None),
+    "goldwasser-micali": (48, None),
+    "elgamal": (64, None),
+    "exp-elgamal": (64, None),
+    "benaloh": (48, {"block_size": 17}),
+    "ec-elgamal": (0, {"curve": "toy17"}),
+    "naccache-stern": (48, {"prime_count": 4}),
+    "okamoto-uchiyama": (48, None),
+    "paillier": (64, None),
+    "damgard-jurik": (64, None),
+}
+
+
 PRIMES_BELOW_1000 = [d for d in range(2, 1000) if all(d % e for e in range(2, d))]
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DISPLAY, EXPECTED_MATRIX, expected_denial
+from conftest import DISPLAY, EXPECTED_MATRIX, TOY_KEYGEN, expected_denial
 from phekit import (
     PHE,
     Ciphertext,
@@ -103,6 +103,16 @@ def test_capability_flags(algorithm):
     assert cap.scalar_mul is scalar
     assert cap.hom_xor is xor
     assert cap.regeneration is regen
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_phe_capabilities_are_its_algorithms_row(algorithm):
+    """`PHE.capabilities` reads the table row of the key pair's algorithm,
+    with or without the private key."""
+    bits, params = TOY_KEYGEN[algorithm]
+    phe = PHE(algorithm, bits, params=params, rng=RandomSource(5))
+    assert phe.capabilities() == capabilities(algorithm)
+    assert phe.public_copy().capabilities() == capabilities(algorithm)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

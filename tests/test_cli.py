@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import phekit
-from conftest import expected_denial, run_isolated
-from phekit import parse_key, serialize_key
+from conftest import TOY_KEYGEN, expected_denial, run_isolated
+from phekit import RandomSource, parse_key, serialize_key
 from phekit.cli import TEST_SEED_ENV, run
-from phekit.schemes import KeyPair
+from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys
 
 
 @pytest.fixture(autouse=True)
@@ -235,6 +236,46 @@ def test_key_whose_factors_share_a_factor_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def _refused_as_private(tmp_path, capsys, pair: KeyPair) -> None:
+    keys, out = tmp_path / "keys.json", tmp_path / "c.json"
+    keys.write_text(serialize_key(pair))
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "2",
+                "--out", str(out)]) == 4
+    assert "'private': p and q must be primes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_rsa_key_with_coprime_composite_factors_exits_4(tmp_path, capsys):
+    """15 and 77 are coprime and factor 1155, and e*d = 3 * 355 = 1 modulo
+    lcm(14, 76): the file once parsed, and 186 of the plaintexts 2..199
+    decrypted wrong."""
+    pair = KeyPair("rsa", 11, {"n": 1155, "e": 3}, {"p": 15, "q": 77, "d": 355})
+    _refused_as_private(tmp_path, capsys, pair)
+
+
+# a strong base-2 pseudoprime past 2^32 (149491 * 747451 * 34233211), so
+# trial division and the base-2 test both pass it and the Lucas test decides;
+# beside it the Mersenne prime 2^61 - 1
+PSEUDOPRIME, PRIME = 3825123056546413051, 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "algorithm", sorted(a for a, cls in SCHEME_CLASSES.items() if cls.n_exponents))
+def test_a_key_whose_factor_is_a_strong_pseudoprime_exits_4(tmp_path, capsys, algorithm):
+    """Every factoring scheme: a key file whose p passes trial division and
+    the base-2 test but is composite is refused where it is read."""
+    bits, params = TOY_KEYGEN[algorithm]
+    pair = generate_keys(algorithm, bits, params, RandomSource(1))
+    a, b = SCHEME_CLASSES[algorithm].n_exponents
+    public = dict(pair.public, n=PSEUDOPRIME**a * PRIME**b)
+    # the two public checks that run before the factors': RSA's odd e below
+    # n, and Goldwasser-Micali's x of Jacobi symbol +1 modulo n
+    public.update({"rsa": {"e": 3}, "goldwasser-micali": {"x": 4}}.get(algorithm, {}))
+    private = dict(pair.private, p=PSEUDOPRIME, q=PRIME)
+    _refused_as_private(tmp_path, capsys, pair.replace(public=public, private=private))
+
+
 def test_ec_key_off_its_curve_exits_4(tmp_path, capsys):
     keys = tmp_path / "ec.json"
     assert run(["keygen", "--algorithm", "ec-elgamal", "--curve", "secp160r1",
@@ -348,6 +389,32 @@ def test_out_of_range_plaintext_exits_4(tmp_path, paillier_keys, capsys):
     assert run(["encrypt", "--keys", str(keys), "--plaintext", huge,
                 "--out", str(tmp_path / "c.json")]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX permission bits")
+def test_keygen_writes_the_private_key_owner_only(tmp_path):
+    """Under umask 022 the private key file is 0600, also when it already
+    existed at 0644, with the bytes of a fresh file; the public key and
+    ciphertext files keep the umask's 0644."""
+    private, public, c = (tmp_path / name for name in ("k.json", "k.pub.json", "c.json"))
+    keygen = ["keygen", "--algorithm", "paillier", "--key-size", "64",
+              "--out", str(private), "--public-out", str(public)]
+    old = os.umask(0o022)
+    try:
+        assert run(keygen) == 0
+        fresh = private.read_bytes()
+        assert run(["encrypt", "--keys", str(public), "--plaintext", "5",
+                    "--out", str(c)]) == 0
+        assert {path.name: stat.S_IMODE(path.stat().st_mode)
+                for path in (private, public, c)} == {
+            "k.json": 0o600, "k.pub.json": 0o644, "c.json": 0o644}
+        private.write_text("a longer stale file " * 200)
+        private.chmod(0o644)
+        assert run(keygen) == 0
+        assert stat.S_IMODE(private.stat().st_mode) == 0o600
+        assert private.read_bytes() == fresh
+    finally:
+        os.umask(old)
 
 
 def test_seeded_runs_are_byte_stable(tmp_path, capsys):

@@ -19,7 +19,6 @@ from phekit.numtheory import (
     baby_steps,
     binomial_log,
     binomial_pow,
-    crt,
     discrete_log_bounded,
     fixed_base_table,
     gen_group_prime,
@@ -598,28 +597,6 @@ def test_binomial_log_matches_a_brute_force_log(base, digits):
         x = x * (1 + base) % modulus
     assert x == 1 and len(logs) == base**digits
     assert all(binomial_log(a, base, digits) == i for a, i in logs.items())
-
-
-def test_crt_fixtures():
-    assert crt([2, 3], [3, 5]) == 8
-    assert crt([0, 0], [7, 11]) == 0
-    assert crt([1], [7]) == 1
-    with pytest.raises(MathDomainError):
-        crt([1, 2], [6, 9])
-    with pytest.raises(MathDomainError):
-        crt([1, 2], [5])
-    with pytest.raises(MathDomainError):
-        crt([], [])
-
-
-def test_crt_property(rng):
-    moduli = [7, 11, 13, 17]
-    for _ in range(50):
-        residues = [rng.randrange(0, m) for m in moduli]
-        x = crt(residues, moduli)
-        assert 0 <= x < 7 * 11 * 13 * 17
-        for r, m in zip(residues, moduli):
-            assert x % m == r
 
 
 def test_random_coprime_below_postcondition(rng):

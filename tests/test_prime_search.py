@@ -47,25 +47,31 @@ def test_seeded_keygen_matches_the_40_round_oracle(algorithm, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["benaloh", "naccache-stern"])
-def test_key_files_and_message_primes_never_reach_the_base_2_test(algorithm, monkeypatch):
-    """`parse_key` and `message_primes` test only numbers below 2^32, which
-    trial division decides alone."""
-    text = serialize_key(generate_keys(algorithm, 256, None, RandomSource(5)))
-    tested = []
-    original = numtheory.is_probable_prime
+def test_key_files_and_message_primes_reach_the_base_2_test_only_for_the_factors(
+        algorithm, monkeypatch):
+    """`parse_key` of a public-only file and `message_primes` test only
+    numbers below 2^32, which trial division decides alone; a private file
+    adds its two factors p and q, and only those reach the base-2 test."""
+    keys = generate_keys(algorithm, 256, None, RandomSource(5))
+    tested, reached = [], []
+    original, base_2 = numtheory.is_probable_prime, numtheory._strong_base_2
 
     def recording(n):
         tested.append(n)
         return original(n)
 
-    def refuse(n):
-        raise AssertionError(f"{n} reached the base-2 test")
+    def recording_base_2(n):
+        reached.append(n)
+        return base_2(n)
 
     monkeypatch.setattr(naccache_stern, "is_probable_prime", recording)
-    monkeypatch.setattr(numtheory, "_strong_base_2", refuse)
-    parse_key(text)
+    monkeypatch.setattr(numtheory, "_strong_base_2", recording_base_2)
+    parse_key(serialize_key(keys, include_private=False))
     naccache_stern.message_primes(40)
     assert tested and max(tested) < 2**32
+    assert reached == []
+    assert parse_key(serialize_key(keys)) == keys
+    assert reached == [keys.private["p"], keys.private["q"]]
 
 
 def gen_prime_factor_with(cofactor, bits, aux_bits, budget, rng):

@@ -1,17 +1,19 @@
 import ast
 import hashlib
 import json
+import math
 import random
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phekit
 import phekit.schemes.naccache_stern as naccache_stern
-from conftest import run_isolated
+from conftest import forty_round_miller_rabin, run_isolated
 from phekit import (
     PHE,
     ParseError,
@@ -423,14 +425,61 @@ def test_a_benaloh_block_at_or_past_a_small_n_is_refused_by_comparison(monkeypat
 
 
 def test_a_goldwasser_micali_x_square_modulo_composite_factors_is_refused():
-    """p and q are not tested for primality, and decryption reads each bit
-    from x's Jacobi symbol modulo p. x = 4 is a square, symbol +1 modulo any
-    p, yet Euler's criterion modulo the composite 15 calls it a non-residue
-    (4^7 = 4 mod 15): such a file parsed and decrypted every plaintext to 0."""
+    """Decryption reads each bit from x's Jacobi symbol modulo p. x = 4 is a
+    square, symbol +1 modulo any p, yet Euler's criterion modulo the
+    composite 15 calls it a non-residue (4^7 = 4 mod 15): such a file once
+    parsed and decrypted every plaintext to 0. Its factors are now refused
+    as composite, before x's symbol modulo p is read."""
     for p, q in ((15, 77), (21, 55)):
         keys = KeyPair("goldwasser-micali", 8, {"n": p * q, "x": 4}, {"p": p, "q": q})
-        with pytest.raises(ParseError, match="'public.x': is a quadratic residue"):
+        with pytest.raises(ParseError, match="'private': p and q must be primes"):
             parse_key(serialize_key(keys))
+
+
+def composite_of(bits: int, drawn: list[int]) -> st.SearchStrategy[int]:
+    """Odd composites of exactly `bits` bits, in the top fifth of the range
+    so that p^2 * q keeps the width Okamoto-Uchiyama asks for, none a square
+    (a square p leaves Goldwasser-Micali's key generation no x of symbol -1
+    modulo p) and none `drawn` before, as p must differ from q."""
+    return st.integers((4 << bits) // 5, (1 << bits) - 1).map(lambda c: c | 1).filter(
+        lambda c: c not in drawn and math.isqrt(c) ** 2 != c
+        and not forty_round_miller_rabin(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algorithm=st.sampled_from(
+           ["rsa", "goldwasser-micali", "okamoto-uchiyama", "paillier", "damgard-jurik"]),
+       bits=st.integers(40, 64), seed=st.integers(0, 2**32), data=st.data())
+def test_a_key_generated_from_composite_factors_is_refused_or_decrypts(algorithm, bits,
+                                                                      seed, data):
+    """Key generation run as it is, with `gen_prime` drawing composites of
+    the width it asks for, so the search's own conditions hold and every
+    other field is computed from coprime composites p and q as it would be
+    from primes: `parse_key` refuses the file, or it decrypts every tested
+    m. The other two factoring schemes shape their primes by hand
+    (`test_cli.py` refuses a pseudoprime factor for them)."""
+    drawn: list[int] = []
+
+    def draw(width: int, rng: RandomSource) -> int:
+        drawn.append(data.draw(composite_of(width, drawn)))
+        return drawn[-1]
+
+    # generate_modulus calls the module global; Okamoto-Uchiyama its own import
+    with mock.patch("phekit.numtheory.gen_prime", draw), \
+            mock.patch("phekit.schemes.okamoto_uchiyama.gen_prime", draw):
+        keys = generate_keys(algorithm, bits, rng=RandomSource(seed))
+    p, q = keys.private["p"], keys.private["q"]
+    assume(math.gcd(p, q) == 1)
+    assert not (forty_round_miller_rabin(p) or forty_round_miller_rabin(q))
+    try:
+        scheme = scheme_for(parse_key(serialize_key(keys)))
+    except ParseError as error:
+        assert "'private': p and q must be primes" in str(error)
+        return
+    rng = RandomSource(seed)
+    bound = scheme.plaintext_bound() or 1 << 8
+    for m in (0, 1, 2, bound - 1, rng.randrange(bound)):
+        assert scheme.decrypt(scheme.encrypt(m, rng)) == m
 
 
 def test_parse_key_rejects_an_ec_point_off_its_curve():
