@@ -22,7 +22,7 @@ from .errors import InexactResultError, MathDomainError, OperandMismatchError
 from .frozen import Frozen
 from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
-from .serialization import dump_ciphertext, key_fingerprint, load_ciphertext
+from .serialization import dump_ciphertext, key_fingerprint, load_ciphertext, to_decimal
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -106,6 +106,23 @@ class Ciphertext(Frozen):
     def __init__(self, algorithm: str, payload: Payload, key_fingerprint: str,
                  scale_denominator: int = 1, keys: Optional[KeyPair] = None):
         self._set(algorithm, payload, key_fingerprint, scale_denominator, keys)
+
+    def __hash__(self) -> int:
+        # a Goldwasser-Micali payload is a list: hashed as the tuple of its bits
+        payload = tuple(self.payload) if isinstance(self.payload, list) else self.payload
+        return hash((self.algorithm, payload, self.key_fingerprint, self.scale_denominator))
+
+    def __repr__(self) -> str:
+        # `Frozen`'s repr with integers as documents write them, which no
+        # int/str digit limit stops
+        def shown(value: Any) -> str:
+            if isinstance(value, (tuple, list)):
+                inner = ", ".join(map(shown, value))
+                return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+            return to_decimal(value) if type(value) is int else repr(value)
+
+        fields = ", ".join(f"{name}={shown(getattr(self, name))}" for name in self._compared)
+        return f"Ciphertext({fields})"
 
     def _context(self) -> "PHE":
         if self.keys is None:

@@ -41,6 +41,25 @@ INT_PARAMS = frozenset({"s", "dlp_bound", "block_size", "prime_count", "plaintex
 INT_PARAM_CAPS = {"dlp_bound": 1 << 32, "block_size": 1 << 32}
 
 
+def int_param_fault(name: str, value: Any) -> Optional[str]:
+    """Why `value` cannot be the integer parameter `name`, or None: the one
+    rule of key generation and key files. The reason names no value, so no
+    integer past the cap is ever formatted."""
+    if type(value) is not int or value < 1:  # a bool is no int here
+        return "must be a positive integer"
+    if value > INT_PARAM_CAPS.get(name, value):
+        return f"must be at most {INT_PARAM_CAPS[name]}"
+    return None
+
+
+def int_shown(value: int) -> str:
+    """value in decimal up to 2048 bits (617 digits, inside the smallest
+    int/str digit limit, 640), past that its bit length: a message that
+    names an integer reads the same under every limit."""
+    bits = value.bit_length()
+    return str(value) if bits <= 2048 else f"a {bits}-bit integer"
+
+
 class KeyPair(Frozen):
     """One algorithm's key material.
 
@@ -138,17 +157,9 @@ class Scheme(ABC):
                     f"unknown {cls.algorithm} parameter(s): {', '.join(sorted(unknown))}"
                 )
             for name in INT_PARAMS.intersection(params):
-                value = params[name]
-                if type(value) is not int or value < 1:
-                    raise MathDomainError(
-                        f"{cls.algorithm} parameter {name} must be a positive integer, "
-                        f"got {value!r}"
-                    )
-                if value > INT_PARAM_CAPS.get(name, value):
-                    raise MathDomainError(
-                        f"{cls.algorithm} parameter {name} must be at most "
-                        f"{INT_PARAM_CAPS[name]}, got {value}"
-                    )
+                reason = int_param_fault(name, params[name])
+                if reason is not None:
+                    raise MathDomainError(f"{cls.algorithm} parameter {name} {reason}")
             resolved.update(params)
         return resolved
 
@@ -210,9 +221,8 @@ class Scheme(ABC):
             raise PlaintextRangeError("plaintext must be a non-negative integer")
         bound = self.plaintext_bound()
         if bound is not None and m >= bound:
-            raise PlaintextRangeError(
-                f"plaintext {m} out of range for {self.algorithm}: must be below {bound}"
-            )
+            raise PlaintextRangeError(f"plaintext {int_shown(m)} out of range for "
+                                      f"{self.algorithm}: must be below {int_shown(bound)}")
 
     def check_payload(self, c: Payload) -> None:
         """Accept exactly the payloads this key pair's ciphertexts can take."""

@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 from ..errors import MathDomainError
 from ..numtheory import RandomSource, binomial_pow, generate_modulus, random_coprime_below
-from .base import KeyPair, ModulusScheme, Payload
+from .base import KeyPair, ModulusScheme, Payload, int_shown
 
 # the largest s, and the largest ciphertext modulus n^(s+1) in bits: that of
 # the default s = 2 at the 7680-bit modulus of security level 192
@@ -29,7 +29,7 @@ def _s_fault(s: int, prime_bound: Optional[int], n_bits: int) -> Optional[str]:
     public-only keys obey too, as encryption raises r to n^s mod n^(s+1);
     None when it is inside both."""
     if prime_bound is not None and s >= prime_bound:
-        return f"must be below both primes, got {s}"
+        return f"must be below both primes, got {int_shown(s)}"
     if s > MAX_S or (s + 1) * n_bits > MAX_MODULUS_BITS:
         return f"must be at most {MAX_S}, with (s+1) * bits(n) at most {MAX_MODULUS_BITS}"
     return None
@@ -59,20 +59,15 @@ class DamgardJurik(ModulusScheme):
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
-        # the rule parse_key applies, first to what the request fixes, so a
-        # refused s costs no draw: n has exactly security_bits bits, and no
-        # prime of security_bits // 2 bits reaches 2^(security_bits // 2)
+        # the rule parse_key applies, checked once, before any draw: n has
+        # exactly security_bits bits, and s <= MAX_S stays below primes of
+        # security_bits // 2 bits, whose top two bits are set (at least 192)
         if "s" in params:
             reason = _s_fault(params["s"], 1 << security_bits // 2, security_bits)
             if reason is not None:
                 raise MathDomainError(f"damgard-jurik parameter s {reason}")
         p, q, n = generate_modulus(security_bits, rng)
-        public, private = {"n": n, "g": n + 1}, {"p": p, "q": q}
-        # then to the key just built, whose primes may lie below that bound
-        fault = cls._params_fault(KeyPair(cls.algorithm, security_bits, public, private, params))
-        if fault is not None:
-            raise MathDomainError(f"damgard-jurik parameter s {fault[1]}")
-        return public, private
+        return {"n": n, "g": n + 1}, {"p": p, "q": q}
 
     def plaintext_bound(self) -> int:
         return self.n**self.s

@@ -26,7 +26,7 @@ from ..numtheory import (
     random_coprime_below,
     trial_divide,
 )
-from .base import INT_PARAM_CAPS, KeyPair, ModulusScheme, Payload
+from .base import INT_PARAM_CAPS, KeyPair, ModulusScheme, Payload, int_shown
 
 RETRY_BUDGET = 50_000
 
@@ -145,7 +145,8 @@ class NaccacheStern(ModulusScheme):
         count, sigma = keys.params["prime_count"], keys.public["sigma"]
         # the first `count` odd primes multiply to at least 3^count, past count bits
         if not 2 <= count < sigma.bit_length():
-            return "params.prime_count", f"must be 2 to sigma's bit length - 1, got {count}"
+            return "params.prime_count", ("must be 2 to sigma's bit length - 1, "
+                                          f"got {int_shown(count)}")
         if math.prod(message_primes(count)) != sigma:
             return "public.sigma", f"is not the product of the first {count} odd primes"
         return None
@@ -155,6 +156,11 @@ class NaccacheStern(ModulusScheme):
         count = params["prime_count"]
         if count < 2:
             raise MathDomainError("naccache-stern needs at least two message primes")
+        # each message prime is at least 3, so sigma has more than `count`
+        # bits: a count of security_bits or more is refused before its primes
+        if count >= security_bits:
+            raise MathDomainError(
+                f"naccache-stern parameter prime_count must be below security_bits {security_bits}")
         primes = message_primes(count)
         u, v = math.prod(primes[: count // 2]), math.prod(primes[count // 2 :])
         sigma = u * v

@@ -11,7 +11,7 @@ from typing import Any, Callable, Optional
 
 from ..errors import MathDomainError
 from ..numtheory import RandomSource, UnitGroup, gen_prime, random_coprime_below
-from .base import KeyPair, ModulusScheme, Payload
+from .base import KeyPair, ModulusScheme, Payload, int_shown
 
 
 class OkamotoUchiyama(ModulusScheme):
@@ -58,7 +58,7 @@ class OkamotoUchiyama(ModulusScheme):
             limit = (keys.public["n"].bit_length() + 2) // 3 - 1
         bits = keys.params["plaintext_bits"]
         if bits > limit:
-            return "params.plaintext_bits", f"must be at most {limit}, got {bits}"
+            return "params.plaintext_bits", f"must be at most {limit}, got {int_shown(bits)}"
         return None
 
     @classmethod

@@ -5,7 +5,9 @@ and `parse_ciphertext` only wrap `dump_ciphertext` and `load_ciphertext` to
 build a `Ciphertext`, and no other module calls the private helpers below.
 Documents are JSON with sorted keys, no insignificant whitespace, and a
 trailing newline; every arbitrary-precision integer is a decimal string so no
-JSON reader mangles it, written by `_decimal` and read by `_parse_natural`.
+JSON reader mangles it, of at most `MAX_DIGITS` digits whatever the
+interpreter's int/str digit limit, written by `_decimal` and read by
+`_parse_natural`.
 Key and ciphertext documents share one header, `format_version` and
 `algorithm`, which `_dump_document` writes and `_load_document` alone checks.
 A key file's `public`, `private` and `params` objects hold exactly the
@@ -30,7 +32,7 @@ from .capabilities import ALGORITHMS
 from .ec import CurvePoint
 from .errors import ParseError
 from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
-from .schemes.base import INT_PARAM_CAPS, INT_PARAMS
+from .schemes.base import INT_PARAMS, int_param_fault
 
 try:
     from _sha2 import sha256  # Python 3.12 and later
@@ -41,6 +43,12 @@ except ImportError:
         from hashlib import sha256
 
 FORMAT_VERSION = 1
+
+# the most digits a document integer may have: those of every value below
+# 2^23040, Damgard-Jurik's largest ciphertext modulus; 10^MAX_DIGITS, the
+# least value past them, has _MAX_DIGITS_BITS bits
+MAX_DIGITS, _MAX_DIGITS_BITS = 6936, 23041
+_TOO_LONG = f"has more than the {MAX_DIGITS} digits of a document integer"
 
 # `key_fingerprint`'s hexdigest: a ciphertext file's fingerprint of any other
 # shape can match no key pair, so it is refused where the file is read
@@ -56,27 +64,43 @@ def _require(condition: bool, field: str, detail: str) -> None:
         raise ParseError(f"field {field!r}: {detail}")
 
 
+def to_decimal(value: int) -> str:
+    """str(value), whatever the interpreter's int/str digit limit: past it,
+    through the C `decimal` module, which has no such limit and is imported
+    only then."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(value))
+
+
 def _parse_natural(value: Any, field: str) -> int:
-    """A canonical decimal string: ASCII digits, no leading zero, so the
+    """A canonical decimal string of at most MAX_DIGITS digits, refused
+    before any conversion past that: ASCII digits, no leading zero, so the
     integer re-serializes to the same text."""
     _require(isinstance(value, str), field, "expected a decimal string")
+    _require(len(value) <= MAX_DIGITS, field, _TOO_LONG)
     _require(
         value.isascii() and value.isdigit() and (value == "0" or value[0] != "0"),
         field, f"not a canonical decimal integer: {value!r}",
     )
     try:
         return int(value)
-    except ValueError:  # past the interpreter's int/str digit limit
-        raise ParseError(f"field {field!r}: {len(value)} digits is too long") from None
+    except ValueError:  # past the interpreter's int/str digit limit, as `to_decimal`
+        from decimal import Decimal
+
+        return int(Decimal(value))
 
 
 def _decimal(value: int, field: str) -> str:
-    """str(value), or a ParseError past the interpreter's int/str digit limit."""
-    try:
-        return str(value)
-    except ValueError:
-        raise ParseError(f"field {field!r}: {value.bit_length()} bits is too long to "
-                         "write in decimal (see PYTHONINTMAXSTRDIGITS)") from None
+    """`to_decimal(value)`, refused past MAX_DIGITS digits, so that every
+    document written is one `_parse_natural` reads; a value too wide to have
+    at most MAX_DIGITS digits is refused before it is converted."""
+    text = to_decimal(value) if value.bit_length() <= _MAX_DIGITS_BITS else None
+    _require(text is not None and len(text) <= MAX_DIGITS, field, _TOO_LONG)
+    return text
 
 
 def _dump_document(algorithm: str, body: dict[str, Any]) -> str:
@@ -92,7 +116,8 @@ def _load_document(text: str, kind: str) -> tuple[dict[str, Any], str]:
     version, and its algorithm."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    # malformed, a number past the int/str digit limit, or too deeply nested
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{kind} document is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "(document)", "expected a JSON object")
     version = doc.get("format_version")
@@ -129,9 +154,8 @@ def _fields(doc: Any, part: str, names: Collection[str], algorithm: str) -> dict
             fields[name] = _parse_natural(value, field)
         elif name in INT_PARAMS:
             fields[name] = _parse_natural(value, field)
-            _require(fields[name] >= 1, field, "must be at least 1")
-            cap = INT_PARAM_CAPS.get(name, fields[name])
-            _require(fields[name] <= cap, field, f"must be at most {cap}")
+            reason = int_param_fault(name, fields[name])
+            _require(reason is None, field, reason)
         else:
             _require(isinstance(value, str), field, "expected a string")
             fields[name] = value

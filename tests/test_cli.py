@@ -629,19 +629,37 @@ def test_key_whose_private_half_does_not_match_exits_4(tmp_path, capsys,
     assert "'private'" in captured.err
 
 
-def test_damgard_jurik_ciphertext_past_the_digit_limit_exits_4(tmp_path, capsys,
-                                                               int_digit_limit):
-    # a 256-bit n with s = 8 is a fine key, but its ciphertexts modulo n^9
-    # have about 694 digits, past a limit of 640
-    int_digit_limit(640)
-    keys, c = tmp_path / "dj.json", tmp_path / "c.json"
-    assert run(["keygen", "--algorithm", "damgard-jurik", "--key-size", "256",
-                "--s", "8", "--out", str(keys)]) == 0
-    capsys.readouterr()
-    assert run(["encrypt", "--keys", str(keys), "--plaintext", "3",
-                "--out", str(c)]) == 4
-    assert "'payload.data'" in capsys.readouterr().err
-    assert not c.exists()
+def test_damgard_jurik_documents_are_the_same_under_any_digit_limit(tmp_path, capsys,
+                                                                   int_digit_limit):
+    """A 1024-bit key at s = 13 is admitted, and its ciphertexts modulo n^14
+    have up to 4316 digits, past the default limit of 4300: every command
+    reads and writes them, with the same bytes under the default limit, with
+    none (0) and under 640. The private key file encrypts, as a public
+    s = 13 encryption takes seconds."""
+    names = ("dj.json", "a.json", "b.json", "sum.json", "scaled.json", "fresh.json")
+    written = {}
+    for limit in (sys.int_info.default_max_str_digits, 0, 640):
+        int_digit_limit(limit)
+        keys, a, b, total, scaled, fresh = (tmp_path / str(limit) / name for name in names)
+        keys.parent.mkdir()
+        for argv in (
+                ["keygen", "--algorithm", "damgard-jurik", "--key-size", "1024", "--s", "13",
+                 "--out", str(keys)],
+                ["encrypt", "--keys", str(keys), "--plaintext", "123456789", "--out", str(a)],
+                ["encrypt", "--keys", str(keys), "--plaintext", "5", "--out", str(b)],
+                ["add", "--keys", str(keys), "--left", str(a), "--right", str(b),
+                 "--out", str(total)],
+                ["smul", "--keys", str(keys), "--in", str(total), "--scalar", "3",
+                 "--out", str(scaled)],
+                ["regen", "--keys", str(keys), "--in", str(scaled), "--out", str(fresh)]):
+            assert run(argv) == 0, argv
+        capsys.readouterr()
+        assert run(["decrypt", "--keys", str(keys), "--in", str(fresh)]) == 0
+        assert capsys.readouterr().out == "370370382\n"
+        written[limit] = [(keys.parent / name).read_bytes() for name in names]
+    first, *others = written.values()
+    assert all(files == first for files in others)
+    assert max(len(json.loads(text)["payload"]["data"]) for text in first[1:]) > 4300
 
 
 def test_smul_scalar_past_the_digit_limit_exits_4(tmp_path, paillier_keys, capsys,

@@ -542,6 +542,36 @@ def test_plaintext_range_error_names_the_bound(rng):
         scheme_for(PAILLIER_TOY).encrypt(True, rng)
 
 
+def test_no_refusal_formats_an_integer_past_the_digit_limit(int_digit_limit):
+    """A refusal names an integer past its bound by its bit length, so it
+    reads the same under every int/str digit limit, and never trips over
+    that limit into a bare ValueError."""
+    messages = {}
+    for limit in (0, 640, 4300):
+        int_digit_limit(limit)
+        with pytest.raises(PlaintextRangeError, match="plaintext a 16610-bit integer") as big_m:
+            PHE("paillier", 256, rng=RandomSource(1)).encrypt(10**5000)
+        with pytest.raises(MathDomainError, match="got a 16610-bit integer") as big_s:
+            generate_keys("damgard-jurik", 64, params={"s": 10**5000}, rng=RandomSource(1))
+        with pytest.raises(MathDomainError, match="must be a positive integer") as negative:
+            generate_keys("exp-elgamal", 64, params={"dlp_bound": -10**5000},
+                          rng=RandomSource(1))
+        messages[limit] = [str(e.value) for e in (big_m, big_s, negative)]
+    assert messages[0] == messages[640] == messages[4300]
+
+
+def test_a_damgard_jurik_bound_past_the_digit_limit_is_named_by_its_bits(int_digit_limit):
+    """n^16 of a 1024-bit n has more than 4900 digits: the plaintext bound a
+    refusal names is past the default limit, and past 640."""
+    int_digit_limit(640)
+    scheme = scheme_for(generate_keys("damgard-jurik", 1024, params={"s": 16},
+                                      rng=RandomSource(1)))
+    bits = scheme.plaintext_bound().bit_length()
+    assert bits > 16300
+    with pytest.raises(PlaintextRangeError, match=f"must be below a {bits}-bit integer"):
+        scheme.encrypt(scheme.plaintext_bound(), RandomSource(2))
+
+
 def test_okamoto_uchiyama_bound_is_p_sized(rng):
     keys = generate_keys("okamoto-uchiyama", 48, rng=rng)
     bound = 1 << keys.params["plaintext_bits"]

@@ -27,12 +27,16 @@ from phekit import (
 )
 from phekit.ec import IDENTITY, CurvePoint, get_curve
 from phekit.numtheory import jacobi
+from phekit.errors import MathDomainError
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys, scheme_for
+from phekit.schemes.base import INT_PARAM_CAPS, INT_PARAMS
 from phekit.serialization import (
     FORMAT_VERSION,
+    MAX_DIGITS,
     canonical_json,
     payload_from_doc,
     payload_to_doc,
+    to_decimal,
 )
 
 def test_no_phekit_module_imports_another_modules_private_name():
@@ -261,7 +265,7 @@ def test_a_benaloh_block_past_n_is_refused_before_its_primality_test(all_keys, m
     doc = json.loads(serialize_key(keys, False))
     monkeypatch.setattr(naccache_stern, "is_probable_prime", None)  # never called
     for r in (2**4423 - 1, keys.public["n"]):
-        doc["public"]["r"] = doc["params"]["block_size"] = str(r)
+        doc["public"]["r"] = doc["params"]["block_size"] = to_decimal(r)
         start = time.perf_counter()
         with pytest.raises(ParseError, match="'params.block_size': must be at most"):
             parse_key(json.dumps(doc))
@@ -291,18 +295,63 @@ def test_parse_key_refuses_params_its_scheme_does_not_take(all_keys):
 
 
 def test_parse_key_refuses_an_integer_param_of_zero(all_keys):
-    """Integer params are at least 1: an exp-elgamal dlp_bound of 0 would
-    make a key that refuses every plaintext."""
+    """Integer params are positive integers: an exp-elgamal dlp_bound of 0
+    would make a key that refuses every plaintext."""
     checked = set()
     for algorithm, keys in all_keys.items():
         for name in (n for n, value in keys.params.items() if isinstance(value, int)):
             for include_private in (True, False):
                 doc = json.loads(serialize_key(keys, include_private))
                 doc["params"][name] = "0"
-                with pytest.raises(ParseError, match=f"'params.{name}': must be at least 1"):
+                with pytest.raises(ParseError,
+                                   match=f"'params.{name}': must be a positive integer"):
                     parse_key(json.dumps(doc))
             checked.add(name)
     assert checked == {"s", "dlp_bound", "block_size", "prime_count", "plaintext_bits"}
+
+
+def test_an_integer_param_is_refused_for_one_reason_at_both_doors(all_keys):
+    """Key generation and key files hold an integer param to one rule,
+    `int_param_fault`: 0 and one past a cap are refused with the same reason
+    at both doors, as is a 4000-digit value where a cap or Damgard-Jurik's
+    own rule on s decides it. Naccache-Stern's prime_count and
+    Okamoto-Uchiyama's plaintext_bits have no cap: key generation refuses
+    such a value by the key size, a key file by its own sigma or p. No
+    reason formats the value, and at key generation no bool, string,
+    negative or 5000-digit value passes either."""
+    huge = 10**4000 - 1
+    for algorithm, keys in all_keys.items():
+        extra = {"curve": "toy17"} if algorithm == "ec-elgamal" else {}
+        for name in INT_PARAMS.intersection(keys.params):
+            cap = INT_PARAM_CAPS.get(name)
+            for value in (0, huge) + (() if cap is None else (cap + 1,)):
+                with pytest.raises(MathDomainError) as at_keygen:
+                    generate_keys(algorithm, 64, params=dict(extra, **{name: value}),
+                                  rng=RandomSource(1))
+                doc = json.loads(serialize_key(keys))
+                doc["params"][name] = to_decimal(value)
+                with pytest.raises(ParseError, match=f"^field 'params.{name}': ") as in_file:
+                    parse_key(json.dumps(doc))
+                reason = str(in_file.value).split(": ", 1)[1]
+                assert len(reason) < 100
+                if value != huge or cap is not None or name == "s":
+                    assert str(at_keygen.value) == f"{algorithm} parameter {name} {reason}"
+            for value in (True, "5", -1, 10**5000, -10**5000):
+                with pytest.raises(MathDomainError, match=f"parameter {name} ") as at_keygen:
+                    generate_keys(algorithm, 64, params=dict(extra, **{name: value}),
+                                  rng=RandomSource(1))
+                assert len(str(at_keygen.value)) < 120
+
+
+def test_a_json_number_past_the_digit_limit_is_a_parse_error(all_keys, int_digit_limit):
+    """The JSON reader converts numbers with `int`, which refuses one past
+    the interpreter's int/str digit limit: that is a ParseError too."""
+    int_digit_limit(640)
+    text = serialize_key(all_keys["paillier"])
+    c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
+    for document, parse in ((text, parse_key), (serialize_ciphertext(c), parse_ciphertext)):
+        with pytest.raises(ParseError, match="not valid JSON"):
+            parse(document.replace('"format_version":1', '"format_version":' + "1" * 700))
 
 
 def test_okamoto_uchiyama_plaintext_bits_stay_below_p(all_keys):
@@ -405,10 +454,10 @@ def test_a_benaloh_r_past_2_to_the_32_is_refused_before_its_primality_test(all_k
     the Mersenne prime 2^4423 - 1 as public.r took 40-round Miller-Rabin
     before its mismatch with the block refused it."""
     doc = json.loads(serialize_key(all_keys["benaloh"], False))
-    doc["public"]["n"] = str(2**4500 + 1)
+    doc["public"]["n"] = to_decimal(2**4500 + 1)
     monkeypatch.setattr(naccache_stern, "is_probable_prime", None)  # never called
     for r in (2**32 + 15, 2**4423 - 1):
-        doc["public"]["r"] = str(r)
+        doc["public"]["r"] = to_decimal(r)
         _refused_in_milliseconds(doc, "public.r")
 
 
@@ -579,25 +628,70 @@ def test_parse_key_refuses_public_keys_that_encrypt_in_the_clear(all_keys):
     refused("goldwasser-micali", "x", x=next(a for a in range(2, n) if jacobi(a, n) == -1))
 
 
-def test_an_integer_past_the_digit_limit_is_refused_where_it_is_written(
-    int_digit_limit,
-):
-    """Keys of any size generate, parse and encrypt; only an integer with more
-    decimal digits than the interpreter's int/str limit cannot be written. A
-    256-bit n with s = 8 makes ciphertexts of about 694 digits, past 640."""
-    int_digit_limit(640)
+def test_documents_are_the_same_under_any_digit_limit(int_digit_limit):
+    """Keys of any admitted size write and read their documents whatever the
+    interpreter's int/str digit limit: a 256-bit n with s = 8 makes
+    ciphertexts of about 694 digits, past a limit of 640, and they are the
+    same bytes as with the limit off."""
     keys = generate_keys("damgard-jurik", 256, params={"s": 8}, rng=RandomSource(1))
-    assert parse_key(serialize_key(keys)) == keys
     phe = PHE(keys=keys, rng=RandomSource(2))
     c = phe.encrypt(5)
-    assert phe.decrypt(c + c) == 10
-    with pytest.raises(ParseError, match="'payload.data'"):
-        serialize_ciphertext(c)
-    n = (1 << 2200) + 1
-    with pytest.raises(ParseError, match="'public.n'"):
-        serialize_key(KeyPair("paillier", 2200, {"n": n, "g": n + 1}, None, {}))
-    int_digit_limit(0)  # no limit
-    assert parse_ciphertext(serialize_ciphertext(c)).payload == c.payload
+    documents = {}
+    for limit in (0, 640):
+        int_digit_limit(limit)
+        total = c + c
+        assert phe.decrypt(total) == 10
+        for value in (total, total.replace(scale_denominator=3**1500)):
+            text = serialize_ciphertext(value)
+            assert parse_ciphertext(text) == value
+            documents.setdefault(limit, []).append(text)
+        documents[limit].append(serialize_key(keys))
+        assert parse_key(documents[limit][-1]) == keys
+    assert documents[0] == documents[640]
+    assert len(json.loads(documents[640][0])["payload"]["data"]) > 640
+
+
+def test_an_integer_past_the_document_bound_is_refused_where_it_is_written(
+    all_keys, int_digit_limit,
+):
+    """A document integer has at most MAX_DIGITS = 6936 digits, those of any
+    value below 2^23040, Damgard-Jurik's largest ciphertext modulus: one
+    more is refused where it is written, naming its field, so that every
+    document written is one that is read; a far wider value is refused
+    before it is converted."""
+    int_digit_limit(640)
+    assert MAX_DIGITS == len(to_decimal(1 << 23040))
+    c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
+    largest = 10**MAX_DIGITS - 1
+    text = serialize_ciphertext(c.replace(scale_denominator=largest))
+    assert parse_ciphertext(text).scale_denominator == largest
+    for past in (largest + 1, 1 << 10**7):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="'scale_denominator'"):
+            serialize_ciphertext(c.replace(scale_denominator=past))
+        with pytest.raises(ParseError, match=r"'payload.data'"):
+            serialize_ciphertext(c.replace(payload=past))
+        with pytest.raises(ParseError, match="'public.n'"):
+            serialize_key(KeyPair("paillier", 2200, {"n": past, "g": past + 1}, None, {}))
+        assert time.perf_counter() - start < 0.5
+
+
+def test_a_document_integer_past_the_document_bound_is_refused_before_it_is_read(
+    all_keys, int_digit_limit,
+):
+    """6936 digits read under any limit; 6937, or ten million, are refused
+    naming the field before any conversion."""
+    int_digit_limit(640)
+    c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
+    doc = json.loads(serialize_ciphertext(c))
+    doc["scale_denominator"] = "7" * MAX_DIGITS
+    assert parse_ciphertext(json.dumps(doc)).scale_denominator == 10**MAX_DIGITS // 9 * 7
+    for digits in ("1" * (MAX_DIGITS + 1), "1" * 10**7):
+        start = time.perf_counter()
+        doc["scale_denominator"] = digits
+        with pytest.raises(ParseError, match="'scale_denominator': has more than the 6936 digits"):
+            parse_ciphertext(json.dumps(doc))
+        assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(
@@ -619,7 +713,7 @@ def test_only_canonical_decimal_strings_parse(all_keys):
     key_doc = json.loads(serialize_key(all_keys["paillier"]))
     c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
     cipher_doc = json.loads(serialize_ciphertext(c))
-    for bad in ("\u00b2", "\u0663", "07", "00", "+7", " 7", "", "1" * 5000):
+    for bad in ("\u00b2", "\u0663", "07", "00", "+7", " 7", "", "1" * (MAX_DIGITS + 1)):
         with pytest.raises(ParseError, match="'public.g'"):
             parse_key(json.dumps(dict(key_doc, public=dict(key_doc["public"], g=bad))))
         with pytest.raises(ParseError, match="'scale_denominator'"):

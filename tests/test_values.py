@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from phekit import PHE, RandomSource, generate_keys
+from phekit import PHE, RandomSource, generate_keys, parse_ciphertext, serialize_ciphertext
 from phekit.bench import BenchPlan, BenchRecord
 from phekit.capabilities import ALGORITHMS, capabilities
 from phekit.ec import IDENTITY, CurvePoint, JacobianCurve, get_curve
@@ -102,6 +102,35 @@ def test_a_ciphertext_repr_prints_no_key_material(algorithm):
         # long enough that a match could not be chance
         assert len(digits) >= 12, name
         assert digits not in text, name
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_ciphertext_its_unbound_copy_and_its_parsed_copy_hash_equal(algorithm):
+    """A Goldwasser-Micali payload is a list, which does not hash: the
+    ciphertext hashes it as a tuple, so every algorithm's ciphertexts go in
+    sets and dict keys."""
+    keys = generate_keys(algorithm, 160 if algorithm == "ec-elgamal" else 128,
+                         rng=RandomSource(5))
+    c = PHE(keys=keys, rng=RandomSource(6)).encrypt(1)
+    unbound, parsed = c.replace(keys=None), parse_ciphertext(serialize_ciphertext(c))
+    assert hash(c) == hash(unbound) == hash(parsed)
+    assert len({c, unbound, parsed}) == 1
+
+
+def test_a_ciphertext_repr_is_the_same_under_any_digit_limit(int_digit_limit):
+    """A 1024-bit Damgard-Jurik key at s = 13 makes payloads past the
+    default int/str digit limit: the repr writes them in full all the same."""
+    keys = generate_keys("damgard-jurik", 1024, params={"s": 13}, rng=RandomSource(5))
+    c = PHE(keys=keys, rng=RandomSource(6)).encrypt(1)
+    texts = set()
+    for limit in (0, 640, 4300):
+        int_digit_limit(limit)
+        texts.add(repr(c))
+    (text,) = texts
+    int_digit_limit(0)
+    assert text == (f"Ciphertext(algorithm='damgard-jurik', payload={c.payload}, "
+                    f"key_fingerprint={c.key_fingerprint!r}, scale_denominator=1)")
+    assert len(str(c.payload)) > 4300
 
 
 def test_a_curve_point_is_not_a_pair_payload():
