@@ -19,10 +19,10 @@ from typing import TYPE_CHECKING, Any, Optional, Union
 
 from .capabilities import Capability, capabilities, ensure_supported
 from .errors import InexactResultError, MathDomainError, OperandMismatchError
-from .frozen import Frozen
+from .frozen import Frozen, int_shown
 from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
-from .serialization import dump_ciphertext, key_fingerprint, load_ciphertext, to_decimal
+from .serialization import dump_ciphertext, key_fingerprint, load_ciphertext
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,7 +49,7 @@ def _check_exponent(text: str) -> None:
         raise ValueError(f"its exponent passes the {limit}-digit int/str limit")
 
 
-def _excerpt(text: str, limit: int) -> str:
+def excerpt(text: str, limit: int) -> str:
     """text, or its first `limit` characters and its length when longer."""
     if len(text) <= limit:
         return text
@@ -81,7 +81,7 @@ def to_rational(k: ScalarLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             # both parts can repeat the whole scalar, of any length
             raise MathDomainError(
-                f"not a valid scalar: {_excerpt(repr(text), 34)} ({_excerpt(str(exc), 64)})"
+                f"not a valid scalar: {excerpt(repr(text), 34)} ({excerpt(str(exc), 64)})"
             ) from None
     else:
         raise MathDomainError(f"unsupported scalar type: {type(k).__name__}")
@@ -106,23 +106,6 @@ class Ciphertext(Frozen):
     def __init__(self, algorithm: str, payload: Payload, key_fingerprint: str,
                  scale_denominator: int = 1, keys: Optional[KeyPair] = None):
         self._set(algorithm, payload, key_fingerprint, scale_denominator, keys)
-
-    def __hash__(self) -> int:
-        # a Goldwasser-Micali payload is a list: hashed as the tuple of its bits
-        payload = tuple(self.payload) if isinstance(self.payload, list) else self.payload
-        return hash((self.algorithm, payload, self.key_fingerprint, self.scale_denominator))
-
-    def __repr__(self) -> str:
-        # `Frozen`'s repr with integers as documents write them, which no
-        # int/str digit limit stops
-        def shown(value: Any) -> str:
-            if isinstance(value, (tuple, list)):
-                inner = ", ".join(map(shown, value))
-                return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
-            return to_decimal(value) if type(value) is int else repr(value)
-
-        fields = ", ".join(f"{name}={shown(getattr(self, name))}" for name in self._compared)
-        return f"Ciphertext({fields})"
 
     def _context(self) -> "PHE":
         if self.keys is None:
@@ -181,7 +164,7 @@ def _binary(a: Ciphertext, b: Ciphertext, phe: "PHE", operation: str) -> Ciphert
     if a.scale_denominator != b.scale_denominator:
         raise OperandMismatchError(
             f"operands carry different scales "
-            f"({a.scale_denominator} vs {b.scale_denominator}); "
+            f"({int_shown(a.scale_denominator)} vs {int_shown(b.scale_denominator)}); "
             "apply the same scalar to both before combining"
         )
     combine = getattr(phe.scheme, operation)
@@ -286,9 +269,11 @@ class PHE:
             return m // scale
         from fractions import Fraction
 
+        value = Fraction(m, scale)
         if rational:
-            return Fraction(m, scale)
-        raise InexactResultError(f"scaled value {Fraction(m, scale)} is not an integer; "
+            return value
+        raise InexactResultError(f"scaled value {int_shown(value.numerator)}/"
+                                 f"{int_shown(value.denominator)} is not an integer; "
                                  "decrypt with rational=True")
 
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:

@@ -14,12 +14,13 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .algebra import PHE, parse_ciphertext, serialize_ciphertext
+from .algebra import PHE, excerpt, parse_ciphertext, serialize_ciphertext
 from .capabilities import ALGORITHMS, OPERATIONS, capabilities
 from .errors import CapabilityError, PheError
+from .frozen import from_decimal, to_decimal
 from .numtheory import RandomSource
 from .schemes import KeyPair, generate_keys
-from .serialization import parse_key, serialize_key
+from .serialization import MAX_DIGITS, parse_key, serialize_key
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -160,10 +161,16 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
     keys = _load_keys(args.keys)
+    text = args.plaintext
     try:
-        m = int(args.plaintext, 10)
+        m = int(text, 10)
     except ValueError:
-        raise UsageError(f"--plaintext must be a decimal integer, got {args.plaintext!r}")
+        # past the int/str digit limit, plain digits are read up to a
+        # document integer's width, and a longer string is not converted
+        if not (text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS):
+            got = excerpt(repr(text), 34)
+            raise UsageError(f"--plaintext must be a decimal integer, got {got}")
+        m = from_decimal(text)
     phe = PHE(keys=keys, rng=_rng_from_env())
     _write(args.out, serialize_ciphertext(phe.encrypt(m)))
     return EXIT_OK
@@ -171,7 +178,10 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     phe = PHE(keys=_load_keys(args.keys))
-    print(phe.decrypt(_load_cipher(args.infile), rational=args.rational))
+    value = phe.decrypt(_load_cipher(args.infile), rational=args.rational)
+    # an int or a Fraction, written as str writes it: "p/q", or "p" when q is 1
+    denominator = "" if value.denominator == 1 else f"/{to_decimal(value.denominator)}"
+    print(to_decimal(value.numerator) + denominator)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import MathDomainError, UnknownCurveError
-from .frozen import Frozen
+from .frozen import Frozen, to_decimal
 from .numtheory import KEY_MASK, fixed_base_pow, fixed_base_table, mod_inv
 
 
@@ -38,7 +38,7 @@ class CurvePoint(Frozen):
     def __repr__(self) -> str:
         if self.is_identity:
             return "CurvePoint(identity)"
-        return f"CurvePoint({self.x}, {self.y})"
+        return f"CurvePoint({to_decimal(self.x)}, {to_decimal(self.y)})"
 
 
 IDENTITY = CurvePoint(None, None)

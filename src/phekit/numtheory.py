@@ -13,7 +13,7 @@ from functools import cache, partial
 from typing import Any, Callable, Optional, Tuple
 
 from .errors import MathDomainError, NotInvertibleError
-from .frozen import Frozen
+from .frozen import Frozen, int_shown
 
 # Trial division ahead of Baillie-PSW (`trial_divide`) covers the primes
 # below this limit: one gcd with the product of those below 1000, which
@@ -55,7 +55,8 @@ def mod_inv(a: int, modulus: int) -> int:
         return pow(a, -1, modulus)
     except ValueError:
         g = math.gcd(a, modulus)
-        raise NotInvertibleError(f"{a} is not invertible mod {modulus} (gcd={g})") from None
+        raise NotInvertibleError(f"{int_shown(a)} is not invertible mod {int_shown(modulus)} "
+                                 f"(gcd={int_shown(g)})") from None
 
 
 @cache

@@ -26,7 +26,7 @@ from ..errors import (
     PayloadTypeError,
     PlaintextRangeError,
 )
-from ..frozen import Frozen
+from ..frozen import Frozen, int_shown
 from ..numtheory import RandomSource, binomial_log, is_probable_prime, mod_inv
 
 # single: int | pair: (int, int) | bits: list[int] | point_pair: (CurvePoint, CurvePoint)
@@ -50,14 +50,6 @@ def int_param_fault(name: str, value: Any) -> Optional[str]:
     if value > INT_PARAM_CAPS.get(name, value):
         return f"must be at most {INT_PARAM_CAPS[name]}"
     return None
-
-
-def int_shown(value: int) -> str:
-    """value in decimal up to 2048 bits (617 digits, inside the smallest
-    int/str digit limit, 640), past that its bit length: a message that
-    names an integer reads the same under every limit."""
-    bits = value.bit_length()
-    return str(value) if bits <= 2048 else f"a {bits}-bit integer"
 
 
 class KeyPair(Frozen):

@@ -7,7 +7,7 @@ Documents are JSON with sorted keys, no insignificant whitespace, and a
 trailing newline; every arbitrary-precision integer is a decimal string so no
 JSON reader mangles it, of at most `MAX_DIGITS` digits whatever the
 interpreter's int/str digit limit, written by `_decimal` and read by
-`_parse_natural`.
+`_parse_natural` through `frozen`'s `to_decimal` and `from_decimal`.
 Key and ciphertext documents share one header, `format_version` and
 `algorithm`, which `_dump_document` writes and `_load_document` alone checks.
 A key file's `public`, `private` and `params` objects hold exactly the
@@ -31,6 +31,7 @@ from typing import Any, Collection
 from .capabilities import ALGORITHMS
 from .ec import CurvePoint
 from .errors import ParseError
+from .frozen import from_decimal, to_decimal
 from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
 from .schemes.base import INT_PARAMS, int_param_fault
 
@@ -64,18 +65,6 @@ def _require(condition: bool, field: str, detail: str) -> None:
         raise ParseError(f"field {field!r}: {detail}")
 
 
-def to_decimal(value: int) -> str:
-    """str(value), whatever the interpreter's int/str digit limit: past it,
-    through the C `decimal` module, which has no such limit and is imported
-    only then."""
-    try:
-        return str(value)
-    except ValueError:
-        from decimal import Decimal
-
-        return str(Decimal(value))
-
-
 def _parse_natural(value: Any, field: str) -> int:
     """A canonical decimal string of at most MAX_DIGITS digits, refused
     before any conversion past that: ASCII digits, no leading zero, so the
@@ -86,12 +75,7 @@ def _parse_natural(value: Any, field: str) -> int:
         value.isascii() and value.isdigit() and (value == "0" or value[0] != "0"),
         field, f"not a canonical decimal integer: {value!r}",
     )
-    try:
-        return int(value)
-    except ValueError:  # past the interpreter's int/str digit limit, as `to_decimal`
-        from decimal import Decimal
-
-        return int(Decimal(value))
+    return from_decimal(value)
 
 
 def _decimal(value: int, field: str) -> str:

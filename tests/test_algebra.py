@@ -18,7 +18,8 @@ from phekit import (
     to_rational,
 )
 from phekit.capabilities import ALGORITHMS, DISPLAY_NAMES, capabilities, ensure_supported
-from phekit.errors import CapabilityError
+from phekit.errors import CapabilityError, NotInvertibleError
+from phekit.schemes import KeyPair
 
 OPERATIONS = ("mul", "add", "scalar", "xor", "regen")
 
@@ -160,6 +161,36 @@ def test_inexact_scale_needs_rational_mode(paillier):
     with pytest.raises(InexactResultError):
         paillier.decrypt(scaled)
     assert paillier.decrypt(scaled, rational=True) == Fraction(10, 7)
+
+
+def test_an_inexact_value_past_the_digit_limit_is_refused_by_its_bits(int_digit_limit):
+    """7 * 10^660 has 661 digits, past a limit of 640, and a 256-bit
+    Damgard-Jurik key at s = 9 holds it: the integer-mode refusal names it by
+    its bit length, and rational mode returns it."""
+    int_digit_limit(640)
+    phe = PHE("damgard-jurik", 256, params={"s": 9}, rng=RandomSource(3))
+    c = phe.scalar("1/3", phe.scalar("1e60", phe.scalar("1e600", phe.encrypt(7))))
+    bits = (7 * 10**660).bit_length()
+    with pytest.raises(InexactResultError, match=f"scaled value a {bits}-bit integer/3 is not"):
+        phe.decrypt(c)
+    assert phe.decrypt(c, rational=True) == Fraction(7 * 10**660, 3)
+
+
+def test_an_inverse_past_the_digit_limit_fails_as_not_invertible(int_digit_limit):
+    """An ElGamal key whose p = 2^2200 + 1 has the factor 2^440 + 1, and a
+    c1 that shares it: decrypt's inverse names its wide operands by their
+    bit length, under a limit of 640 as with none."""
+    p, factor = 2**2200 + 1, 2**440 + 1
+    keys = KeyPair("elgamal", 2200, {"p": p, "g": 3, "h": pow(3, 5, p)}, {"x": 5})
+    phe = PHE(keys=keys)
+    c = Ciphertext("elgamal", (factor, 1), phe.fingerprint)
+    messages = set()
+    for limit in (0, 640):
+        int_digit_limit(limit)
+        with pytest.raises(NotInvertibleError, match="not invertible mod a 2201-bit integer") as exc:
+            phe.decrypt(c)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
 
 
 def test_mixed_scales_do_not_combine(paillier):

@@ -13,6 +13,7 @@ from conftest import TOY_KEYGEN, expected_denial, run_isolated
 from phekit import RandomSource, parse_key, serialize_key
 from phekit.cli import TEST_SEED_ENV, run
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys
+from phekit.serialization import MAX_DIGITS
 
 
 @pytest.fixture(autouse=True)
@@ -660,6 +661,70 @@ def test_damgard_jurik_documents_are_the_same_under_any_digit_limit(tmp_path, ca
     first, *others = written.values()
     assert all(files == first for files in others)
     assert max(len(json.loads(text)["payload"]["data"]) for text in first[1:]) > 4300
+
+
+def test_plaintexts_past_the_digit_limit_print_and_read_as_with_none(tmp_path, capsys,
+                                                                    int_digit_limit):
+    """A 256-bit Damgard-Jurik key at s = 9 holds 7 * 10^660, 661 digits,
+    past a limit of 640: `decrypt` and `decrypt --rational` print it, the
+    inexact refusal names it by its bits, and `--plaintext` reads it, with
+    the same exit codes and bytes under 640 as with the limit off."""
+    seven = "7" + "0" * 660
+    outputs = {}
+    for limit in (0, 640):
+        int_digit_limit(limit)
+        keys, c, big, scaled, third, typed = (tmp_path / str(limit) / name for name in (
+            "dj.json", "c.json", "big.json", "scaled.json", "third.json", "typed.json"))
+        keys.parent.mkdir()
+        for argv in (
+                ["keygen", "--algorithm", "damgard-jurik", "--key-size", "256", "--s", "9",
+                 "--out", str(keys)],
+                ["encrypt", "--keys", str(keys), "--plaintext", "7", "--out", str(c)],
+                ["smul", "--keys", str(keys), "--in", str(c), "--scalar", "1e600",
+                 "--out", str(big)],
+                ["smul", "--keys", str(keys), "--in", str(big), "--scalar", "1e60",
+                 "--out", str(scaled)],
+                ["smul", "--keys", str(keys), "--in", str(scaled), "--scalar", "1/3",
+                 "--out", str(third)],
+                ["encrypt", "--keys", str(keys), "--plaintext", seven, "--out", str(typed)]):
+            assert run(argv) == 0, argv[:2]
+        capsys.readouterr()
+        outputs[limit] = []
+        for path, flags in ((scaled, []), (scaled, ["--rational"]), (third, ["--rational"]),
+                            (typed, []), (third, [])):
+            code = run(["decrypt", "--keys", str(keys), "--in", str(path), *flags])
+            captured = capsys.readouterr()
+            outputs[limit].append((code, captured.out, captured.err))
+    assert outputs[0] == outputs[640]
+    bits = (7 * 10**660).bit_length()
+    assert outputs[640] == [
+        (0, f"{seven}\n", ""), (0, f"{seven}\n", ""), (0, f"{seven}/3\n", ""),
+        (0, f"{seven}\n", ""),
+        (4, "", f"error: scaled value a {bits}-bit integer/3 is not an integer; "
+                "decrypt with rational=True\n"),
+    ]
+
+
+def test_a_plaintext_past_the_digit_limit_is_read_up_to_a_document_integer(
+        tmp_path, paillier_keys, capsys, int_digit_limit):
+    """Under a limit of 640, 700 digits are read and refused by the key's
+    range (exit 4); more digits than a document integer holds, or a
+    non-digit, is a usage error (exit 2) that quotes a bounded excerpt."""
+    int_digit_limit(640)
+    keys, _ = paillier_keys
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run(["encrypt", "--keys", str(keys), "--plaintext", "1" * 700,
+                "--out", str(out)]) == 4
+    assert "out of range" in capsys.readouterr().err
+    for text in ("1" * (MAX_DIGITS + 1), "1" * 700 + "x", "²" * 700):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["encrypt", "--keys", str(keys), "--plaintext", text, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--plaintext must be a decimal integer" in err
+        assert f"({len(text) + 2} characters)" in err and len(err) < 400
+    assert not out.exists()
 
 
 def test_smul_scalar_past_the_digit_limit_exits_4(tmp_path, paillier_keys, capsys,

@@ -28,6 +28,7 @@ from phekit import (
 from phekit.ec import IDENTITY, CurvePoint, get_curve
 from phekit.numtheory import jacobi
 from phekit.errors import MathDomainError
+from phekit.frozen import to_decimal
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys, scheme_for
 from phekit.schemes.base import INT_PARAM_CAPS, INT_PARAMS
 from phekit.serialization import (
@@ -36,7 +37,6 @@ from phekit.serialization import (
     canonical_json,
     payload_from_doc,
     payload_to_doc,
-    to_decimal,
 )
 
 def test_no_phekit_module_imports_another_modules_private_name():

@@ -7,7 +7,14 @@ import pickle
 
 import pytest
 
-from phekit import PHE, RandomSource, generate_keys, parse_ciphertext, serialize_ciphertext
+from phekit import (
+    PHE,
+    Ciphertext,
+    RandomSource,
+    generate_keys,
+    parse_ciphertext,
+    serialize_ciphertext,
+)
 from phekit.bench import BenchPlan, BenchRecord
 from phekit.capabilities import ALGORITHMS, capabilities
 from phekit.ec import IDENTITY, CurvePoint, JacobianCurve, get_curve
@@ -117,20 +124,50 @@ def test_a_ciphertext_its_unbound_copy_and_its_parsed_copy_hash_equal(algorithm)
     assert len({c, unbound, parsed}) == 1
 
 
-def test_a_ciphertext_repr_is_the_same_under_any_digit_limit(int_digit_limit):
-    """A 1024-bit Damgard-Jurik key at s = 13 makes payloads past the
-    default int/str digit limit: the repr writes them in full all the same."""
+def _reference_repr(value) -> str:
+    """A value's repr as `Frozen` wrote it with `repr` alone, which the
+    int/str digit limit stops: the text to expect, with the limit off."""
+    fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in value._compared)
+    return f"{type(value).__name__}({fields})"
+
+
+def _wide_key_pair() -> KeyPair:
+    # n has 2200 bits, 662 digits; a repr checks no key rule, so the factors
+    # need not be prime
+    p, q = (1 << 1099) + 15, (1 << 1100) + 21
+    return KeyPair("paillier", 2200, {"n": p * q, "g": p * q + 1}, {"p": p, "q": q})
+
+
+def _wide_ciphertext() -> Ciphertext:
+    # a 1024-bit key at s = 13: payloads past the default limit of 4300 digits
     keys = generate_keys("damgard-jurik", 1024, params={"s": 13}, rng=RandomSource(5))
     c = PHE(keys=keys, rng=RandomSource(6)).encrypt(1)
+    assert c.payload > 10**4300
+    return c
+
+
+WIDE_VALUES = {
+    "KeyPair": _wide_key_pair,
+    "UnitGroup": lambda: UnitGroup(10**700 + 1),
+    "Ciphertext": _wide_ciphertext,
+    # no wide integer, but a 1-tuple field, written "(80,)"
+    "BenchPlan": BenchPlan,
+}
+
+
+@pytest.mark.parametrize("name", WIDE_VALUES)
+def test_a_repr_is_the_same_under_any_digit_limit(name, int_digit_limit):
+    """Every integer of a value's repr is written in full, also inside a
+    tuple, list or dict field, under any int/str digit limit, with the text
+    `repr` alone gives where the limit allows it."""
+    value = WIDE_VALUES[name]()
     texts = set()
     for limit in (0, 640, 4300):
         int_digit_limit(limit)
-        texts.add(repr(c))
+        texts.add(repr(value))
     (text,) = texts
     int_digit_limit(0)
-    assert text == (f"Ciphertext(algorithm='damgard-jurik', payload={c.payload}, "
-                    f"key_fingerprint={c.key_fingerprint!r}, scale_denominator=1)")
-    assert len(str(c.payload)) > 4300
+    assert text == _reference_repr(value)
 
 
 def test_a_curve_point_is_not_a_pair_payload():
