@@ -97,7 +97,8 @@ class Ciphertext(Frozen):
     scale; the attached context (keys for operator arithmetic) is
     deliberately excluded, so a parsed copy compares equal to the original
     and a repr never prints key material. `replace` copies with some fields
-    changed.
+    changed; a copy with a new payload is unbound unless `keys` is passed,
+    so the payload is checked where it is next used.
     """
 
     _compared = ("algorithm", "payload", "key_fingerprint", "scale_denominator")
@@ -106,6 +107,9 @@ class Ciphertext(Frozen):
     def __init__(self, algorithm: str, payload: Payload, key_fingerprint: str,
                  scale_denominator: int = 1, keys: Optional[KeyPair] = None):
         self._set(algorithm, payload, key_fingerprint, scale_denominator, keys)
+
+    def replace(self, **changes: Any) -> "Ciphertext":
+        return super().replace(**({"keys": None} | changes if "payload" in changes else changes))
 
     def _context(self) -> "PHE":
         if self.keys is None:
@@ -168,7 +172,7 @@ def _binary(a: Ciphertext, b: Ciphertext, phe: "PHE", operation: str) -> Ciphert
             "apply the same scalar to both before combining"
         )
     combine = getattr(phe.scheme, operation)
-    return a.replace(payload=combine(a.payload, b.payload))
+    return a.replace(payload=combine(a.payload, b.payload), keys=a.keys)
 
 
 def cipher_add(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
@@ -180,7 +184,7 @@ def cipher_scalar(k: ScalarLike, c: Ciphertext, phe: "PHE") -> Ciphertext:
     value = to_rational(k)
     return c.replace(
         payload=phe.scheme.scalar(c.payload, value.numerator),
-        scale_denominator=c.scale_denominator * value.denominator,
+        scale_denominator=c.scale_denominator * value.denominator, keys=c.keys,
     )
 
 
@@ -290,7 +294,7 @@ class PHE:
 
     def regenerate(self, c: Ciphertext) -> Ciphertext:
         _check_operand(self, c, "regen")
-        return c.replace(payload=self.scheme.regenerate(c.payload, self.rng))
+        return c.replace(payload=self.scheme.regenerate(c.payload, self.rng), keys=c.keys)
 
     def bind(self, c: Ciphertext) -> Ciphertext:
         """Attach this instance's keys to a parsed ciphertext, so operators

@@ -124,10 +124,7 @@ def _measure_cell(
     scheme.decrypt(scheme.encrypt(0, RandomSource()))
 
     def draw() -> int:
-        m = rng.getrandbits(PLAINTEXT_BITS)
-        if bound is not None and m >= bound:
-            m %= bound
-        return m
+        return rng.getrandbits(PLAINTEXT_BITS) % bound
 
     def fresh_cipher():
         if algorithm == "goldwasser-micali":

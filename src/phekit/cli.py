@@ -165,12 +165,15 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     try:
         m = int(text, 10)
     except ValueError:
-        # past the int/str digit limit, plain digits are read up to a
-        # document integer's width, and a longer string is not converted
-        if not (text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS):
+        # past the int/str digit limit, ASCII digits, with the surrounding
+        # whitespace and the one sign int takes, are read up to a document
+        # integer's width, and a longer string is not converted
+        stripped = text.strip()
+        digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+        if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS):
             got = excerpt(repr(text), 34)
             raise UsageError(f"--plaintext must be a decimal integer, got {got}")
-        m = from_decimal(text)
+        m = -from_decimal(digits) if stripped[:1] == "-" else from_decimal(digits)
     phe = PHE(keys=keys, rng=_rng_from_env())
     _write(args.out, serialize_ciphertext(phe.encrypt(m)))
     return EXIT_OK

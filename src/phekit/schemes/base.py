@@ -39,6 +39,11 @@ INT_PARAMS = frozenset({"s", "dlp_bound", "block_size", "prime_count", "plaintex
 # first decrypt under a dlp_bound, or a Benaloh block r, builds
 # isqrt(dlp_bound) + 1, or isqrt(r - 1) + 1, baby steps
 INT_PARAM_CAPS = {"dlp_bound": 1 << 32, "block_size": 1 << 32}
+# the size ceiling, in bits: Damgard-Jurik's (and Paillier's) ciphertext
+# modulus, Goldwasser-Micali's plaintexts and widths, and every document
+# integer, in digits (`serialization.MAX_DIGITS`); that of Damgard-Jurik's
+# default s = 2 at the 7680-bit modulus of security level 192
+MAX_BITS = 3 * 7680
 
 
 def int_param_fault(name: str, value: Any) -> Optional[str]:
@@ -92,7 +97,9 @@ def variant_of(payload: Payload) -> str:
             return "pair"
         if isinstance(a, CurvePoint) and isinstance(b, CurvePoint):
             return "point_pair"
-    raise PayloadTypeError(f"unrecognized ciphertext payload: {payload!r}")
+    # named by type and length, not by its repr, which could be of any size
+    size = f" of length {len(payload)}" if hasattr(payload, "__len__") else ""
+    raise PayloadTypeError(f"unrecognized ciphertext payload: a {type(payload).__name__}{size}")
 
 
 class Scheme(ABC):
@@ -186,9 +193,9 @@ class Scheme(ABC):
     def decrypt(self, c: Payload) -> int:
         ...
 
-    def plaintext_bound(self) -> Optional[int]:
-        """Exclusive upper bound on plaintexts, or None when unbounded."""
-        return None
+    @abstractmethod
+    def plaintext_bound(self) -> int:
+        """Exclusive upper bound on plaintexts: every scheme has one."""
 
     @classmethod
     def key_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
@@ -212,7 +219,7 @@ class Scheme(ABC):
         if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise PlaintextRangeError("plaintext must be a non-negative integer")
         bound = self.plaintext_bound()
-        if bound is not None and m >= bound:
+        if m >= bound:
             raise PlaintextRangeError(f"plaintext {int_shown(m)} out of range for "
                                       f"{self.algorithm}: must be below {int_shown(bound)}")
 

@@ -16,11 +16,12 @@ from typing import Any, Optional
 
 from ..errors import MathDomainError
 from ..numtheory import RandomSource, binomial_pow, generate_modulus, random_coprime_below
-from .base import KeyPair, ModulusScheme, Payload, int_shown
+from .base import MAX_BITS, KeyPair, ModulusScheme, Payload, int_shown
 
-# the largest s, and the largest ciphertext modulus n^(s+1) in bits: that of
-# the default s = 2 at the 7680-bit modulus of security level 192
-MAX_S, MAX_MODULUS_BITS = 16, 3 * 7680
+# the largest s; the ciphertext modulus n^(s+1) has at most MAX_BITS bits
+MAX_S = 16
+# the same rule for Paillier, at s = 1, names n: its keys carry no s
+_N_PAST_MAX = f"must be at most {MAX_BITS // 2} bits, with n^2 at most {MAX_BITS}"
 
 
 def _s_fault(s: int, prime_bound: Optional[int], n_bits: int) -> Optional[str]:
@@ -30,8 +31,8 @@ def _s_fault(s: int, prime_bound: Optional[int], n_bits: int) -> Optional[str]:
     None when it is inside both."""
     if prime_bound is not None and s >= prime_bound:
         return f"must be below both primes, got {int_shown(s)}"
-    if s > MAX_S or (s + 1) * n_bits > MAX_MODULUS_BITS:
-        return f"must be at most {MAX_S}, with (s+1) * bits(n) at most {MAX_MODULUS_BITS}"
+    if s > MAX_S or (s + 1) * n_bits > MAX_BITS:
+        return f"must be at most {MAX_S}, with (s+1) * bits(n) at most {MAX_BITS}"
     return None
 
 
@@ -51,21 +52,23 @@ class DamgardJurik(ModulusScheme):
 
     @classmethod
     def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
-        if "s" not in keys.params:  # Paillier
-            return None
         prime_bound = min(keys.private["p"], keys.private["q"]) if keys.has_private else None
-        reason = _s_fault(keys.params["s"], prime_bound, keys.public["n"].bit_length())
-        return None if reason is None else ("params.s", reason)
+        reason = _s_fault(keys.params.get("s", 1), prime_bound, keys.public["n"].bit_length())
+        if reason is None:
+            return None
+        return ("params.s", reason) if "s" in keys.params else ("public.n", _N_PAST_MAX)
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
         # the rule parse_key applies, checked once, before any draw: n has
         # exactly security_bits bits, and s <= MAX_S stays below primes of
-        # security_bits // 2 bits, whose top two bits are set (at least 192)
-        if "s" in params:
-            reason = _s_fault(params["s"], 1 << security_bits // 2, security_bits)
-            if reason is not None:
-                raise MathDomainError(f"damgard-jurik parameter s {reason}")
+        # security_bits // 2 bits, whose top two bits are set (at least 192);
+        # s = 1 is below every prime
+        s = params.get("s", 1)
+        reason = _s_fault(s, 1 << security_bits // 2 if s > 1 else None, security_bits)
+        if reason is not None:
+            raise MathDomainError(f"damgard-jurik parameter s {reason}" if "s" in params
+                                  else f"paillier key size {_N_PAST_MAX}")
         p, q, n = generate_modulus(security_bits, rng)
         return {"n": n, "g": n + 1}, {"p": p, "q": q}
 

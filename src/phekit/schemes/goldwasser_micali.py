@@ -2,7 +2,8 @@
 
 A plaintext integer expands to its big-endian bit list, minimal width by
 default. XOR requires equal widths; use the `bits` argument of encrypt to pad
-when combining values of different magnitudes.
+when combining values of different magnitudes. Plaintexts and widths have at
+most `MAX_BITS` bits, the most a document holds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ..numtheory import (
     jacobi,
     random_coprime_below,
 )
-from .base import KeyPair, Payload, Scheme
+from .base import MAX_BITS, KeyPair, Payload, Scheme
 
 
 class GoldwasserMicali(Scheme):
@@ -55,17 +56,17 @@ class GoldwasserMicali(Scheme):
             fault = "public.x", "is a quadratic residue modulo a private prime"
         return fault
 
-    def plaintext_bound(self) -> Optional[int]:
-        return None  # any width: the payload grows with the plaintext
+    def plaintext_bound(self) -> int:
+        return 1 << MAX_BITS  # one payload value per bit, at most MAX_BITS of them
 
     def encrypt(self, m: int, rng: RandomSource, bits: Optional[int] = None) -> Payload:
         self.check_plaintext(m)
         width = max(1, m.bit_length())
         if bits is not None:
-            if bits < width:
-                raise PlaintextRangeError(
-                    f"plaintext needs {width} bits, requested width is {bits}"
-                )
+            # checked before any draw: the loop below draws once per bit
+            if type(bits) is not int or not width <= bits <= MAX_BITS:
+                raise PlaintextRangeError(f"width must be an integer from {width}, "
+                                          f"the plaintext's, to {MAX_BITS}")
             width = bits
         out = []
         for i in range(width - 1, -1, -1):

@@ -33,7 +33,7 @@ from .ec import CurvePoint
 from .errors import ParseError
 from .frozen import from_decimal, to_decimal
 from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
-from .schemes.base import INT_PARAMS, int_param_fault
+from .schemes.base import INT_PARAMS, MAX_BITS, int_param_fault
 
 try:
     from _sha2 import sha256  # Python 3.12 and later
@@ -46,9 +46,8 @@ except ImportError:
 FORMAT_VERSION = 1
 
 # the most digits a document integer may have: those of every value below
-# 2^23040, Damgard-Jurik's largest ciphertext modulus; 10^MAX_DIGITS, the
-# least value past them, has _MAX_DIGITS_BITS bits
-MAX_DIGITS, _MAX_DIGITS_BITS = 6936, 23041
+# 2^MAX_BITS; 10^MAX_DIGITS, the least value past them, has MAX_BITS + 1 bits
+MAX_DIGITS = 6936
 _TOO_LONG = f"has more than the {MAX_DIGITS} digits of a document integer"
 
 # `key_fingerprint`'s hexdigest: a ciphertext file's fingerprint of any other
@@ -82,7 +81,7 @@ def _decimal(value: int, field: str) -> str:
     """`to_decimal(value)`, refused past MAX_DIGITS digits, so that every
     document written is one `_parse_natural` reads; a value too wide to have
     at most MAX_DIGITS digits is refused before it is converted."""
-    text = to_decimal(value) if value.bit_length() <= _MAX_DIGITS_BITS else None
+    text = to_decimal(value) if value.bit_length() <= MAX_BITS + 1 else None
     _require(text is not None and len(text) <= MAX_DIGITS, field, _TOO_LONG)
     return text
 
@@ -224,9 +223,10 @@ def payload_from_doc(doc: Any, algorithm: str) -> Payload:
     if kind == "single":
         return _parse_natural(data, "payload.data")
     # pair and point_pair: two elements; bits: one per bit, at least one
+    # and at most MAX_BITS, the widest encrypt writes
     pair = kind != "bits"
-    _require(isinstance(data, list) and (len(data) == 2 if pair else data != []), "payload.data",
-             f"expected a {'two-element' if pair else 'non-empty'} list")
+    _require(isinstance(data, list) and (len(data) == 2 if pair else 0 < len(data) <= MAX_BITS),
+             "payload.data", f"expected a {'two' if pair else f'1- to {MAX_BITS}'}-element list")
     read = _point_from_doc if kind == "point_pair" else _parse_natural
     values = [read(v, f"payload.data[{i}]") for i, v in enumerate(data)]
     return tuple(values) if pair else values

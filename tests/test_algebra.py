@@ -12,6 +12,7 @@ from phekit import (
     MathDomainError,
     OperandMismatchError,
     ParseError,
+    PayloadTypeError,
     RandomSource,
     parse_ciphertext,
     serialize_ciphertext,
@@ -267,6 +268,22 @@ def test_unbound_ciphertext_cannot_use_operators(paillier):
         loose + loose
     bound = paillier.bind(loose)
     assert paillier.decrypt(bound + bound) == 6
+
+
+def test_a_replaced_payload_is_checked_where_it_is_next_used(paillier):
+    """A copy with a new payload is unbound unless keys are passed, so a
+    payload from outside is checked against the key pair, as a parsed one
+    is; PHE's own results stay bound."""
+    c = paillier.encrypt(1)
+    for payload in (0, paillier.keys.public["n"], -5):
+        forged = c.replace(payload=payload)
+        assert forged.keys is None
+        with pytest.raises(PayloadTypeError, match="not a ciphertext under this key pair"):
+            paillier.decrypt(forged)
+    assert c.replace(scale_denominator=2).keys is paillier.keys
+    assert paillier.decrypt(c.replace(payload=paillier.encrypt(7).payload)) == 7
+    for result in (c + c, 3 * c, paillier.regenerate(c)):
+        assert result.keys is paillier.keys
 
 
 def test_regeneration_changes_payload_not_value(paillier):

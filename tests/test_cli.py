@@ -727,6 +727,31 @@ def test_a_plaintext_past_the_digit_limit_is_read_up_to_a_document_integer(
     assert not out.exists()
 
 
+def test_a_signed_or_padded_plaintext_exits_the_same_under_any_digit_limit(
+        tmp_path, capsys, int_digit_limit):
+    """`--plaintext` takes the surrounding whitespace and the one sign that
+    int takes past a limit of 640 as with the limit off: a 256-bit
+    Damgard-Jurik key at s = 9 holds 650 digits, and a negative plaintext
+    is refused by the key's range."""
+    ones = "1" * 650
+    outcomes = {}
+    for limit in (0, 640):
+        int_digit_limit(limit)
+        keys, out = tmp_path / str(limit) / "dj.json", tmp_path / str(limit) / "c.json"
+        keys.parent.mkdir()
+        assert run(["keygen", "--algorithm", "damgard-jurik", "--key-size", "256", "--s", "9",
+                    "--out", str(keys)]) == 0
+        capsys.readouterr()
+        outcomes[limit] = []
+        for text in ("+" + ones, f" {ones} ", f"\t-{ones}\n"):
+            code = run(["encrypt", "--keys", str(keys), "--plaintext", text, "--out", str(out)])
+            written = out.read_bytes() if out.exists() else None
+            outcomes[limit].append((code, capsys.readouterr().err, written))
+            out.unlink(missing_ok=True)
+    assert outcomes[0] == outcomes[640]
+    assert [code for code, _, _ in outcomes[640]] == [0, 0, 4]
+
+
 def test_smul_scalar_past_the_digit_limit_exits_4(tmp_path, paillier_keys, capsys,
                                                   int_digit_limit):
     # "1e700" is five characters but a 701-digit numerator

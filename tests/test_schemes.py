@@ -39,7 +39,7 @@ from phekit.schemes import (
     scheme_class,
     scheme_for,
 )
-from phekit.schemes.base import ModulusScheme
+from phekit.schemes.base import MAX_BITS, ModulusScheme
 
 
 class FixedRandom:
@@ -514,6 +514,45 @@ def test_a_refused_damgard_jurik_s_costs_no_draw():
         with pytest.raises(MathDomainError, match=f"parameter {reason}"):
             generate_keys(algorithm, bits, params=params, rng=rng)
         assert rng.getrandbits(64) == RandomSource(1).getrandbits(64)
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Every draw and every primality test raises: what a test calls must
+    be refused before either."""
+    def drawn(*args):
+        raise AssertionError("drew a value or tested a candidate")
+    monkeypatch.setattr(RandomSource, "getrandbits", drawn)
+    monkeypatch.setattr(RandomSource, "randrange", drawn)
+    monkeypatch.setattr(numtheory_module, "is_probable_prime", drawn)
+
+
+def test_a_paillier_key_size_past_the_ceiling_is_refused_before_any_draw(no_draw):
+    """Paillier follows Damgard-Jurik's rule at s = 1: n^2 has at most
+    MAX_BITS bits, so n at most 11520. The refusal names the key size, not
+    an s that Paillier keys do not carry; 11520 bits goes on to the draw."""
+    for bits in (MAX_BITS // 2 + 1, 12000):
+        with pytest.raises(MathDomainError,
+                           match=r"^paillier key size must be at most 11520 bits, "
+                                 r"with n\^2 at most 23040$"):
+            generate_keys("paillier", bits, rng=RandomSource(1))
+    with pytest.raises(AssertionError, match="drew"):
+        generate_keys("paillier", MAX_BITS // 2, rng=RandomSource(1))
+
+
+def test_goldwasser_micali_refuses_a_width_or_plaintext_past_the_ceiling_before_any_draw(
+        no_draw):
+    """A width is an int (not a bool) from the plaintext's width to MAX_BITS,
+    and a plaintext is below 2^MAX_BITS: encryption draws once per bit, so
+    `bits=10**700` would never return."""
+    phe = PHE(keys=GM_TOY)
+    for bits in (10**700, MAX_BITS + 1, 18.0, True, 2):
+        with pytest.raises(PlaintextRangeError, match=f"^width must be an integer from 3, "
+                                                      f"the plaintext's, to {MAX_BITS}$"):
+            phe.encrypt(5, bits=bits)
+    assert phe.scheme.plaintext_bound() == 1 << MAX_BITS
+    with pytest.raises(PlaintextRangeError, match="out of range for goldwasser-micali"):
+        phe.encrypt(1 << MAX_BITS)
 
 
 def test_unknown_param_rejected(rng):

@@ -30,7 +30,7 @@ from phekit.numtheory import jacobi
 from phekit.errors import MathDomainError
 from phekit.frozen import to_decimal
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys, scheme_for
-from phekit.schemes.base import INT_PARAM_CAPS, INT_PARAMS
+from phekit.schemes.base import INT_PARAM_CAPS, INT_PARAMS, MAX_BITS
 from phekit.serialization import (
     FORMAT_VERSION,
     MAX_DIGITS,
@@ -422,10 +422,14 @@ def test_a_damgard_jurik_s_past_its_cost_bound_is_refused(all_keys):
         assert parse_key(serialize_key(pair)) == pair
         _refused_in_milliseconds(json.loads(serialize_key(pair.replace(params={"s": s + 1}))),
                                  "params.s")
-    # Paillier carries no s, and its modulus size is the caller's choice
-    n = 2**12000 + 1
-    pair = KeyPair("paillier", 12001, {"n": n, "g": n + 1})
+    # Paillier carries no s and follows the rule at s = 1, which names its n:
+    # n^2 has at most 23040 bits
+    n = 2**11519 + 1
+    pair = KeyPair("paillier", 11520, {"n": n, "g": n + 1})
     assert parse_key(serialize_key(pair)) == pair
+    n = 2**12000 + 1
+    _refused_in_milliseconds(
+        json.loads(serialize_key(KeyPair("paillier", 12001, {"n": n, "g": n + 1}))), "public.n")
 
 
 def test_a_dlp_bound_past_2_to_the_32_is_refused(all_keys):
@@ -655,12 +659,13 @@ def test_an_integer_past_the_document_bound_is_refused_where_it_is_written(
     all_keys, int_digit_limit,
 ):
     """A document integer has at most MAX_DIGITS = 6936 digits, those of any
-    value below 2^23040, Damgard-Jurik's largest ciphertext modulus: one
-    more is refused where it is written, naming its field, so that every
-    document written is one that is read; a far wider value is refused
-    before it is converted."""
+    value below 2^MAX_BITS, the largest integer phekit admits: one more is
+    refused where it is written, naming its field, so that every document
+    written is one that is read; a far wider value is refused before it is
+    converted."""
     int_digit_limit(640)
-    assert MAX_DIGITS == len(to_decimal(1 << 23040))
+    assert MAX_BITS == 3 * 7680 and MAX_DIGITS == len(to_decimal(1 << MAX_BITS))
+    assert (10**MAX_DIGITS).bit_length() == MAX_BITS + 1
     c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
     largest = 10**MAX_DIGITS - 1
     text = serialize_ciphertext(c.replace(scale_denominator=largest))
@@ -674,6 +679,18 @@ def test_an_integer_past_the_document_bound_is_refused_where_it_is_written(
         with pytest.raises(ParseError, match="'public.n'"):
             serialize_key(KeyPair("paillier", 2200, {"n": past, "g": past + 1}, None, {}))
         assert time.perf_counter() - start < 0.5
+
+
+def test_a_goldwasser_micali_payload_holds_at_most_max_bits_values(all_keys):
+    """The widest encryption, MAX_BITS values, round-trips through a
+    document; one value more is refused as payload.data before any is read."""
+    phe = PHE(keys=all_keys["goldwasser-micali"], rng=RandomSource(5))
+    text = serialize_ciphertext(phe.encrypt(5, bits=MAX_BITS))
+    assert phe.decrypt(parse_ciphertext(text)) == 5
+    doc = json.loads(text)
+    doc["payload"]["data"].append("x")
+    with pytest.raises(ParseError, match=f"'payload.data': expected a 1- to {MAX_BITS}-element"):
+        parse_ciphertext(json.dumps(doc))
 
 
 def test_a_document_integer_past_the_document_bound_is_refused_before_it_is_read(

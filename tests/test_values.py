@@ -180,6 +180,18 @@ def test_a_curve_point_is_not_a_pair_payload():
     assert variant_of((point.x, point.y)) == "pair"
 
 
+def test_an_unrecognized_payload_is_named_by_its_type_and_length(int_digit_limit):
+    """Not by its repr, which could hold an integer past the int/str digit
+    limit or a string of any length."""
+    int_digit_limit(640)
+    for payload, named in (((10**700, 1, 2), "a tuple of length 3"),
+                           (("x" * 10**6, 1), "a tuple of length 2"),
+                           ("x" * 10**6, "a str of length 1000000"), (1.5, "a float")):
+        with pytest.raises(PayloadTypeError) as excinfo:
+            variant_of(payload)
+        assert str(excinfo.value) == f"unrecognized ciphertext payload: {named}"
+
+
 def test_curve_points_key_dicts_by_their_coordinates():
     table = {CurvePoint(5, 1): "g", IDENTITY: "O"}
     assert table[CurvePoint(5, 1)] == "g"
