@@ -6,15 +6,16 @@ and key fingerprint. The payload is checked against the key pair once, where
 it enters a PHE: at `bind`, or at first use when it arrives unbound or from
 another PHE. Rational scalars ride along as a cleartext denominator on the
 ciphertext (division cannot happen under encryption), and decryption divides
-it back out exactly. A ciphertext document is written and read by
-`serialization` (`dump_ciphertext`, `load_ciphertext`); `serialize_ciphertext`
-and `parse_ciphertext` here only take and build the `Ciphertext`.
+it back out exactly. A scalar's parts and the scale it leaves have at most
+`MAX_BITS` bits whatever the interpreter's int/str digit limit, so every
+ciphertext a PHE returns fits in a document. A ciphertext document is
+written and read by `serialization` (`dump_ciphertext`, `load_ciphertext`);
+`serialize_ciphertext` and `parse_ciphertext` here only take and build the
+`Ciphertext`.
 """
 
 from __future__ import annotations
 
-import re
-import sys
 from typing import TYPE_CHECKING, Any, Optional, Union
 
 from .capabilities import Capability, capabilities, ensure_supported
@@ -22,31 +23,14 @@ from .errors import InexactResultError, MathDomainError, OperandMismatchError
 from .frozen import Frozen, int_shown
 from .numtheory import RandomSource
 from .schemes import KeyPair, Payload, generate_keys, scheme_for
-from .serialization import dump_ciphertext, key_fingerprint, load_ciphertext
+from .schemes.base import MAX_BITS
+from .serialization import MAX_DIGITS, dump_ciphertext, key_fingerprint, load_ciphertext
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 # `fractions` (with `decimal`) is imported only where a rational is built
 ScalarLike = Union[int, str, float, "Fraction"]
-
-# `Fraction` reads a decimal's digit strings with `int`, which refuses one past
-# the int/str digit limit; an exponent escapes that, and "1e2000000" is a short
-# string with a two-million-digit numerator
-_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
-
-
-def _check_exponent(text: str) -> None:
-    # with the limit off (0), the default still bounds a scalar: "1e10000000"
-    # would otherwise build a 33-million-bit numerator
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    match = _EXPONENT.search(text)
-    if match is None:
-        return
-    # the unreduced numerator or denominator has at most this many digits
-    digits = sum(ch.isdigit() for ch in text[: match.start()]) + abs(int(match[1]))
-    if digits > limit:
-        raise ValueError(f"its exponent passes the {limit}-digit int/str limit")
 
 
 def excerpt(text: str, limit: int) -> str:
@@ -60,33 +44,47 @@ def to_rational(k: ScalarLike) -> Fraction:
     """Exact rational from an int, Fraction, decimal string, or float literal.
 
     Strings and floats go through their decimal spelling, so "1.05" and 1.05
-    both mean 21/20 exactly, never the nearest binary float. A NaN, an
-    infinity, or an exponent that takes the numerator or denominator past the
-    interpreter's int/str digit limit (its default, 4300 digits, when the limit
-    is off) is a MathDomainError.
+    both mean 21/20 exactly, never the nearest binary float. A spelling is
+    one `Fraction` takes, with the value `Fraction` gives it, read whatever
+    the interpreter's int/str digit limit. A spelling `Fraction` refuses
+    (a NaN, an infinity, a zero denominator), a part spelled with more than
+    `MAX_DIGITS` digits counting its exponent, a negative value, or a
+    numerator or denominator of more than `MAX_BITS` bits is a
+    MathDomainError.
     """
     from fractions import Fraction
 
     if isinstance(k, bool):
         raise MathDomainError("scalar must be a number, not a boolean")
-    if isinstance(k, int):
+    if isinstance(k, (int, Fraction)):
         value = Fraction(k)
-    elif isinstance(k, Fraction):
-        value = k
     elif isinstance(k, (str, float)):
+        from decimal import Decimal, InvalidOperation  # loaded by fractions
+        from itertools import groupby
+
         text = str(k)
+        # Fraction judges the spelling, each run of digits cut to one digit so
+        # that no int/str digit limit applies; decimal, which has none, reads
+        # the digits, once each part's are counted with its exponent
+        shape = "".join("1" if digit else "".join(run)
+                        for digit, run in groupby(text, str.isdecimal))
         try:
-            _check_exponent(text)
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            # both parts can repeat the whole scalar, of any length
-            raise MathDomainError(
-                f"not a valid scalar: {excerpt(repr(text), 34)} ({excerpt(str(exc), 64)})"
-            ) from None
+            Fraction(shape)
+            parts = [Decimal(half) for half in text.split("/")]
+        except (InvalidOperation, ValueError):  # decimal refuses an exponent past 10^18
+            parts = []
+        if not parts or len(parts) == 2 and not parts[1]:
+            raise MathDomainError(f"not a valid scalar: {excerpt(repr(text), 34)}")
+        if any(len(d.as_tuple().digits) + abs(d.as_tuple().exponent) > MAX_DIGITS for d in parts):
+            raise MathDomainError(f"not a valid scalar: {excerpt(repr(text), 34)} (a part past "
+                                  f"{MAX_DIGITS} digits, counting its exponent)")
+        value = Fraction(*map(Fraction, parts))
     else:
         raise MathDomainError(f"unsupported scalar type: {type(k).__name__}")
     if value < 0:
         raise MathDomainError("scalar must be non-negative")
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
+        raise MathDomainError(f"scalar has a numerator or denominator of more than {MAX_BITS} bits")
     return value
 
 
@@ -182,10 +180,11 @@ def cipher_add(a: Ciphertext, b: Ciphertext, phe: "PHE") -> Ciphertext:
 def cipher_scalar(k: ScalarLike, c: Ciphertext, phe: "PHE") -> Ciphertext:
     _check_operand(phe, c, "scalar")
     value = to_rational(k)
-    return c.replace(
-        payload=phe.scheme.scalar(c.payload, value.numerator),
-        scale_denominator=c.scale_denominator * value.denominator, keys=c.keys,
-    )
+    scale = c.scale_denominator * value.denominator
+    if scale.bit_length() > MAX_BITS:  # no document could hold the result
+        raise MathDomainError(f"the scale would be {int_shown(scale)}, past {MAX_BITS} bits")
+    return c.replace(payload=phe.scheme.scalar(c.payload, value.numerator),
+                     scale_denominator=scale, keys=c.keys)
 
 
 # -- ciphertext documents -----------------------------------------------------

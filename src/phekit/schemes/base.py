@@ -166,7 +166,13 @@ class Scheme(ABC):
     def generate(
         cls, security_bits: int, params: dict[str, Any], rng: RandomSource
     ) -> KeyPair:
-        """Produce a fresh key pair at the given modulus/curve size."""
+        """Produce a fresh key pair at the given modulus/curve size: a
+        non-negative int, checked before anything is drawn (0 lets the curve
+        param pick EC-ElGamal's size); each scheme keeps its own lower bound."""
+        if type(security_bits) is not int or security_bits < 0:  # a bool is no int here
+            got = int_shown(security_bits) if type(security_bits) is int else f"{security_bits!r:.40}"
+            raise MathDomainError(f"{cls.algorithm} key size must be a non-negative integer, "
+                                  f"got {got}")
         resolved = cls.resolve_params(params)
         public, private = cls._keygen(security_bits, resolved, rng)
         return KeyPair(

@@ -1,8 +1,13 @@
 import json
+import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DISPLAY, EXPECTED_MATRIX, TOY_KEYGEN, expected_denial
 from phekit import (
@@ -20,7 +25,10 @@ from phekit import (
 )
 from phekit.capabilities import ALGORITHMS, DISPLAY_NAMES, capabilities, ensure_supported
 from phekit.errors import CapabilityError, NotInvertibleError
+from phekit.frozen import to_decimal
 from phekit.schemes import KeyPair
+from phekit.schemes.base import MAX_BITS
+from phekit.serialization import MAX_DIGITS
 
 OPERATIONS = ("mul", "add", "scalar", "xor", "regen")
 
@@ -59,25 +67,178 @@ def test_to_rational_rejects(bad):
         to_rational(bad)
 
 
-def test_to_rational_bounds_the_exponent_by_the_digit_limit(int_digit_limit):
-    int_digit_limit(640)
-    for bad in ("1e700", "1e-700", "1E640", "1.5e-639", "1e" + "9" * 700):
-        with pytest.raises(MathDomainError, match="not a valid scalar"):
-            to_rational(bad)
-    # 10**639 and 10**-639 have 640 digits, which the limit allows
-    assert to_rational("1e639") == 10**639
-    assert to_rational("1e-639") == Fraction(1, 10**639)
+def test_to_rational_bounds_each_part_by_a_document_integer(int_digit_limit):
+    """A part's digits with its exponent are at most MAX_DIGITS, and its value
+    at most MAX_BITS bits, under every int/str digit limit: the limit decides
+    no scalar. 10**6935 has 23039 bits; 9 * 10**6935 has 23042."""
+    for limit in (640, 4300, 0):
+        int_digit_limit(limit)
+        assert to_rational("1e700") == 10**700
+        assert to_rational("1e-700") == Fraction(1, 10**700)
+        assert to_rational("1e6935") == 10**6935
+        assert to_rational("1e-6935") == Fraction(1, 10**6935)
+        for bad in ("1e6936", "1e-6936", "0e6936", "1E6936", "1.5e-6935"):
+            with pytest.raises(MathDomainError, match=rf"not a valid scalar: .* past {MAX_DIGITS}"):
+                to_rational(bad)
+        for bad in ("1e" + "9" * 700, "1e" + "9" * 5000, "1e10000000000000000000"):
+            with pytest.raises(MathDomainError, match="not a valid scalar"):
+                to_rational(bad)
+        with pytest.raises(MathDomainError, match=f"more than {MAX_BITS} bits"):
+            to_rational("9e6935")
 
 
-def test_to_rational_keeps_the_default_digit_bound_when_the_limit_is_off(int_digit_limit):
-    """With the limit at 0, which lets a document hold any integer, a short
-    scalar still cannot build a numerator past the default 4300 digits."""
+def test_to_rational_bounds_every_scalar_by_max_bits_when_the_limit_is_off(int_digit_limit):
+    """With the limit at 0 a short spelling still cannot build a part past
+    MAX_BITS bits, and an int or a Fraction is held to the same bound."""
     int_digit_limit(0)
-    for bad in ("1e5000", "1e-5000", "1e10000000"):
-        with pytest.raises(MathDomainError, match="passes the 4300-digit"):
+    with pytest.raises(MathDomainError, match="not a valid scalar"):
+        to_rational("1e10000000")
+    assert to_rational(1 << MAX_BITS - 1) == 1 << MAX_BITS - 1
+    assert to_rational(Fraction(3, 1 << MAX_BITS - 1)).denominator == 1 << MAX_BITS - 1
+    for bad in (1 << MAX_BITS, Fraction(1, 1 << MAX_BITS), Fraction((1 << MAX_BITS) + 1, 3),
+                "1/" + str(1 << MAX_BITS)):
+        with pytest.raises(MathDomainError, match=f"^scalar has a numerator or denominator "
+                                                  f"of more than {MAX_BITS} bits$"):
             to_rational(bad)
-    assert to_rational("1e4000") == 10**4000
-    assert to_rational("1e-4000") == Fraction(1, 10**4000)
+
+
+@pytest.mark.parametrize("text", [
+    "1e2/3", "1.5/2", "1/-2", "1/+2", "10e0/3", "1./3", "1/2.", "1/2/3", "1 / 2e0", "1__0",
+    "_1", "1_", "1_.5", "1e_5", "1/_2", "Infinity", "-inf/2", "1/NaN", "\u00b2", "1.d",
+    "1_000/3", " 1 / 2 ", "+1/2", "\u20031/2\n", "1e1_0", "1.5_5", "1.e5", ".5", "+.5e-3",
+    "-0", "\u0661/\u0662", "1/0", "0/00"])
+def test_to_rational_takes_exactly_the_spellings_fraction_takes(text):
+    """`decimal` reads more than `Fraction` does (any underscores, a sign or
+    an exponent on either side of a slash, infinities); a scalar is a
+    spelling this interpreter's `Fraction` takes, with its value."""
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(MathDomainError, match="not a valid scalar"):
+            to_rational(text)
+        return
+    if expected < 0:
+        with pytest.raises(MathDomainError, match="non-negative"):
+            to_rational(text)
+    else:
+        assert to_rational(text) == expected
+
+
+def spelled_digits(part: str) -> int:
+    """A decimal part's coefficient digits, without leading zeros, plus its
+    exponent's size: the digits of its unreduced numerator or denominator.
+    Read under limit 0."""
+    match = re.fullmatch(r"\s*[-+]?(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?\s*",
+                         part.replace("_", ""))
+    whole, fraction, exponent = match[1], match[2] or "", int(match[3] or 0)
+    return len(str(int(whole + fraction or "0"))) + abs(exponent - len(fraction))
+
+
+@contextmanager
+def digit_limit(limit: int):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def outcome(k) -> tuple:
+    try:
+        return ("value", to_rational(k))
+    except MathDomainError as exc:
+        return ("refused", str(exc))
+
+
+# a digit string of up to a few past MAX_DIGITS digits, mostly zeros
+long_digits = st.builds(lambda head, zeros, tail: head + "0" * zeros + tail,
+                        st.sampled_from(["1", "9", "12", "0"]),
+                        st.integers(0, MAX_DIGITS + 3) | st.integers(0, 40),
+                        st.text("0123456789", max_size=3))
+short_digits = st.text("0123456789", min_size=1, max_size=4)
+scalar_texts = (
+    st.text("0123456789_./eE+- \u0661\u2003", max_size=10)
+    | long_digits
+    | st.builds("{}{}/{}{}".format, long_digits | short_digits, st.sampled_from(["", " "]),
+                st.sampled_from(["", " "]), long_digits | short_digits)
+    | st.builds("{}e{}".format, st.sampled_from(["1", "1.5", "0.25", "9", "12.", ".5", "0", "7_0"]),
+                st.integers(-MAX_DIGITS - 3, MAX_DIGITS + 3)
+                | st.integers(-MAX_DIGITS - 3, -MAX_DIGITS + 3)
+                | st.integers(MAX_DIGITS - 3, MAX_DIGITS + 3))
+)
+# a part of MAX_BITS bits, give or take two, or a small one
+near_max_bits = st.integers(MAX_BITS - 2, MAX_BITS + 2).flatmap(
+    lambda bits: st.integers(1 << bits - 1, (1 << bits) - 1)) | st.integers(0, 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=scalar_texts | st.floats() | st.builds(Fraction, near_max_bits,
+                                                 near_max_bits.filter(bool)))
+def test_a_scalar_reads_the_same_under_every_digit_limit(k):
+    """The same value or the same refusal under limits 640, 4300 and 0; and
+    where the spelling is within the bound (each part's digits with its
+    exponent at most MAX_DIGITS, and its value's numerator and denominator
+    at most MAX_BITS bits, not negative), the value is Fraction's under
+    limit 0, and a refusal only where Fraction refuses or the bound does:
+    the accepted spellings neither widen nor narrow."""
+    outcomes = []
+    for limit in (640, 4300, 0):
+        with digit_limit(limit):
+            outcomes.append(outcome(k))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    with digit_limit(0):
+        text = str(k)
+        try:
+            expected = Fraction(text) if isinstance(k, (str, float)) else k
+        except (ValueError, ZeroDivisionError):
+            assert outcomes[0][0] == "refused"
+            return
+        within = (expected >= 0 and max(expected.numerator.bit_length(),
+                                        expected.denominator.bit_length()) <= MAX_BITS
+                  and (not isinstance(k, (str, float))
+                       or max(map(spelled_digits, text.split("/"))) <= MAX_DIGITS))
+    assert outcomes[0] == ("value", expected) if within else outcomes[0][0] == "refused"
+
+
+def test_a_scale_past_max_bits_is_refused_before_the_power(paillier, monkeypatch):
+    """Two scalars of 1/2^20000 would leave a 40,001-bit scale, which no
+    document holds: the second is refused, naming the scale by its bits,
+    before the scheme's power, and the first still serializes."""
+    c = paillier.scalar(Fraction(1, 1 << 20000), paillier.encrypt(5))
+    assert parse_ciphertext(serialize_ciphertext(c)) == c
+    monkeypatch.setattr(type(paillier.scheme), "scalar", None)  # any call would fail
+    with pytest.raises(MathDomainError, match=f"^the scale would be a 40001-bit integer, "
+                                              f"past {MAX_BITS} bits$"):
+        paillier.scalar(Fraction(1, 1 << 20000), c)
+    with pytest.raises(MathDomainError, match="scale would be"):
+        Fraction(1, 1 << 20000) * c
+
+
+scalars_of_any_width = st.builds(
+    Fraction, st.integers(0, 1 << 64) | st.integers(0, 1 << MAX_BITS),
+    st.integers(1, 1 << 64) | st.integers(1, 1 << 8000) | st.integers(1, 1 << MAX_BITS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalars=st.lists(scalars_of_any_width, min_size=1, max_size=6),
+       as_text=st.lists(st.booleans(), min_size=6, max_size=6))
+def test_every_ciphertext_a_phe_returns_serializes(paillier, scalars, as_text):
+    """A chain of scalars, each given as a Fraction or as its a/b text: every
+    ciphertext a PHE method returns (scalar, add, regenerate) serializes and
+    parses back equal, and the scalar that would take the scale past
+    MAX_BITS bits is refused, leaving the chain where it was."""
+    c = paillier.encrypt(3)
+    for value, text in zip(scalars, as_text):
+        k = f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}" if text else value
+        if (c.scale_denominator * value.denominator).bit_length() > MAX_BITS:
+            with pytest.raises(MathDomainError, match="scale would be"):
+                paillier.scalar(k, c)
+            continue
+        c = paillier.scalar(k, c)
+        for result in (c, paillier.add(c, c), paillier.regenerate(c)):
+            assert parse_ciphertext(serialize_ciphertext(result)) == result
+            assert result.scale_denominator.bit_length() <= MAX_BITS
 
 
 # ------------------------------------------------------- capability matrix

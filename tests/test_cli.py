@@ -13,6 +13,7 @@ from conftest import TOY_KEYGEN, expected_denial, run_isolated
 from phekit import RandomSource, parse_key, serialize_key
 from phekit.cli import TEST_SEED_ENV, run
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys
+from phekit.frozen import to_decimal
 from phekit.serialization import MAX_DIGITS
 
 
@@ -752,17 +753,60 @@ def test_a_signed_or_padded_plaintext_exits_the_same_under_any_digit_limit(
     assert [code for code, _, _ in outcomes[640]] == [0, 0, 4]
 
 
-def test_smul_scalar_past_the_digit_limit_exits_4(tmp_path, paillier_keys, capsys,
-                                                  int_digit_limit):
-    # "1e700" is five characters but a 701-digit numerator
-    int_digit_limit(640)
+def test_smul_scalar_reads_the_same_under_any_digit_limit(tmp_path, paillier_keys, capsys,
+                                                          int_digit_limit):
+    """"1e700" is five characters but a 701-digit numerator: it scales under
+    a limit of 640 as with none, and "1e6936", a part past MAX_DIGITS
+    digits, exits 4 under both; `decrypt --rational` prints the same. The
+    outcomes are compared whole before any is read."""
     keys, _ = paillier_keys
     c, out = tmp_path / "c.json", tmp_path / "scaled.json"
     run(["encrypt", "--keys", str(keys), "--plaintext", "3", "--out", str(c)])
+    outcomes = {}
+    for limit in (640, 0):
+        int_digit_limit(limit)
+        capsys.readouterr()
+        outcomes[limit] = []
+        for scalar in ("1e700", "1e-700", "1e6936"):
+            code = run(["smul", "--keys", str(keys), "--in", str(c), "--scalar", scalar,
+                        "--out", str(out)])
+            if out.exists():
+                code = (code, run(["decrypt", "--keys", str(keys), "--in", str(out),
+                                   "--rational"]), out.read_bytes())
+                out.unlink()
+            outcomes[limit].append((code, capsys.readouterr()))
+    assert outcomes[640] == outcomes[0]
+    (scaled, up), (_, down), (refused, error) = outcomes[0]
+    n = parse_key(keys.read_text()).public["n"]  # 10^700 wraps modulo a 128-bit n
+    assert scaled[:2] == (0, 0) and up.out == f"{3 * 10**700 % n}\n"
+    assert down.out == "3/1" + "0" * 700 + "\n"
+    assert refused == 4 and error.out == ""
+    assert f"not a valid scalar: '1e6936' (a part past {MAX_DIGITS} digits" in error.err
+
+
+def test_smul_past_the_scale_ceiling_exits_4(tmp_path, paillier_keys, capsys):
+    """A second 1/2^20000 would leave a 40,001-bit scale, which no document
+    holds: smul exits 4 and writes nothing."""
+    keys, _ = paillier_keys
+    c, once, twice = tmp_path / "c.json", tmp_path / "once.json", tmp_path / "twice.json"
+    scalar = "1/" + to_decimal(1 << 20000)
+    run(["encrypt", "--keys", str(keys), "--plaintext", "3", "--out", str(c)])
+    assert run(["smul", "--keys", str(keys), "--in", str(c), "--scalar", scalar,
+                "--out", str(once)]) == 0
     capsys.readouterr()
-    assert run(["smul", "--keys", str(keys), "--in", str(c), "--scalar", "1e700",
+    assert run(["smul", "--keys", str(keys), "--in", str(once), "--scalar", scalar,
+                "--out", str(twice)]) == 4
+    assert capsys.readouterr().err == ("error: the scale would be a 40001-bit integer, "
+                                       "past 23040 bits\n")
+    assert not twice.exists()
+
+
+def test_keygen_refuses_a_negative_key_size_with_exit_4(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    assert run(["keygen", "--algorithm", "damgard-jurik", "--key-size", "-4",
                 "--out", str(out)]) == 4
-    assert "1e700" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("error: damgard-jurik key size must be a "
+                                            "non-negative integer, got -4\n")
     assert not out.exists()
 
 

@@ -527,6 +527,28 @@ def no_draw(monkeypatch):
     monkeypatch.setattr(numtheory_module, "is_probable_prime", drawn)
 
 
+@pytest.mark.parametrize("algorithm, bits, got", [
+    ("damgard-jurik", -4, "-4"), ("paillier", 1024.0, "1024.0"),
+    ("goldwasser-micali", True, "True"), ("rsa", "1024", "'1024'"), ("elgamal", None, "None"),
+    ("ec-elgamal", -1, "-1"),
+    # an explicit id: pytest would name the parameter by its digits
+    pytest.param("okamoto-uchiyama", -(1 << 3000), "a 3001-bit integer", id="3001-bit")])
+def test_a_key_size_that_is_no_non_negative_int_is_refused_before_any_draw(
+        no_draw, algorithm, bits, got):
+    """One refusal in `Scheme.generate`, naming the size, before `_keygen`:
+    a bool is no int, and a size past 2048 bits is named by its bits."""
+    with pytest.raises(MathDomainError, match=f"^{algorithm} key size must be a non-negative "
+                                              f"integer, got {got}$"):
+        generate_keys(algorithm, bits, rng=RandomSource(1))
+
+
+def test_a_zero_key_size_reaches_the_schemes_own_lower_bound(no_draw):
+    """0 passes the door, which EC-ElGamal's curve param needs; a scheme
+    that takes its size from it refuses 0 by its own bound."""
+    with pytest.raises(MathDomainError, match="bits must be >= 8"):
+        generate_keys("paillier", 0, rng=RandomSource(1))
+
+
 def test_a_paillier_key_size_past_the_ceiling_is_refused_before_any_draw(no_draw):
     """Paillier follows Damgard-Jurik's rule at s = 1: n^2 has at most
     MAX_BITS bits, so n at most 11520. The refusal names the key size, not
