@@ -45,9 +45,10 @@ def to_rational(k: ScalarLike) -> Fraction:
 
     Strings and floats go through their decimal spelling, so "1.05" and 1.05
     both mean 21/20 exactly, never the nearest binary float. A spelling is
-    one `Fraction` takes, with the value `Fraction` gives it, read whatever
-    the interpreter's int/str digit limit. A spelling `Fraction` refuses
-    (a NaN, an infinity, a zero denominator), a part spelled with more than
+    one Python 3.10's `Fraction` takes, on every interpreter, with the value
+    `Fraction` gives it, read whatever the interpreter's int/str digit
+    limit. A spelling it refuses (an underscore, a space at the slash, a
+    NaN, an infinity, a zero denominator), a part spelled with more than
     `MAX_DIGITS` digits counting its exponent, a negative value, or a
     numerator or denominator of more than `MAX_BITS` bits is a
     MathDomainError.
@@ -64,10 +65,12 @@ def to_rational(k: ScalarLike) -> Fraction:
 
         text = str(k)
         # Fraction judges the spelling, each run of digits cut to one digit so
-        # that no int/str digit limit applies; decimal, which has none, reads
-        # the digits, once each part's are counted with its exponent
-        shape = "".join("1" if digit else "".join(run)
-                        for digit, run in groupby(text, str.isdecimal))
+        # that no int/str digit limit applies, in Python 3.10's grammar on every
+        # interpreter: "_" is no spelling, as 3.11 takes underscores, 3.12 spaces
+        # at the slash, and 3.10 no inner space; decimal, which has no digit
+        # limit, reads the digits, once each part's are counted with its exponent
+        shape = "_" if "_" in text or len(text.split()) > 1 else "".join(
+            "1" if digit else "".join(run) for digit, run in groupby(text, str.isdecimal))
         try:
             Fraction(shape)
             parts = [Decimal(half) for half in text.split("/")]

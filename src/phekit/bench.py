@@ -21,9 +21,10 @@ from .errors import DegenerateChartError, MathDomainError, ParseError
 from .frozen import Frozen
 from .numtheory import RandomSource
 from .schemes import generate_keys, scheme_for
+from .schemes.base import MAX_KEY_BITS
 
-# NIST symmetric-equivalent level -> key sizes
-LEVEL_TO_MODULUS_BITS = {80: 1024, 112: 2048, 128: 3072, 192: 7680}
+# NIST symmetric-equivalent level -> key sizes; level 192's is the key cap
+LEVEL_TO_MODULUS_BITS = {80: 1024, 112: 2048, 128: 3072, 192: MAX_KEY_BITS}
 LEVEL_TO_CURVE_BITS = {80: 160, 112: 224, 128: 256, 192: 384}
 
 # parameter search at >= 1024-bit moduli is too slow to benchmark by default

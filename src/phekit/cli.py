@@ -146,12 +146,10 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
         params["s"] = args.s
     if args.dlp_bound is not None:
         params["dlp_bound"] = args.dlp_bound
-    key_size = args.key_size
-    if key_size is None:
-        if args.curve is None:
-            raise UsageError("--key-size is required (unless --curve picks the size)")
-        key_size = 0
-    keys = generate_keys(args.algorithm, key_size, params or None, _rng_from_env())
+    if args.key_size is None and args.curve is None:
+        raise UsageError("--key-size is required (unless --curve picks the size)")
+    # with --curve and no --key-size, 0 lets the curve pick the size
+    keys = generate_keys(args.algorithm, args.key_size or 0, params or None, _rng_from_env())
     _write(args.out, serialize_key(keys), private=True)
     if args.public_out:
         _write(args.public_out, serialize_key(keys, include_private=False))

@@ -39,11 +39,14 @@ INT_PARAMS = frozenset({"s", "dlp_bound", "block_size", "prime_count", "plaintex
 # first decrypt under a dlp_bound, or a Benaloh block r, builds
 # isqrt(dlp_bound) + 1, or isqrt(r - 1) + 1, baby steps
 INT_PARAM_CAPS = {"dlp_bound": 1 << 32, "block_size": 1 << 32}
-# the size ceiling, in bits: Damgard-Jurik's (and Paillier's) ciphertext
-# modulus, Goldwasser-Micali's plaintexts and widths, and every document
-# integer, in digits (`serialization.MAX_DIGITS`); that of Damgard-Jurik's
-# default s = 2 at the 7680-bit modulus of security level 192
-MAX_BITS = 3 * 7680
+# the key cap, in bits: every key size and every key file's modulus (n, or
+# the ElGamal family's p), at both doors; the modulus of security level 192
+MAX_KEY_BITS = 7680
+# the size ceiling, in bits: Damgard-Jurik's ciphertext modulus,
+# Goldwasser-Micali's plaintexts and widths, and every document integer,
+# in digits (`serialization.MAX_DIGITS`); that of Damgard-Jurik's default
+# s = 2 at the key cap, so a Paillier n^2 never reaches it
+MAX_BITS = 3 * MAX_KEY_BITS
 
 
 def int_param_fault(name: str, value: Any) -> Optional[str]:
@@ -55,6 +58,16 @@ def int_param_fault(name: str, value: Any) -> Optional[str]:
     if value > INT_PARAM_CAPS.get(name, value):
         return f"must be at most {INT_PARAM_CAPS[name]}"
     return None
+
+
+def key_size_fault(bits: Any) -> Optional[str]:
+    """Why `bits` cannot be a key size, or None: the one rule of key
+    generation and key files (0 lets the curve param pick EC-ElGamal's
+    size). A size past 2048 bits is named by its bits."""
+    if type(bits) is int and 0 <= bits <= MAX_KEY_BITS:  # a bool is no int here
+        return None
+    got = int_shown(bits) if type(bits) is int else f"{bits!r:.40}"
+    return f"must be an integer from 0 to {MAX_KEY_BITS}, got {got}"
 
 
 class KeyPair(Frozen):
@@ -166,13 +179,12 @@ class Scheme(ABC):
     def generate(
         cls, security_bits: int, params: dict[str, Any], rng: RandomSource
     ) -> KeyPair:
-        """Produce a fresh key pair at the given modulus/curve size: a
-        non-negative int, checked before anything is drawn (0 lets the curve
-        param pick EC-ElGamal's size); each scheme keeps its own lower bound."""
-        if type(security_bits) is not int or security_bits < 0:  # a bool is no int here
-            got = int_shown(security_bits) if type(security_bits) is int else f"{security_bits!r:.40}"
-            raise MathDomainError(f"{cls.algorithm} key size must be a non-negative integer, "
-                                  f"got {got}")
+        """Produce a fresh key pair at the given modulus/curve size, checked
+        by `key_size_fault` before anything is drawn; each scheme keeps its
+        own lower bound."""
+        reason = key_size_fault(security_bits)
+        if reason is not None:
+            raise MathDomainError(f"{cls.algorithm} key size {reason}")
         resolved = cls.resolve_params(params)
         public, private = cls._keygen(security_bits, resolved, rng)
         return KeyPair(

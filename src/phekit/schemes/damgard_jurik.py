@@ -20,8 +20,6 @@ from .base import MAX_BITS, KeyPair, ModulusScheme, Payload, int_shown
 
 # the largest s; the ciphertext modulus n^(s+1) has at most MAX_BITS bits
 MAX_S = 16
-# the same rule for Paillier, at s = 1, names n: its keys carry no s
-_N_PAST_MAX = f"must be at most {MAX_BITS // 2} bits, with n^2 at most {MAX_BITS}"
 
 
 def _s_fault(s: int, prime_bound: Optional[int], n_bits: int) -> Optional[str]:
@@ -54,9 +52,7 @@ class DamgardJurik(ModulusScheme):
     def _params_fault(cls, keys: KeyPair) -> Optional[tuple[str, str]]:
         prime_bound = min(keys.private["p"], keys.private["q"]) if keys.has_private else None
         reason = _s_fault(keys.params.get("s", 1), prime_bound, keys.public["n"].bit_length())
-        if reason is None:
-            return None
-        return ("params.s", reason) if "s" in keys.params else ("public.n", _N_PAST_MAX)
+        return None if reason is None else ("params.s", reason)
 
     @classmethod
     def _keygen(cls, security_bits: int, params: dict[str, Any], rng: RandomSource):
@@ -67,8 +63,7 @@ class DamgardJurik(ModulusScheme):
         s = params.get("s", 1)
         reason = _s_fault(s, 1 << security_bits // 2 if s > 1 else None, security_bits)
         if reason is not None:
-            raise MathDomainError(f"damgard-jurik parameter s {reason}" if "s" in params
-                                  else f"paillier key size {_N_PAST_MAX}")
+            raise MathDomainError(f"damgard-jurik parameter s {reason}")
         p, q, n = generate_modulus(security_bits, rng)
         return {"n": n, "g": n + 1}, {"p": p, "q": q}
 

@@ -5,9 +5,9 @@ and `parse_ciphertext` only wrap `dump_ciphertext` and `load_ciphertext` to
 build a `Ciphertext`, and no other module calls the private helpers below.
 Documents are JSON with sorted keys, no insignificant whitespace, and a
 trailing newline; every arbitrary-precision integer is a decimal string so no
-JSON reader mangles it, of at most `MAX_DIGITS` digits whatever the
-interpreter's int/str digit limit, written by `_decimal` and read by
-`_parse_natural` through `frozen`'s `to_decimal` and `from_decimal`.
+JSON reader mangles it, below 2^`MAX_BITS` whatever the interpreter's
+int/str digit limit, written by `_decimal` and read by `_parse_natural`
+through `frozen`'s `to_decimal` and `from_decimal`.
 Key and ciphertext documents share one header, `format_version` and
 `algorithm`, which `_dump_document` writes and `_load_document` alone checks.
 A key file's `public`, `private` and `params` objects hold exactly the
@@ -33,7 +33,7 @@ from .ec import CurvePoint
 from .errors import ParseError
 from .frozen import from_decimal, to_decimal
 from .schemes import SCHEME_CLASSES, KeyPair, Payload, variant_of
-from .schemes.base import INT_PARAMS, MAX_BITS, int_param_fault
+from .schemes.base import INT_PARAMS, MAX_BITS, MAX_KEY_BITS, int_param_fault, key_size_fault
 
 try:
     from _sha2 import sha256  # Python 3.12 and later
@@ -45,10 +45,10 @@ except ImportError:
 
 FORMAT_VERSION = 1
 
-# the most digits a document integer may have: those of every value below
-# 2^MAX_BITS; 10^MAX_DIGITS, the least value past them, has MAX_BITS + 1 bits
+# a document integer is below 2^MAX_BITS, so it has at most MAX_DIGITS
+# digits: a longer text is refused before it is converted
 MAX_DIGITS = 6936
-_TOO_LONG = f"has more than the {MAX_DIGITS} digits of a document integer"
+_TOO_WIDE = f"has more than the {MAX_BITS} bits of a document integer"
 
 # `key_fingerprint`'s hexdigest: a ciphertext file's fingerprint of any other
 # shape can match no key pair, so it is refused where the file is read
@@ -65,25 +65,25 @@ def _require(condition: bool, field: str, detail: str) -> None:
 
 
 def _parse_natural(value: Any, field: str) -> int:
-    """A canonical decimal string of at most MAX_DIGITS digits, refused
-    before any conversion past that: ASCII digits, no leading zero, so the
-    integer re-serializes to the same text."""
+    """A canonical decimal string of an integer below 2^MAX_BITS, refused
+    before any conversion past MAX_DIGITS digits: ASCII digits, no leading
+    zero, so the integer re-serializes to the same text."""
     _require(isinstance(value, str), field, "expected a decimal string")
-    _require(len(value) <= MAX_DIGITS, field, _TOO_LONG)
+    _require(len(value) <= MAX_DIGITS, field, _TOO_WIDE)
     _require(
         value.isascii() and value.isdigit() and (value == "0" or value[0] != "0"),
         field, f"not a canonical decimal integer: {value!r}",
     )
-    return from_decimal(value)
+    number = from_decimal(value)
+    _require(number.bit_length() <= MAX_BITS, field, _TOO_WIDE)
+    return number
 
 
 def _decimal(value: int, field: str) -> str:
-    """`to_decimal(value)`, refused past MAX_DIGITS digits, so that every
-    document written is one `_parse_natural` reads; a value too wide to have
-    at most MAX_DIGITS digits is refused before it is converted."""
-    text = to_decimal(value) if value.bit_length() <= MAX_BITS + 1 else None
-    _require(text is not None and len(text) <= MAX_DIGITS, field, _TOO_LONG)
-    return text
+    """`to_decimal(value)`, refused past MAX_BITS bits before it is
+    converted, so that every document written is one `_parse_natural` reads."""
+    _require(value.bit_length() <= MAX_BITS, field, _TOO_WIDE)
+    return to_decimal(value)
 
 
 def _dump_document(algorithm: str, body: dict[str, Any]) -> str:
@@ -161,18 +161,19 @@ def serialize_key(keys: KeyPair, include_private: bool = True) -> str:
 def parse_key(text: str) -> KeyPair:
     doc, algorithm = _load_document(text, "key")
     bits = doc.get("security_bits")
-    _require(isinstance(bits, int) and not isinstance(bits, bool),
-             "security_bits", "expected an integer")
-    _require(bits >= 0, "security_bits", f"must be non-negative, got {bits}")
+    reason = key_size_fault(bits)
+    _require(reason is None, "security_bits", reason)
     cls = SCHEME_CLASSES[algorithm]
     public = _fields(doc.get("public"), "public", cls.public_fields, algorithm)
     private = (_fields(doc["private"], "private", cls.private_fields, algorithm)
                if "private" in doc else None)
     params = _fields(doc.get("params", {}), "params", cls.default_params, algorithm)
-    # the modulus every operation reduces by; a degenerate one breaks them all
-    # (the refusal names no value, so no valid modulus is formatted for it)
+    # the modulus every operation reduces by; a degenerate one breaks them all,
+    # and one past the key cap costs verdicts and powers no key size admits
+    # (the refusals name no value, so no valid modulus is formatted for them)
     for name in {"n", "p"}.intersection(cls.public_fields):
-        _require(public[name] >= 5, f"public.{name}", "must be at least 5")
+        _require(public[name] >= 5 and public[name].bit_length() <= MAX_KEY_BITS,
+                 f"public.{name}", f"must be at most {MAX_KEY_BITS} bits and at least 5")
     keys = KeyPair(algorithm, bits, public, private, params)
     field, detail = cls.key_fault(keys) or (None, "")
     _require(field is None, field, detail)

@@ -110,9 +110,10 @@ def test_to_rational_bounds_every_scalar_by_max_bits_when_the_limit_is_off(int_d
 def test_to_rational_takes_exactly_the_spellings_fraction_takes(text):
     """`decimal` reads more than `Fraction` does (any underscores, a sign or
     an exponent on either side of a slash, infinities); a scalar is a
-    spelling this interpreter's `Fraction` takes, with its value."""
+    spelling Python 3.10's `Fraction` takes, with its value, on every
+    interpreter."""
     try:
-        expected = Fraction(text)
+        expected = fraction_310(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(MathDomainError, match="not a valid scalar"):
             to_rational(text)
@@ -122,6 +123,15 @@ def test_to_rational_takes_exactly_the_spellings_fraction_takes(text):
             to_rational(text)
     else:
         assert to_rational(text) == expected
+
+
+def fraction_310(text: str) -> Fraction:
+    """Fraction's value, on a spelling with no underscore and no whitespace
+    at the slash: Python 3.10's grammar, which Python 3.11 widens by
+    underscores and 3.12 by whitespace at the slash."""
+    if "_" in text or re.search(r"\s/|/\s", text):
+        raise ValueError(f"not a Python 3.10 Fraction spelling: {text!r}")
+    return Fraction(text)
 
 
 def spelled_digits(part: str) -> int:
@@ -180,8 +190,8 @@ def test_a_scalar_reads_the_same_under_every_digit_limit(k):
     where the spelling is within the bound (each part's digits with its
     exponent at most MAX_DIGITS, and its value's numerator and denominator
     at most MAX_BITS bits, not negative), the value is Fraction's under
-    limit 0, and a refusal only where Fraction refuses or the bound does:
-    the accepted spellings neither widen nor narrow."""
+    limit 0, and a refusal only where Python 3.10's Fraction refuses or the
+    bound does: the accepted spellings neither widen nor narrow."""
     outcomes = []
     for limit in (640, 4300, 0):
         with digit_limit(limit):
@@ -190,7 +200,7 @@ def test_a_scalar_reads_the_same_under_every_digit_limit(k):
     with digit_limit(0):
         text = str(k)
         try:
-            expected = Fraction(text) if isinstance(k, (str, float)) else k
+            expected = fraction_310(text) if isinstance(k, (str, float)) else k
         except (ValueError, ZeroDivisionError):
             assert outcomes[0][0] == "refused"
             return

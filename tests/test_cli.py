@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -805,8 +806,38 @@ def test_keygen_refuses_a_negative_key_size_with_exit_4(tmp_path, capsys):
     out = tmp_path / "k.json"
     assert run(["keygen", "--algorithm", "damgard-jurik", "--key-size", "-4",
                 "--out", str(out)]) == 4
-    assert capsys.readouterr().err.endswith("error: damgard-jurik key size must be a "
-                                            "non-negative integer, got -4\n")
+    assert capsys.readouterr().err.endswith("error: damgard-jurik key size must be an "
+                                            "integer from 0 to 7680, got -4\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["7681", "100000000"])
+def test_keygen_refuses_a_key_size_past_the_cap_at_once(tmp_path, capsys, size):
+    """The key cap is checked before any draw: a 100-million-bit key would
+    otherwise draw for as long as it is let."""
+    out, public = tmp_path / "k.json", tmp_path / "k.pub.json"
+    start = time.perf_counter()
+    assert run(["keygen", "--algorithm", "exp-elgamal", "--key-size", size,
+                "--out", str(out), "--public-out", str(public)]) == 4
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.endswith(f"error: exp-elgamal key size must be an "
+                                            f"integer from 0 to 7680, got {size}\n")
+    assert not out.exists() and not public.exists()
+
+
+@pytest.mark.parametrize("scalar", ["1 / 2", "1_000"])
+def test_smul_reads_one_scalar_grammar_on_every_interpreter(tmp_path, paillier_keys, capsys,
+                                                           scalar):
+    """Python 3.10's Fraction grammar: no whitespace at the slash (3.12
+    takes it) and no underscore (3.11 takes it)."""
+    keys, _ = paillier_keys
+    c, out = tmp_path / "c.json", tmp_path / "scaled.json"
+    run(["encrypt", "--keys", str(keys), "--plaintext", "3", "--out", str(c)])
+    capsys.readouterr()
+    assert run(["smul", "--keys", str(keys), "--in", str(c), "--scalar", scalar,
+                "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not a valid scalar" in captured.err
     assert not out.exists()
 
 

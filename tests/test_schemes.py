@@ -39,7 +39,7 @@ from phekit.schemes import (
     scheme_class,
     scheme_for,
 )
-from phekit.schemes.base import MAX_BITS, ModulusScheme
+from phekit.schemes.base import MAX_BITS, MAX_KEY_BITS, ModulusScheme
 
 
 class FixedRandom:
@@ -537,8 +537,8 @@ def test_a_key_size_that_is_no_non_negative_int_is_refused_before_any_draw(
         no_draw, algorithm, bits, got):
     """One refusal in `Scheme.generate`, naming the size, before `_keygen`:
     a bool is no int, and a size past 2048 bits is named by its bits."""
-    with pytest.raises(MathDomainError, match=f"^{algorithm} key size must be a non-negative "
-                                              f"integer, got {got}$"):
+    with pytest.raises(MathDomainError, match=f"^{algorithm} key size must be an integer "
+                                              f"from 0 to {MAX_KEY_BITS}, got {got}$"):
         generate_keys(algorithm, bits, rng=RandomSource(1))
 
 
@@ -549,17 +549,23 @@ def test_a_zero_key_size_reaches_the_schemes_own_lower_bound(no_draw):
         generate_keys("paillier", 0, rng=RandomSource(1))
 
 
-def test_a_paillier_key_size_past_the_ceiling_is_refused_before_any_draw(no_draw):
-    """Paillier follows Damgard-Jurik's rule at s = 1: n^2 has at most
-    MAX_BITS bits, so n at most 11520. The refusal names the key size, not
-    an s that Paillier keys do not carry; 11520 bits goes on to the draw."""
-    for bits in (MAX_BITS // 2 + 1, 12000):
-        with pytest.raises(MathDomainError,
-                           match=r"^paillier key size must be at most 11520 bits, "
-                                 r"with n\^2 at most 23040$"):
-            generate_keys("paillier", bits, rng=RandomSource(1))
-    with pytest.raises(AssertionError, match="drew"):
-        generate_keys("paillier", MAX_BITS // 2, rng=RandomSource(1))
+@pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
+def test_a_key_size_past_the_key_cap_is_refused_before_any_draw(no_draw, algorithm):
+    """One cap for every algorithm, in `Scheme.generate`: a size past
+    MAX_KEY_BITS is refused naming it, before `_keygen`; MAX_KEY_BITS itself
+    goes on to the draw, except on EC-ElGamal, whose curve registry has no
+    curve of that size."""
+    assert MAX_KEY_BITS == 7680 and MAX_BITS == 3 * MAX_KEY_BITS
+    for bits, got in ((MAX_KEY_BITS + 1, "7681"), (10**700, "a 2326-bit integer")):
+        with pytest.raises(MathDomainError, match=f"^{algorithm} key size must be an integer "
+                                                  f"from 0 to 7680, got {got}$"):
+            generate_keys(algorithm, bits, rng=RandomSource(1))
+    if algorithm == "ec-elgamal":
+        with pytest.raises(MathDomainError, match="^no registered curve of 7680 bits"):
+            generate_keys(algorithm, MAX_KEY_BITS, rng=RandomSource(1))
+    else:
+        with pytest.raises(AssertionError, match="drew"):
+            generate_keys(algorithm, MAX_KEY_BITS, rng=RandomSource(1))
 
 
 def test_goldwasser_micali_refuses_a_width_or_plaintext_past_the_ceiling_before_any_draw(

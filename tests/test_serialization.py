@@ -30,7 +30,8 @@ from phekit.numtheory import jacobi
 from phekit.errors import MathDomainError
 from phekit.frozen import to_decimal
 from phekit.schemes import SCHEME_CLASSES, KeyPair, generate_keys, scheme_for
-from phekit.schemes.base import INT_PARAM_CAPS, INT_PARAMS, MAX_BITS
+import phekit.schemes.base as base_module
+from phekit.schemes.base import INT_PARAM_CAPS, INT_PARAMS, MAX_BITS, MAX_KEY_BITS
 from phekit.serialization import (
     FORMAT_VERSION,
     MAX_DIGITS,
@@ -422,14 +423,14 @@ def test_a_damgard_jurik_s_past_its_cost_bound_is_refused(all_keys):
         assert parse_key(serialize_key(pair)) == pair
         _refused_in_milliseconds(json.loads(serialize_key(pair.replace(params={"s": s + 1}))),
                                  "params.s")
-    # Paillier carries no s and follows the rule at s = 1, which names its n:
-    # n^2 has at most 23040 bits
-    n = 2**11519 + 1
-    pair = KeyPair("paillier", 11520, {"n": n, "g": n + 1})
+    # Paillier carries no s: the key cap bounds its n, so n^2 is within 23040
+    # bits; past the cap its n is refused
+    n = 2 ** (MAX_KEY_BITS - 1) + 1
+    pair = KeyPair("paillier", MAX_KEY_BITS, {"n": n, "g": n + 1})
     assert parse_key(serialize_key(pair)) == pair
-    n = 2**12000 + 1
+    n = 2**MAX_KEY_BITS + 1
     _refused_in_milliseconds(
-        json.loads(serialize_key(KeyPair("paillier", 12001, {"n": n, "g": n + 1}))), "public.n")
+        json.loads(serialize_key(KeyPair("paillier", 7680, {"n": n, "g": n + 1}))), "public.n")
 
 
 def test_a_dlp_bound_past_2_to_the_32_is_refused(all_keys):
@@ -658,19 +659,19 @@ def test_documents_are_the_same_under_any_digit_limit(int_digit_limit):
 def test_an_integer_past_the_document_bound_is_refused_where_it_is_written(
     all_keys, int_digit_limit,
 ):
-    """A document integer has at most MAX_DIGITS = 6936 digits, those of any
-    value below 2^MAX_BITS, the largest integer phekit admits: one more is
-    refused where it is written, naming its field, so that every document
+    """A document integer is below 2^MAX_BITS, the bound of every integer
+    phekit admits, so it has at most MAX_DIGITS = 6936 digits: 2^MAX_BITS
+    is refused where it is written, naming its field, so that every document
     written is one that is read; a far wider value is refused before it is
     converted."""
     int_digit_limit(640)
     assert MAX_BITS == 3 * 7680 and MAX_DIGITS == len(to_decimal(1 << MAX_BITS))
     assert (10**MAX_DIGITS).bit_length() == MAX_BITS + 1
     c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
-    largest = 10**MAX_DIGITS - 1
+    largest = (1 << MAX_BITS) - 1
     text = serialize_ciphertext(c.replace(scale_denominator=largest))
     assert parse_ciphertext(text).scale_denominator == largest
-    for past in (largest + 1, 1 << 10**7):
+    for past in (largest + 1, 10**MAX_DIGITS - 1, 1 << 10**7):
         start = time.perf_counter()
         with pytest.raises(ParseError, match="'scale_denominator'"):
             serialize_ciphertext(c.replace(scale_denominator=past))
@@ -696,17 +697,23 @@ def test_a_goldwasser_micali_payload_holds_at_most_max_bits_values(all_keys):
 def test_a_document_integer_past_the_document_bound_is_refused_before_it_is_read(
     all_keys, int_digit_limit,
 ):
-    """6936 digits read under any limit; 6937, or ten million, are refused
-    naming the field before any conversion."""
+    """2^MAX_BITS - 1 reads under any limit, and a ciphertext of that scale
+    still takes a scalar; 2^MAX_BITS, and 6936 sevens, are refused naming the
+    field, as where they are written; 6937 digits, or ten million, are
+    refused before any conversion."""
     int_digit_limit(640)
-    c = PHE(keys=all_keys["paillier"], rng=RandomSource(3)).encrypt(5)
-    doc = json.loads(serialize_ciphertext(c))
-    doc["scale_denominator"] = "7" * MAX_DIGITS
-    assert parse_ciphertext(json.dumps(doc)).scale_denominator == 10**MAX_DIGITS // 9 * 7
-    for digits in ("1" * (MAX_DIGITS + 1), "1" * 10**7):
+    phe = PHE(keys=all_keys["paillier"], rng=RandomSource(3))
+    doc = json.loads(serialize_ciphertext(phe.encrypt(5)))
+    doc["scale_denominator"] = to_decimal((1 << MAX_BITS) - 1)
+    largest = parse_ciphertext(json.dumps(doc))
+    assert largest.scale_denominator == (1 << MAX_BITS) - 1
+    assert phe.scalar(1, largest).scale_denominator == largest.scale_denominator
+    refusal = "'scale_denominator': has more than the 23040 bits of a document integer"
+    for digits in (to_decimal(1 << MAX_BITS), "7" * MAX_DIGITS, "1" * (MAX_DIGITS + 1),
+                   "1" * 10**7):
         start = time.perf_counter()
         doc["scale_denominator"] = digits
-        with pytest.raises(ParseError, match="'scale_denominator': has more than the 6936 digits"):
+        with pytest.raises(ParseError, match=refusal):
             parse_ciphertext(json.dumps(doc))
         assert time.perf_counter() - start < 0.5
 
@@ -717,12 +724,35 @@ def test_a_document_integer_past_the_document_bound_is_refused_before_it_is_read
            for f in {"n", "p"}.intersection(cls.public_fields)),
 )
 def test_parse_key_rejects_a_degenerate_modulus(all_keys, algorithm, field):
+    """Below 5, or past the key cap, before any primality test."""
     for include_private in (True, False):
         doc = json.loads(serialize_key(all_keys[algorithm], include_private))
-        for bad in ("0", "1", "4"):
+        for bad in ("0", "1", "4", to_decimal((1 << MAX_KEY_BITS) + 1)):
             doc["public"][field] = bad
-            with pytest.raises(ParseError, match=f"'public.{field}'"):
+            with mock.patch.object(base_module, "is_probable_prime", side_effect=AssertionError), \
+                    pytest.raises(ParseError, match=f"^field 'public.{field}': must be at most "
+                                                    f"{MAX_KEY_BITS} bits and at least 5$"):
                 parse_key(json.dumps(doc))
+
+
+@pytest.mark.parametrize("algorithm", sorted(SCHEME_CLASSES))
+def test_a_key_size_past_the_cap_gives_the_same_reason_at_both_doors(all_keys, algorithm):
+    """`security_bits` in a key file and the size asked of `generate_keys`
+    are judged by one rule, `key_size_fault`, in the same words; a size past
+    2048 bits is named by its bits (2^2100 still fits a JSON number under
+    the smallest int/str digit limit)."""
+    doc = json.loads(serialize_key(all_keys[algorithm]))
+    for bits in (MAX_KEY_BITS + 1, 1 << 2100, -1, True, "1024", None):
+        with pytest.raises(MathDomainError) as generated:
+            generate_keys(algorithm, bits, rng=RandomSource(1))
+        reason = str(generated.value).removeprefix(f"{algorithm} key size ")
+        assert reason.startswith(f"must be an integer from 0 to {MAX_KEY_BITS}, got ")
+        doc["security_bits"] = bits
+        with pytest.raises(ParseError) as parsed:
+            parse_key(json.dumps(doc))
+        assert str(parsed.value) == f"field 'security_bits': {reason}"
+    doc["security_bits"] = MAX_KEY_BITS
+    assert parse_key(json.dumps(doc)).security_bits == MAX_KEY_BITS
 
 
 def test_only_canonical_decimal_strings_parse(all_keys):
