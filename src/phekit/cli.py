@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -41,17 +42,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--algorithm", required=True, choices=ALGORITHMS)
-    p.add_argument("--key-size", type=int, help="modulus bits, or curve bits for ec-elgamal")
+    p.add_argument("--key-size", type=partial(_integer, name="--key-size"),
+                   help="modulus bits, or curve bits for ec-elgamal")
     p.add_argument("--curve", help="named curve (ec-elgamal only)")
-    p.add_argument("--s", type=int, help="damgard-jurik exponent s")
-    p.add_argument("--dlp-bound", type=int, help="plaintext bound for discrete-log decryption")
+    p.add_argument("--s", type=partial(_integer, name="--s"), help="damgard-jurik exponent s")
+    p.add_argument("--dlp-bound", type=partial(_integer, name="--dlp-bound"),
+                   help="plaintext bound for discrete-log decryption")
     p.add_argument("--out", required=True, help="key file to write (full key pair)")
     p.add_argument("--public-out", help="also write a public-only key file")
     p.set_defaults(func=_cmd_keygen)
 
     p = sub.add_parser("encrypt", help="encrypt an integer")
     p.add_argument("--keys", required=True, help="key file (public part suffices)")
-    p.add_argument("--plaintext", required=True)
+    p.add_argument("--plaintext", required=True, type=partial(_integer, name="--plaintext"))
     p.add_argument("--out", required=True, help="ciphertext file to write")
     p.set_defaults(func=_cmd_encrypt)
 
@@ -92,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_capabilities)
 
     p = sub.add_parser("bench", help="run the timing harness")
-    p.add_argument("--levels", default="80",
+    p.add_argument("--levels", default="80", type=_levels,
                    help="comma-separated security levels (80,112,128,192)")
     p.add_argument("--algorithms", default=",".join(ALGORITHMS),
                    help="comma-separated algorithm subset")
-    p.add_argument("--repetitions", type=int, default=5)
+    p.add_argument("--repetitions", type=partial(_integer, name="--repetitions"), default=5)
     p.add_argument("--out", required=True, help="CSV file to write")
     p.add_argument("--svg-dir", help="also write one radar chart per operation")
     p.add_argument("--toy", action="store_true",
@@ -106,14 +109,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str, name: str) -> int:
+    """An integer the command line takes as text: surrounding whitespace, one
+    optional sign and at most MAX_DIGITS ASCII digits, read the same whatever
+    the interpreter's int/str digit limit. Anything else, an underscore or a
+    non-ASCII digit included, is a usage error naming `name`, with a bounded
+    excerpt of the text. As an option's `type=`, it raises through argparse
+    to `run` (see UsageError)."""
+    stripped = text.strip()
+    digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS):
+        raise UsageError(f"{name} must be a decimal integer, got {excerpt(repr(text), 34)}")
+    return -from_decimal(digits) if stripped[:1] == "-" else from_decimal(digits)
+
+
+def _levels(text: str) -> tuple[int, ...]:
+    return tuple(_integer(part, "--levels") for part in text.split(",") if part)
+
+
 def _rng_from_env() -> RandomSource:
     raw = os.environ.get(TEST_SEED_ENV)
     if raw is None:
         return RandomSource()
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise UsageError(f"{TEST_SEED_ENV} must be a decimal integer, got {raw!r}")
+    seed = _integer(raw, TEST_SEED_ENV)
     print(
         f"warning: {TEST_SEED_ENV} is set; keys are deterministic and "
         "unfit for real use",
@@ -158,22 +176,8 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
-    keys = _load_keys(args.keys)
-    text = args.plaintext
-    try:
-        m = int(text, 10)
-    except ValueError:
-        # past the int/str digit limit, ASCII digits, with the surrounding
-        # whitespace and the one sign int takes, are read up to a document
-        # integer's width, and a longer string is not converted
-        stripped = text.strip()
-        digits = stripped[1:] if stripped[:1] in ("+", "-") else stripped
-        if not (digits.isascii() and digits.isdigit() and len(digits) <= MAX_DIGITS):
-            got = excerpt(repr(text), 34)
-            raise UsageError(f"--plaintext must be a decimal integer, got {got}")
-        m = -from_decimal(digits) if stripped[:1] == "-" else from_decimal(digits)
-    phe = PHE(keys=keys, rng=_rng_from_env())
-    _write(args.out, serialize_ciphertext(phe.encrypt(m)))
+    phe = PHE(keys=_load_keys(args.keys), rng=_rng_from_env())
+    _write(args.out, serialize_ciphertext(phe.encrypt(args.plaintext)))
     return EXIT_OK
 
 
@@ -223,20 +227,16 @@ def _cmd_capabilities(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from . import bench as bench_mod  # only this command needs it
 
-    try:
-        levels = tuple(int(part) for part in args.levels.split(",") if part)
-    except ValueError:
-        raise UsageError(f"--levels must be comma-separated integers, got {args.levels!r}")
     algorithms = tuple(part for part in args.algorithms.split(",") if part)
     plan = bench_mod.BenchPlan(
-        levels=levels,
+        levels=args.levels,
         algorithms=algorithms,
         repetitions=args.repetitions,
         toy=args.toy,
     )
     print(
         f"benchmarking {len(algorithms)} algorithm(s) at level(s) "
-        f"{','.join(map(str, sorted(levels)))}, {args.repetitions} repetitions",
+        f"{','.join(map(str, sorted(args.levels)))}, {to_decimal(args.repetitions)} repetitions",
         file=sys.stderr,
     )
     records = bench_mod.run_bench(plan, _rng_from_env())
@@ -253,13 +253,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 class UsageError(Exception):
-    pass
+    """A usage error, exit 2. It is no ValueError, so that argparse passes one
+    raised by a `type=` reader on to `run` instead of reporting its own
+    "invalid value" with the whole text."""
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2

@@ -106,13 +106,11 @@ def is_probable_prime(n: int) -> bool:
     decides every input below 2**32 alone.
 
     Past trial division n must be a strong probable prime to base 2
-    (`_strong_base_2`) and then a strong Lucas probable prime with
-    Selfridge's parameters (`_strong_lucas`; Baillie and Wagstaff, "Lucas
-    Pseudoprimes", Math. Comp. 35, 1980). The verdict is deterministic and
-    exact below 2**64, where Feitsma and Galway listed every base-2
-    pseudoprime and none passes both tests; no composite is known to pass
-    above. Key searches and key files get the same test: a key file's
-    Benaloh r, and each private factor p and q (`Scheme.key_fault`).
+    (`_strong_base_2`) and then an extra strong Lucas probable prime
+    (`_strong_lucas`). The verdict is deterministic, and no composite is
+    known to pass both tests. Key searches and key files get the same test:
+    a key file's Benaloh r, and each private factor p and q
+    (`Scheme.key_fault`).
     """
     verdict = trial_divide(n)
     return (_strong_base_2(n) and _strong_lucas(n)) if verdict is None else verdict
@@ -133,35 +131,38 @@ def _strong_base_2(n: int) -> bool:
 
 
 def _strong_lucas(n: int) -> bool:
-    """Whether odd n > 2 is a strong Lucas probable prime: with D the first
-    of 5, -7, 9, -11, ... whose Jacobi symbol (D/n) is -1 (Selfridge's
-    method A), P = 1, Q = (1 - D)/4 and n + 1 = d * 2**s, d odd,
-    U_d = 0 or V_(d * 2**r) = 0 (mod n) for some r < s.
+    """Whether odd n > 2 is an extra strong Lucas probable prime (Baillie,
+    Fiori and Wagstaff, "Strengthening the Baillie-PSW primality test",
+    Math. Comp. 90, 2021): with Q = 1, P the first of 3, 4, 5, ... whose
+    Jacobi symbol ((P**2 - 4)/n) is -1, and n + 1 = d * 2**s, d odd,
+    U_d = 0 and V_d = +-2, or V_(d * 2**r) = 0 (mod n) for some r < s - 1.
 
-    A square has no such D, so it is refused before the search, which
-    would not end. U and V are doubled and stepped along the bits of d,
-    halving mod n by adding n when odd.
+    A square has no such P, so it is refused before the search, which
+    would not end. Only V is computed, as the pair (V_k, V_(k+1)) doubled
+    and stepped along the bits of d, two products a bit: with Q = 1,
+    V_2k = V_k**2 - 2 and V_(2k+1) = V_k * V_(k+1) - P. U_d = 0 is read as
+    2 * V_(d+1) = P * V_d, since D * U_k = 2 * V_(k+1) - P * V_k and D is
+    a unit mod n.
     """
     if math.isqrt(n) ** 2 == n:
         return False
-    D = 5
-    while jacobi(D, n) != -1:
-        D = -D - 2 if D > 0 else 2 - D
-    Q = (1 - D) // 4
+    P = 3
+    while jacobi(P * P - 4, n) != -1:
+        P += 1
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d = (n + 1) >> s
-    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1 for P = 1
-    for bit in bin(d)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+    V, W = 2, P  # V_0 and V_1
+    for bit in bin(d)[2:]:
         if bit == "1":
-            U, V, Qk = U + V, D * U + V, Qk * Q % n
-            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
-    if U == 0 or V == 0:
+            V, W = (V * W - P) % n, (W * W - 2) % n
+        else:
+            V, W = (V * V - 2) % n, (V * W - P) % n
+    if V in (2, n - 2) and (2 * W - P * V) % n == 0:
         return True
     for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
         if V == 0:
             return True
+        V = (V * V - 2) % n
     return False
 
 

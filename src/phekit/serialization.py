@@ -147,7 +147,23 @@ def _fields(doc: Any, part: str, names: Collection[str], algorithm: str) -> dict
     return fields
 
 
+def _key_size(bits: Any, public: dict[str, Any]) -> None:
+    """The key cap, where a key file is written and where it is read:
+    `security_bits` by `key_size_fault`, and the modulus every operation
+    reduces by, n or p, at least 5 and at most MAX_KEY_BITS bits. A
+    degenerate modulus breaks every operation, and one past the cap costs
+    verdicts and powers no key size admits; the refusal names no value, so
+    no modulus is formatted for it."""
+    reason = key_size_fault(bits)
+    _require(reason is None, "security_bits", reason)
+    for name in {"n", "p"}.intersection(public):
+        modulus = public[name]
+        _require(type(modulus) is int and modulus >= 5 and modulus.bit_length() <= MAX_KEY_BITS,
+                 f"public.{name}", f"must be at most {MAX_KEY_BITS} bits and at least 5")
+
+
 def serialize_key(keys: KeyPair, include_private: bool = True) -> str:
+    _key_size(keys.security_bits, keys.public)
     body = {
         "security_bits": keys.security_bits,
         "params": _fields_doc(keys.params, "params"),
@@ -160,20 +176,13 @@ def serialize_key(keys: KeyPair, include_private: bool = True) -> str:
 
 def parse_key(text: str) -> KeyPair:
     doc, algorithm = _load_document(text, "key")
-    bits = doc.get("security_bits")
-    reason = key_size_fault(bits)
-    _require(reason is None, "security_bits", reason)
     cls = SCHEME_CLASSES[algorithm]
     public = _fields(doc.get("public"), "public", cls.public_fields, algorithm)
+    bits = doc.get("security_bits")
+    _key_size(bits, public)
     private = (_fields(doc["private"], "private", cls.private_fields, algorithm)
                if "private" in doc else None)
     params = _fields(doc.get("params", {}), "params", cls.default_params, algorithm)
-    # the modulus every operation reduces by; a degenerate one breaks them all,
-    # and one past the key cap costs verdicts and powers no key size admits
-    # (the refusals name no value, so no valid modulus is formatted for them)
-    for name in {"n", "p"}.intersection(cls.public_fields):
-        _require(public[name] >= 5 and public[name].bit_length() <= MAX_KEY_BITS,
-                 f"public.{name}", f"must be at most {MAX_KEY_BITS} bits and at least 5")
     keys = KeyPair(algorithm, bits, public, private, params)
     field, detail = cls.key_fault(keys) or (None, "")
     _require(field is None, field, detail)

@@ -236,11 +236,17 @@ scalars_of_any_width = st.builds(
 def test_every_ciphertext_a_phe_returns_serializes(paillier, scalars, as_text):
     """A chain of scalars, each given as a Fraction or as its a/b text: every
     ciphertext a PHE method returns (scalar, add, regenerate) serializes and
-    parses back equal, and the scalar that would take the scale past
-    MAX_BITS bits is refused, leaving the chain where it was."""
+    parses back equal. A scalar is refused, leaving the chain where it was,
+    in the documented order: a part past MAX_BITS bits (the strategy draws
+    up to 2^MAX_BITS inclusive) by `to_rational`, then a scale past
+    MAX_BITS bits by the scalar itself."""
     c = paillier.encrypt(3)
     for value, text in zip(scalars, as_text):
         k = f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}" if text else value
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_BITS:
+            with pytest.raises(MathDomainError, match=f"more than {MAX_BITS} bits"):
+                paillier.scalar(k, c)
+            continue
         if (c.scale_denominator * value.denominator).bit_length() > MAX_BITS:
             with pytest.raises(MathDomainError, match="scale would be"):
                 paillier.scalar(k, c)

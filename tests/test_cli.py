@@ -870,3 +870,65 @@ def test_keygen_dlp_bound_bounds_the_plaintext(tmp_path, capsys):
     capsys.readouterr()
     assert run(["decrypt", "--keys", str(keys), "--in", str(c)]) == 0
     assert capsys.readouterr().out == "999\n"
+
+
+# every integer the command line reads as text, in a command whose outcome
+# the value decides: (value, key file, output file) -> argv, the seed being
+# read from the environment
+INTEGER_INPUTS = {
+    "--key-size": lambda v, keys, out: ["keygen", "--algorithm", "exp-elgamal",
+                                        "--key-size", v, "--out", out],
+    "--s": lambda v, keys, out: ["keygen", "--algorithm", "damgard-jurik", "--key-size", "64",
+                                 "--s", v, "--out", out],
+    "--dlp-bound": lambda v, keys, out: ["keygen", "--algorithm", "exp-elgamal",
+                                         "--key-size", "64", "--dlp-bound", v, "--out", out],
+    "--repetitions": lambda v, keys, out: ["bench", "--algorithms", "none",
+                                           "--repetitions", v, "--out", out],
+    "--levels": lambda v, keys, out: ["bench", "--levels", v, "--algorithms", "rsa",
+                                      "--out", out],
+    "--plaintext": lambda v, keys, out: ["encrypt", "--keys", keys, "--plaintext", v,
+                                         "--out", out],
+    TEST_SEED_ENV: lambda v, keys, out: ["keygen", "--algorithm", "paillier",
+                                         "--key-size", "64", "--out", out],
+}
+
+INTEGER_TEXTS = {
+    "701 digits": "7" * 701,
+    "an underscore": "1_024",
+    "non-ASCII digits": "٣" * 700,
+    "100,000 digits": "7" * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", INTEGER_TEXTS.values(), ids=INTEGER_TEXTS)
+@pytest.mark.parametrize("name", INTEGER_INPUTS)
+def test_every_integer_input_reads_the_same_under_any_digit_limit(
+        tmp_path, paillier_keys, capsys, monkeypatch, int_digit_limit, name, text):
+    """One reader takes every integer of the command line: the same exit
+    code, stderr and output under int/str digit limits 0, 640 and 4300.
+    701 ASCII digits are read, and refused by the command (exit 4) or, as a
+    seed, used (exit 0); an underscore or a non-ASCII digit is a usage error
+    at any length, and so is a value past MAX_DIGITS digits, whose error
+    quotes a bounded excerpt, and nothing is written."""
+    keys, _ = paillier_keys
+    out = tmp_path / "out"
+    argv = INTEGER_INPUTS[name](text, str(keys), str(out))
+    if name == TEST_SEED_ENV:
+        monkeypatch.setenv(TEST_SEED_ENV, text)
+    outcomes = []
+    for limit in (0, 640, 4300):
+        int_digit_limit(limit)
+        capsys.readouterr()
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outcomes.append((code, capsys.readouterr().err, out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert outcomes[1:] == outcomes[:1] * 2
+    code, err, written = outcomes[0]
+    if text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS:
+        assert code == (0 if name == TEST_SEED_ENV else 4)
+    else:
+        assert code == 2 and written is None
+        assert f"{name} must be a decimal integer, got " in err and len(err) < 1000

@@ -98,16 +98,77 @@ def test_base_2_and_lucas_halves_agree_with_sieve_below_one_million(sieve):
         assert (_strong_base_2(n) and _strong_lucas(n)) == bool(sieve[n]), n
 
 
-# OEIS A217255: the strong Lucas pseudoprimes (Selfridge's method A)
-STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5 = [
-    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+def _extra_strong_lucas_by_definition(n: int, factor: list[int]) -> bool:
+    """The extra strong Lucas test from its definition, for odd n < 10**5
+    with `factor[m]` the least prime factor of each m: the Jacobi symbol as
+    the product of Legendre symbols by Euler's criterion, and U_k and V_k
+    read from the k-th power of the companion matrix [[P, -1], [1, 0]] of
+    U_(k+1) = P * U_k - U_(k-1): U_k is its lower left entry and V_k its
+    trace. As in `_strong_lucas`, a P whose P**2 - 4 shares a factor with n
+    is passed over."""
+
+    def jacobi_by_factors(a, m):
+        symbol = 1
+        while m > 1:
+            p = factor[m]
+            m //= p
+            symbol *= 0 if a % p == 0 else 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+        return symbol
+
+    def times(A, B):
+        return [[(A[i][0] * B[0][j] + A[i][1] * B[1][j]) % n for j in (0, 1)] for i in (0, 1)]
+
+    if math.isqrt(n) ** 2 == n:
+        return False
+    P = 3
+    while jacobi_by_factors(P * P - 4, n) != -1:
+        P += 1
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    M, power = [[P, n - 1], [1, 0]], [[1, 0], [0, 1]]
+    for bit in bin(d)[2:]:
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, M)
+    U, V = power[1][0], (power[0][0] + power[1][1]) % n
+    if U == 0 and V in (2, n - 2):
+        return True
+    for _ in range(s - 1):
+        if V == 0:
+            return True
+        power = times(power, power)
+        V = (power[0][0] + power[1][1]) % n
+    return False
+
+
+# the composites below 10**5 that pass the extra strong Lucas test: OEIS
+# A217719 and four more, 15, 119, 1239 and 68439, that pass only because a P
+# whose P**2 - 4 shares a factor with them is passed over; trial division
+# refuses all four inside `is_probable_prime`
+EXTRA_STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5 = [
+    15, 119, 989, 1239, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 68439,
+    72389, 73919, 75077,
 ]
 
 
-def test_lucas_half_alone_passes_exactly_the_strong_lucas_pseudoprimes(sieve):
-    passed = [n for n in range(5, 10**5, 2) if not sieve[n] and _strong_lucas(n)]
-    assert passed == STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5
-    for n in passed:
+def test_lucas_half_alone_passes_exactly_the_extra_strong_lucas_pseudoprimes():
+    """The list is the definition's: the V-only ladder of `_strong_lucas`
+    and the matrix powers of `_extra_strong_lucas_by_definition` pass the
+    same composites below 10**5, and none of them is a strong probable
+    prime to base 2."""
+    limit = 10**5
+    factor = list(range(limit))  # least prime factors
+    for i in range(2, math.isqrt(limit) + 1):
+        if factor[i] == i:
+            for j in range(i * i, limit, i):
+                if factor[j] == j:
+                    factor[j] = i
+    composites = [n for n in range(5, limit, 2) if factor[n] != n]
+    assert [n for n in composites if _strong_lucas(n)] == EXTRA_STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5
+    assert ([n for n in composites if _extra_strong_lucas_by_definition(n, factor)]
+            == EXTRA_STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5)
+    for n in EXTRA_STRONG_LUCAS_PSEUDOPRIMES_BELOW_10_5:
         assert not _strong_base_2(n), n
         assert not is_probable_prime(n), n
 

@@ -399,6 +399,11 @@ def test_parse_key_rejects_private_factors_that_miss_the_modulus(all_keys, algor
     assert parse_key(json.dumps(doc)) == keys
 
 
+# the largest public key the cap admits: n = 2^7679 + 1 and g = n + 1 pass
+# every public check
+PAILLIER_7680 = KeyPair("paillier", MAX_KEY_BITS, {"n": 2**7679 + 1, "g": 2**7679 + 2})
+
+
 def _refused_in_milliseconds(doc: dict, field: str) -> None:
     start = time.perf_counter()
     with pytest.raises(ParseError, match=f"'{field}': must be at most"):
@@ -428,9 +433,10 @@ def test_a_damgard_jurik_s_past_its_cost_bound_is_refused(all_keys):
     n = 2 ** (MAX_KEY_BITS - 1) + 1
     pair = KeyPair("paillier", MAX_KEY_BITS, {"n": n, "g": n + 1})
     assert parse_key(serialize_key(pair)) == pair
+    doc = json.loads(serialize_key(pair))
     n = 2**MAX_KEY_BITS + 1
-    _refused_in_milliseconds(
-        json.loads(serialize_key(KeyPair("paillier", 7680, {"n": n, "g": n + 1}))), "public.n")
+    doc["public"].update(n=to_decimal(n), g=to_decimal(n + 1))
+    _refused_in_milliseconds(doc, "public.n")
 
 
 def test_a_dlp_bound_past_2_to_the_32_is_refused(all_keys):
@@ -753,6 +759,28 @@ def test_a_key_size_past_the_cap_gives_the_same_reason_at_both_doors(all_keys, a
         assert str(parsed.value) == f"field 'security_bits': {reason}"
     doc["security_bits"] = MAX_KEY_BITS
     assert parse_key(json.dumps(doc)).security_bits == MAX_KEY_BITS
+
+
+def test_a_key_past_the_cap_is_refused_where_it_is_written():
+    """`serialize_key` applies the key cap that `parse_key` applies, with the
+    same field and reason, so no key file is written that no door reads: a
+    `security_bits` of 9000, and a 7700-bit n under a size the cap admits.
+    A 7680-bit public key still round-trips."""
+    n = 2**7680 + 1
+    past_size = KeyPair("paillier", 9000, {"n": n, "g": n + 1})
+    n = 2**7699 + 1
+    past_modulus = KeyPair("paillier", MAX_KEY_BITS, {"n": n, "g": n + 1})
+    for pair, field in ((past_size, "security_bits"), (past_modulus, "public.n")):
+        with pytest.raises(ParseError) as written:
+            serialize_key(pair, include_private=False)
+        doc = json.loads(serialize_key(PAILLIER_7680))
+        doc["security_bits"] = pair.security_bits
+        doc["public"] = {name: to_decimal(value) for name, value in pair.public.items()}
+        with pytest.raises(ParseError) as read:
+            parse_key(json.dumps(doc))
+        assert str(written.value) == str(read.value)
+        assert str(written.value).startswith(f"field {field!r}: must be ")
+    assert parse_key(serialize_key(PAILLIER_7680)) == PAILLIER_7680
 
 
 def test_only_canonical_decimal_strings_parse(all_keys):
